@@ -183,9 +183,6 @@ class FoldPlan:
     k: int
     assignments: dict[str, int] = field(default_factory=dict)
 
-    def fold_of(self, record_id: str) -> int:
-        return self.assignments[record_id]
-
     def test_ids(self, fold: int) -> list[str]:
         return [rid for rid, f in self.assignments.items() if f == fold]
 
@@ -322,6 +319,9 @@ def load_cohort(path: str) -> list[SurvivalRecord]:
                 vals = np.array([float(v) for v in row[3:]])
             except ValueError as exc:
                 raise ValidationError(f"{path}: row {row_no}: {exc}") from exc
+            if not np.isfinite(vals).all():
+                col = header[3 + int(np.argmin(np.isfinite(vals)))]
+                raise ValidationError(f"{path}: row {row_no}: column '{col}' is not finite")
             if time <= 0 or not np.isfinite(time):
                 raise ValidationError(
                     f"{path}: row {row_no}: time must be positive, got {row[1]}")

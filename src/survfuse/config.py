@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 from .cohort import CohortSpec
 from .errors import ConfigError
+from .fusion import FUSION_MODES
 from .modulation import ModulationConfig
 from .smoothing import CellCorpusSpec
-
-_FUSION_MODES = ("concat", "kronecker")
 
 
 @dataclass
@@ -71,8 +70,8 @@ class RunConfig:
             raise ConfigError("epochs must be >= 1")
         if self.k_folds < 2:
             raise ConfigError("k_folds must be >= 2")
-        if self.fusion_mode not in _FUSION_MODES:
-            raise ConfigError(f"fusion_mode must be one of {_FUSION_MODES}")
+        if self.fusion_mode not in FUSION_MODES:
+            raise ConfigError(f"fusion_mode must be one of {FUSION_MODES}")
         if self.modulation.enabled and self.fusion_mode != "concat":
             raise ConfigError("gradient modulation requires fusion_mode = concat")
 

@@ -482,18 +482,21 @@ def load_model(path: str) -> FusionModel:
                                        tensors[f"{gname}.{i}.bias"], act)
                 for i, act in enumerate(acts)]
 
-    encoder = FrozenEncoder(tensors["encoder.weight"], tensors["encoder.bias"],
-                            meta.get("encoder_activation", "tanh"))
-    mlp_a = None
-    if meta.get("mlp_a_activations"):
-        mlp_a = [DenseLayer.from_params(tensors[f"mlp_a.{i}.weight"],
-                                        tensors[f"mlp_a.{i}.bias"], act)
-                 for i, act in enumerate(meta["mlp_a_activations"])]
-    head = DenseLayer.from_params(tensors["head.weight"], tensors["head.bias"],
-                                  "identity")
-    model = FusionModel(stack("snn"), encoder, mlp_a, stack("mlp_b"),
-                        stack("image_encoder"), head, meta["fusion_mode"])
-    if meta.get("g2_normalized"):
-        model.g2_mean = tensors["g2_norm.mean"]
-        model.g2_std = tensors["g2_norm.std"]
+    try:
+        encoder = FrozenEncoder(tensors["encoder.weight"], tensors["encoder.bias"],
+                                meta.get("encoder_activation", "tanh"))
+        mlp_a = None
+        if meta.get("mlp_a_activations"):
+            mlp_a = [DenseLayer.from_params(tensors[f"mlp_a.{i}.weight"],
+                                            tensors[f"mlp_a.{i}.bias"], act)
+                     for i, act in enumerate(meta["mlp_a_activations"])]
+        head = DenseLayer.from_params(tensors["head.weight"], tensors["head.bias"],
+                                      "identity")
+        model = FusionModel(stack("snn"), encoder, mlp_a, stack("mlp_b"),
+                            stack("image_encoder"), head, meta["fusion_mode"])
+        if meta.get("g2_normalized"):
+            model.g2_mean = tensors["g2_norm.mean"]
+            model.g2_std = tensors["g2_norm.std"]
+    except KeyError as exc:
+        raise ValidationError(f"{path}: checkpoint has no entry {exc}") from exc
     return model

@@ -7,7 +7,8 @@ is summarized by a per-event ratio
 
 (numerator deliberately NOT exponentiated; set ``exp_numerator`` for the
 softmax-style reading), where s_g[k] = W^G . G_k + b/2 is the genomic half
-of the fused score theta_k. The batch-level discrepancy
+of the fused score theta_k; the denominators come from the Cox loss's
+kernel, CoxBatch.log_risk_denominators. The batch-level discrepancy
 
     rho_g = aggregate_k(r^G_k) / aggregate_k(r^P_k),    rho_p = 1 / rho_g
 
@@ -73,10 +74,6 @@ class ContributionReport:
     degenerate: bool = False
     per_sample_ratios: np.ndarray = field(default_factory=lambda: np.empty(0))
 
-    def summary(self) -> dict:
-        return {"rho_g": self.rho_g, "rho_g_clamped": self.rho_g_clamped,
-                "factor_g": self.factor_g, "factor_p": self.factor_p}
-
 
 NEUTRAL_REPORT = ContributionReport(
     rho_g=1.0, rho_p=1.0, rho_g_clamped=1.0, rho_p_clamped=1.0,
@@ -105,11 +102,9 @@ def branch_scores(Wg, G, Wp, P, b: float):
     return G @ Wg + half, P @ Wp + half
 
 
-def _signed_guard(x: float, eps: float) -> float:
+def _signed_guard(x, eps: float):
     # keep the sign, bound the magnitude away from zero
-    if x >= 0.0:
-        return max(x, eps)
-    return min(x, -eps)
+    return np.where(x >= 0.0, np.maximum(x, eps), np.minimum(x, -eps))
 
 
 def contribution_ratio(s_g, s_p, batch: CoxBatch, cfg: ModulationConfig) -> ContributionReport:
@@ -128,20 +123,19 @@ def contribution_ratio(s_g, s_p, batch: CoxBatch, cfg: ModulationConfig) -> Cont
     if batch.degenerate:
         return NEUTRAL_REPORT
 
-    n_ev = batch.n_events
-    r_g = np.empty(n_ev)
-    r_p = np.empty(n_ev)
-    for m, (k, risk) in enumerate(zip(batch.event_indices, batch.risk_sets)):
-        denom_g = np.exp(s_g[risk]).sum()
-        denom_p = np.exp(s_p[risk]).sum()
-        num_g = np.exp(s_g[k]) if cfg.exp_numerator else s_g[k]
-        num_p = np.exp(s_p[k]) if cfg.exp_numerator else s_p[k]
-        r_g[m] = num_g / denom_g
-        r_p[m] = num_p / denom_p
+    k = batch.event_indices
+    lse_g = batch.log_risk_denominators(s_g)[k]
+    lse_p = batch.log_risk_denominators(s_p)[k]
+    if cfg.exp_numerator:
+        r_g = np.exp(s_g[k] - lse_g)
+        r_p = np.exp(s_p[k] - lse_p)
+    else:
+        r_g = s_g[k] * np.exp(-lse_g)
+        r_p = s_p[k] * np.exp(-lse_p)
 
     agg = np.mean if cfg.aggregate == "mean" else np.median
-    per_sample = r_g / np.array([_signed_guard(v, cfg.epsilon) for v in r_p])
-    rho_g = _signed_guard(float(agg(r_g)), cfg.epsilon) / _signed_guard(float(agg(r_p)), cfg.epsilon)
+    per_sample = r_g / _signed_guard(r_p, cfg.epsilon)
+    rho_g = float(_signed_guard(agg(r_g), cfg.epsilon) / _signed_guard(agg(r_p), cfg.epsilon))
     rho_p = 1.0 / rho_g
 
     lo, hi = cfg.ratio_clamp

@@ -11,8 +11,9 @@ modulation is applied.
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,10 +130,6 @@ class DenseLayer:
         self.grad_bias[...] = dz.sum(axis=0)
         return dz @ self.weight
 
-    def reset_cache(self) -> None:
-        self._cached_input = None
-        self._cached_preact = None
-
 
 def make_mlp(in_dim: int, out_dim: int, *, hidden_dim: int = 128,
              n_hidden: int = 2, activation: str = "relu",
@@ -181,7 +178,6 @@ class ParamGroup:
     params: list[np.ndarray]
     grads: list[np.ndarray]
     lr_scale: float = 1.0
-    _velocity: list[np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if len(self.params) != len(self.grads):
@@ -212,12 +208,10 @@ def layer_group(name: str, layers: list[DenseLayer], lr_scale: float = 1.0) -> P
     return ParamGroup(name, params, grads, lr_scale)
 
 
-def sgd_step(groups: list[ParamGroup], eta: float, momentum: float = 0.0) -> None:
+def sgd_step(groups: list[ParamGroup], eta: float) -> None:
     """In-place SGD update: param -= eta * lr_scale * grad; grads are zeroed.
 
-    Optional classical momentum (default off) keeps velocity buffers per
-    group. Aborts without touching any parameter if any gradient is
-    non-finite.
+    Aborts without touching any parameter if any gradient is non-finite.
     """
     if not eta > 0.0:
         raise ValidationError(f"eta must be positive, got {eta}")
@@ -226,18 +220,9 @@ def sgd_step(groups: list[ParamGroup], eta: float, momentum: float = 0.0) -> Non
             if not np.isfinite(g).all():
                 raise NumericalError(f"non-finite gradient in group '{group.name}'")
     for group in groups:
-        if momentum > 0.0:
-            if group._velocity is None:
-                group._velocity = [np.zeros_like(p) for p in group.params]
-            for p, g, v in zip(group.params, group.grads, group._velocity):
-                v *= momentum
-                v += g
-                p -= eta * group.lr_scale * v
-                g[...] = 0.0
-        else:
-            for p, g in zip(group.params, group.grads):
-                p -= eta * group.lr_scale * g
-                g[...] = 0.0
+        for p, g in zip(group.params, group.grads):
+            p -= eta * group.lr_scale * g
+            g[...] = 0.0
 
 
 def step_decay_eta(eta0: float, step: int, total_steps: int) -> float:
@@ -289,27 +274,34 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = No
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a checkpoint; malformed content raises ValidationError naming the line."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ValidationError(f"{path}: not a survfuse checkpoint")
     if len(lines) < 2 or not lines[1].startswith("meta "):
         raise ValidationError(f"{path}: missing meta line")
-    meta = json.loads(lines[1][len("meta "):])
+    try:
+        meta = json.loads(lines[1][len("meta "):])
+    except ValueError as exc:
+        raise ValidationError(f"{path}: line 2: bad meta JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise ValidationError(f"{path}: line 2: meta must be a JSON object")
     tensors: dict[str, np.ndarray] = {}
     i = 2
-    while i < len(lines) and lines[i] != "end":
-        parts = lines[i].split()
-        if parts[0] != "tensor" or len(parts) < 3:
-            raise ValidationError(f"{path}: malformed tensor header at line {i + 1}")
-        name, ndim = parts[1], int(parts[2])
-        shape = tuple(int(d) for d in parts[3:3 + ndim])
-        values = np.array([float(tok) for tok in lines[i + 1].split()])
-        expected = int(np.prod(shape)) if ndim else 1
-        if values.size != expected:
-            raise ValidationError(f"{path}: tensor '{name}' value count mismatch")
+    while i + 1 < len(lines) and lines[i] != "end":
+        try:
+            tag, name, ndim, *dims = lines[i].split()
+            shape = tuple(int(d) for d in dims)
+            if tag != "tensor" or int(ndim) != len(shape) or min(shape, default=0) < 0:
+                raise ValueError("expected 'tensor <name> <ndim> <dim>...'")
+            values = np.array([float(tok) for tok in lines[i + 1].split()])
+            if values.size != math.prod(shape) or not np.isfinite(values).all():
+                raise ValueError(f"tensor '{name}' needs {math.prod(shape)} finite values")
+        except ValueError as exc:
+            raise ValidationError(f"{path}: line {i + 1}: {exc}") from exc
         tensors[name] = values.reshape(shape)
         i += 2
-    if i >= len(lines):
-        raise ValidationError(f"{path}: missing end marker")
+    if i >= len(lines) or lines[i] != "end":
+        raise ValidationError(f"{path}: line {i + 1}: missing end marker")
     return meta, tensors

@@ -117,7 +117,6 @@ class FrozenEncoder:
         self.weight = weight
         self.bias = bias
         self.activation = activation
-        self.frozen = True
 
     @property
     def gene_dim(self) -> int:
@@ -389,18 +388,15 @@ def load_stage1(path: str) -> tuple[list[DenseLayer], DenseLayer, FrozenEncoder]
     meta, tensors = load_checkpoint(path)
     if meta.get("kind") != "stage1":
         raise ValidationError(f"{path}: not a stage-1 checkpoint")
-    acts = meta["mlp_a_activations"]
-    mlp_a = []
-    for i, act in enumerate(acts):
-        try:
-            w = tensors[f"mlp_a.{i}.weight"]
-            bvec = tensors[f"mlp_a.{i}.bias"]
-        except KeyError as exc:
-            raise ValidationError(f"{path}: missing tensor for mlp_a layer {i}") from exc
-        mlp_a.append(DenseLayer.from_params(w, bvec, act))
-    classifier = DenseLayer.from_params(tensors["classifier.weight"],
-                                        tensors["classifier.bias"],
-                                        meta["classifier_activation"])
-    encoder = FrozenEncoder(tensors["encoder.weight"], tensors["encoder.bias"],
-                            meta.get("encoder_activation", "tanh"))
+    try:
+        mlp_a = [DenseLayer.from_params(tensors[f"mlp_a.{i}.weight"],
+                                        tensors[f"mlp_a.{i}.bias"], act)
+                 for i, act in enumerate(meta["mlp_a_activations"])]
+        classifier = DenseLayer.from_params(tensors["classifier.weight"],
+                                            tensors["classifier.bias"],
+                                            meta["classifier_activation"])
+        encoder = FrozenEncoder(tensors["encoder.weight"], tensors["encoder.bias"],
+                                meta.get("encoder_activation", "tanh"))
+    except KeyError as exc:
+        raise ValidationError(f"{path}: checkpoint has no entry {exc}") from exc
     return mlp_a, classifier, encoder

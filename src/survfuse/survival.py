@@ -12,6 +12,11 @@ Conventions used everywhere in this package:
       dL/dtheta_i = sum over events k with i in R_k of softmax_i(theta[R_k])
                     - 1{event_i}
   and its entries sum to zero on any batch.
+
+Risk sets are never materialised: sorted by descending time, every R_k is
+a prefix ending at k's tie block, so one running log-sum-exp
+(CoxBatch.log_risk_denominators) gives all risk-set denominators in O(n).
+The loss, the gradient and the modulation ratios are computed from it.
 """
 
 from __future__ import annotations
@@ -55,13 +60,15 @@ class SurvivalRecord:
 
 
 class CoxBatch:
-    """A batch of (time, event) observations with precomputed risk sets.
+    """A batch of (time, event) observations, sorted once by time; O(n) storage.
 
-    risk_sets[m] holds the indices j with t_j >= t_k for the m-th
-    uncensored sample k = event_indices[m]; ties are included.
+    `order` lists row indices by descending time (ties in row order).
+    `block_start[p]`/`block_end[p]` bound sorted position p's tie block, so
+    the risk set at p is sorted positions 0..block_end[p], and the row at p
+    is in the risk set of every event at sorted position >= block_start[p].
     """
 
-    def __init__(self, times, events, records: list[SurvivalRecord] | None = None):
+    def __init__(self, times, events):
         times = np.asarray(times, dtype=np.float64).reshape(-1)
         events = np.asarray(events).reshape(-1).astype(bool)
         if times.size == 0:
@@ -72,13 +79,11 @@ class CoxBatch:
             raise ValidationError("all observation times must be positive and finite")
         self.times = times
         self.events = events
-        self.records = records
         self.event_indices = np.flatnonzero(events)
-        self.risk_sets = [np.flatnonzero(times >= times[k]) for k in self.event_indices]
-
-    @classmethod
-    def from_arrays(cls, times, events) -> "CoxBatch":
-        return cls(times, events)
+        self.order = np.argsort(-times, kind="stable")
+        neg_sorted = -times[self.order]   # ascending, so searchsorted finds tie blocks
+        self.block_start = np.searchsorted(neg_sorted, neg_sorted, side="left")
+        self.block_end = np.searchsorted(neg_sorted, neg_sorted, side="right") - 1
 
     def __len__(self) -> int:
         return self.times.size
@@ -92,14 +97,24 @@ class CoxBatch:
         """True when the batch has no uncensored event (loss is identically 0)."""
         return self.n_events == 0
 
+    def log_risk_denominators(self, scores: np.ndarray) -> np.ndarray:
+        """log sum_{j : t_j >= t_i} exp(scores_j) for every row i, in row order.
+
+        A running log-sum-exp over the time-sorted scores, read at the end of
+        each row's tie block, so tied rows share the full risk set (Breslow).
+        """
+        lse = np.empty(self.times.size)
+        lse[self.order] = np.logaddexp.accumulate(scores[self.order])[self.block_end]
+        return lse
+
 
 def build_risk_sets(records: list[SurvivalRecord]) -> CoxBatch:
-    """Assemble a CoxBatch from records, keeping the record list attached."""
+    """Assemble a CoxBatch from the records' times and event flags."""
     if not records:
         raise ValidationError("empty record list")
     times = np.array([r.time for r in records])
     events = np.array([r.event for r in records])
-    return CoxBatch(times, events, records=list(records))
+    return CoxBatch(times, events)
 
 
 def _check_theta(theta, batch: CoxBatch) -> np.ndarray:
@@ -115,29 +130,26 @@ def cox_loss(theta, batch: CoxBatch) -> float:
     """Negative Cox partial log-likelihood (see module docstring).
 
     Degenerate batches (no uncensored event) contribute 0; check
-    `batch.degenerate` to count them. Log-sum-exp uses max subtraction.
+    `batch.degenerate` to count them.
     """
     theta = _check_theta(theta, batch)
-    if batch.degenerate:
-        return 0.0
-    total = 0.0
-    for k, risk in zip(batch.event_indices, batch.risk_sets):
-        t = theta[risk]
-        m = t.max()
-        total += m + np.log(np.exp(t - m).sum()) - theta[k]
-    return float(total)
+    k = batch.event_indices
+    return float((batch.log_risk_denominators(theta)[k] - theta[k]).sum())
 
 
 def cox_gradient(theta, batch: CoxBatch) -> np.ndarray:
-    """Exact gradient of cox_loss w.r.t. theta."""
+    """Exact gradient of cox_loss w.r.t. theta.
+
+    Row i collects exp(theta_i - lse_k) over the events k at or after its tie
+    block in sorted order: a suffix log-sum-exp of -lse_k, so nothing overflows.
+    """
     theta = _check_theta(theta, batch)
-    grad = -batch.events.astype(np.float64)
-    if batch.degenerate:
-        return grad
-    for risk in batch.risk_sets:
-        t = theta[risk]
-        w = np.exp(t - t.max())
-        grad[risk] += w / w.sum()
+    order = batch.order
+    ev = batch.events[order]
+    neg_lse = np.where(ev, -batch.log_risk_denominators(theta)[order], -np.inf)
+    log_suffix = np.logaddexp.accumulate(neg_lse[::-1])[::-1]
+    grad = np.empty(len(batch))
+    grad[order] = np.exp(theta[order] + log_suffix[batch.block_start]) - ev
     return grad
 
 
@@ -174,7 +186,7 @@ def fit_linear_cox(x, times, events, l2: float = 1e-3, max_iter: int = 200) -> n
     from scipy.optimize import minimize
 
     x = np.asarray(x, dtype=np.float64)
-    batch = CoxBatch.from_arrays(times, events)
+    batch = CoxBatch(times, events)
     if x.shape[0] != len(batch):
         raise ShapeError(f"feature rows {x.shape[0]} != batch size {len(batch)}")
 

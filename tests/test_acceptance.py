@@ -169,7 +169,7 @@ def test_a3_modulation_algebra():
         events = rng.uniform(size=n) < 0.7
         if not events.any():
             events[int(rng.integers(0, n))] = True
-        batch = CoxBatch.from_arrays(times, events)
+        batch = CoxBatch(times, events)
         report = contribution_ratio(rng.normal(size=n), rng.normal(size=n),
                                     batch, cfg)
         worst_product = max(worst_product,
@@ -192,8 +192,8 @@ def test_a3_modulation_algebra():
 
 
 def test_a4_closed_form_spot_checks():
-    batch = CoxBatch.from_arrays(np.array([1.0, 2.0, 3.0]),
-                                 np.array([True, True, True]))
+    batch = CoxBatch(np.array([1.0, 2.0, 3.0]),
+                     np.array([True, True, True]))
     ln6_err = abs(cox_loss(np.zeros(3), batch) - np.log(6.0))
 
     rng = np.random.default_rng(4)
@@ -205,7 +205,7 @@ def test_a4_closed_form_spot_checks():
         events = rng.uniform(size=n) < 0.7
         if not events.any():
             events[0] = True
-        b = CoxBatch.from_arrays(times, events)
+        b = CoxBatch(times, events)
         theta = rng.normal(size=n)
         shift = float(rng.uniform(-50, 50))
         worst_shift = max(worst_shift,
@@ -306,29 +306,29 @@ def cli_workspace(tmp_path_factory):
 
 def test_a8_train_determinism(cli_workspace):
     root, cfg = cli_workspace
-    first_report = json.loads((root / "run" / "report.json").read_text())
-    first_metrics = (root / "run" / "metrics.jsonl").read_bytes()
-    first_model = (root / "run" / "model.ckpt").read_bytes()
-    assert main(["train", *cfg, "--force"]) == 0
-    second_report = json.loads((root / "run" / "report.json").read_text())
-    second_metrics = (root / "run" / "metrics.jsonl").read_bytes()
-    second_model = (root / "run" / "model.ckpt").read_bytes()
 
-    stamps_differ_only = first_report.pop("timestamp") is not None
-    second_report.pop("timestamp")
-    first_text = json.dumps(first_report, sort_keys=True)
-    second_text = json.dumps(second_report, sort_keys=True)
-    ok = (stamps_differ_only and first_text == second_text
-          and first_metrics == second_metrics and first_model == second_model)
-    _verdict(8, ok, "two train runs byte-identical modulo the timestamp key "
-                    "(report, metrics stream, model checkpoint)")
+    def outputs():
+        report = json.loads((root / "run" / "report.json").read_text())
+        stamped = report.pop("timestamp") is not None
+        return (stamped, json.dumps(report, sort_keys=True),
+                (root / "run" / "metrics.jsonl").read_bytes(),
+                (root / "run" / "model.ckpt").read_bytes())
+
+    first = outputs()
+    assert main(["train", *cfg, "--force", "--jobs", "1"]) == 0
+    rerun = outputs()
+    assert main(["train", *cfg, "--force", "--jobs", "2"]) == 0
+    pooled = outputs()
+    ok = first[0] and first == rerun == pooled
+    _verdict(8, ok, "train reruns with --jobs 1 and --jobs 2 byte-identical modulo the "
+                    "timestamp key (report, metrics stream, model checkpoint)")
 
 
 def test_a9_degenerate_handling(cli_workspace, capsys):
     root, cfg = cli_workspace
 
     # all-censored batch: zero loss, skipped, counted
-    batch = CoxBatch.from_arrays(np.array([1.0, 2.0]), np.array([False, False]))
+    batch = CoxBatch(np.array([1.0, 2.0]), np.array([False, False]))
     loss_zero = cox_loss(np.array([0.3, -0.7]), batch) == 0.0
 
     from survfuse.fusion import FusionSpec, TrainConfig, build_model, train_survival

@@ -235,6 +235,10 @@ def test_load_cohort_row_addressed_errors(tmp_path):
     path.write_text(head + "a,1.0,1,0.1,0.2\n")
     with pytest.raises(ValidationError, match="expected 6 fields"):
         load_cohort(str(path))
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(head + f"a,1.0,1,0.1,0.2,0.3\nb,2.0,0,0.1,{bad},0.3\n")
+        with pytest.raises(ValidationError, match="row 3: column 'r0' is not finite"):
+            load_cohort(str(path))
     path.write_text("id,time,event,q0\na,1.0,1,0.5\n")
     with pytest.raises(ValidationError, match="unexpected column"):
         load_cohort(str(path))

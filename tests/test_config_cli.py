@@ -9,7 +9,8 @@ from survfuse.cli import main
 from survfuse.cohort import default_hazard_coef
 from survfuse.config import (RunConfig, config_echo, load_cells_spec,
                              load_cohort_spec, load_run_config)
-from survfuse.errors import ConfigError
+from survfuse.errors import ConfigError, ValidationError
+from survfuse.fusion import load_model
 
 # ---------------------------------------------------------------------------
 # config files
@@ -225,6 +226,42 @@ def test_eval_rejects_wrong_checkpoint_kind(pipeline, capsys):
     root, cfg = pipeline
     bad = str(root / "stage1.ckpt")
     assert main(["eval", *cfg, "--model", bad]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def _damage_checkpoint(lines, kind):
+    lines = list(lines)
+    head = next(i for i, line in enumerate(lines) if line.startswith("tensor "))
+    if kind == "non_integer_dim":
+        parts = lines[head].split()
+        parts[3] += ".5"
+        lines[head] = " ".join(parts)
+    elif kind == "bad_meta_json":
+        lines[1] = "meta {not json"
+    elif kind == "truncated_before_end":
+        del lines[head + 1:]
+    elif kind == "nan_value":
+        lines[head + 1] = "nan " + lines[head + 1].split(" ", 1)[1]
+    elif kind == "missing_tensor":
+        at = next(i for i, line in enumerate(lines) if line.startswith("tensor head.weight "))
+        del lines[at:at + 2]
+    elif kind == "missing_meta_key":
+        meta = json.loads(lines[1][len("meta "):])
+        del meta["fusion_mode"]
+        lines[1] = "meta " + json.dumps(meta)
+    return lines
+
+
+@pytest.mark.parametrize("kind", ["non_integer_dim", "bad_meta_json", "truncated_before_end",
+                                  "nan_value", "missing_tensor", "missing_meta_key"])
+def test_damaged_checkpoint_is_a_clean_error(pipeline, capsys, kind):
+    root, cfg = pipeline
+    lines = (root / "run" / "model.ckpt").read_text().splitlines()
+    bad = root / f"damaged_{kind}.ckpt"
+    bad.write_text("\n".join(_damage_checkpoint(lines, kind)) + "\n")
+    with pytest.raises(ValidationError, match=str(bad)):
+        load_model(str(bad))
+    assert main(["eval", *cfg, "--model", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
 
 

@@ -21,8 +21,8 @@ def _cfg(**kw):
 
 
 def _batch(times, events):
-    return CoxBatch.from_arrays(np.asarray(times, dtype=np.float64),
-                                np.asarray(events, dtype=bool))
+    return CoxBatch(np.asarray(times, dtype=np.float64),
+                    np.asarray(events, dtype=bool))
 
 
 def _random_scores(rng, n):

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cox_reference as ref
 from survfuse.errors import (ConcordanceUndefinedError, ShapeError,
                              ValidationError)
+from survfuse.modulation import ModulationConfig, contribution_ratio
 from survfuse.survival import (CoxBatch, SurvivalRecord, build_risk_sets,
                                concordance_index, cox_gradient, cox_loss,
                                fit_linear_cox, probe_c_index)
@@ -16,8 +18,21 @@ LN6 = 1.791759469228055
 
 
 def _batch(times, events):
-    return CoxBatch.from_arrays(np.asarray(times, dtype=np.float64),
-                                np.asarray(events, dtype=bool))
+    return CoxBatch(np.asarray(times, dtype=np.float64),
+                    np.asarray(events, dtype=bool))
+
+
+def _assert_kernel_uses_reference_sets(batch):
+    """The kernel's denominator at each event is the sum over its reference risk set."""
+    scores = np.random.default_rng(0).normal(size=len(batch))
+    lse = batch.log_risk_denominators(scores)
+    for k, risk in zip(batch.event_indices, ref.risk_sets(batch)):
+        assert lse[k] == pytest.approx(np.log(np.exp(scores[risk]).sum()), rel=1e-12)
+
+
+def _risk_set_sizes(batch):
+    """|R_k| per event, read from the kernel: with zero scores each denominator counts rows."""
+    return np.exp(batch.log_risk_denominators(np.zeros(len(batch))))[batch.event_indices]
 
 
 # ---------------------------------------------------------------------------
@@ -26,22 +41,27 @@ def _batch(times, events):
 
 def test_risk_sets_use_observed_time_at_least_event_time():
     batch = _batch([3.0, 1.0, 2.0], [True, True, False])
-    by_time = {batch.times[k]: set(batch.risk_sets[i])
-               for i, k in enumerate(batch.event_indices)}
+    by_time = {batch.times[k]: set(risk)
+               for k, risk in zip(batch.event_indices, ref.risk_sets(batch))}
     assert by_time[1.0] == {0, 1, 2}
     assert by_time[3.0] == {0}
+    assert _risk_set_sizes(batch) == pytest.approx([1.0, 3.0], rel=1e-12)
+    _assert_kernel_uses_reference_sets(batch)
 
 
 def test_risk_sets_include_ties_breslow():
     batch = _batch([1.0, 1.0, 2.0], [True, True, True])
-    sizes = sorted(rs.size for rs in batch.risk_sets)
-    assert sizes == [1, 3, 3]
+    assert sorted(rs.size for rs in ref.risk_sets(batch)) == [1, 3, 3]
+    assert _risk_set_sizes(batch) == pytest.approx([3.0, 3.0, 1.0], rel=1e-12)
+    _assert_kernel_uses_reference_sets(batch)
 
 
 def test_censored_rows_join_risk_sets_but_not_events():
     batch = _batch([1.0, 2.0], [True, False])
     assert batch.n_events == 1
-    assert set(batch.risk_sets[0]) == {0, 1}
+    assert set(ref.risk_sets(batch)[0]) == {0, 1}
+    assert _risk_set_sizes(batch) == pytest.approx([2.0], rel=1e-12)
+    _assert_kernel_uses_reference_sets(batch)
 
 
 def test_degenerate_flag():
@@ -130,6 +150,50 @@ def test_cox_gradient_matches_finite_differences_spot():
         down[i] -= h
         fd = (cox_loss(up, batch) - cox_loss(down, batch)) / (2 * h)
         assert grad[i] == pytest.approx(fd, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# sorted risk-set kernel against the per-event reference loops
+
+_KERNEL_CONFIGS = [ModulationConfig(aggregate=agg, exp_numerator=exp_num)
+                   for agg in ("mean", "median") for exp_num in (False, True)]
+
+
+def _close(new, old):
+    new, old = np.asarray(new, dtype=np.float64), np.asarray(old, dtype=np.float64)
+    assert new.shape == old.shape
+    assert np.all(np.abs(new - old) <= 1e-10 * np.maximum(1.0, np.abs(old)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 40),
+       times_kind=st.sampled_from(["continuous", "integer", "one_tie_block"]),
+       censoring=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+       scale=st.sampled_from([1.0, 30.0, 500.0]))
+@example(seed=0, n=1, times_kind="continuous", censoring=0.0, scale=1.0)
+@example(seed=1, n=12, times_kind="integer", censoring=1.0, scale=1.0)
+@example(seed=2, n=30, times_kind="one_tie_block", censoring=0.3, scale=500.0)
+def test_kernel_matches_reference_loops(seed, n, times_kind, censoring, scale):
+    rng = np.random.default_rng(seed)
+    if times_kind == "continuous":
+        times = rng.uniform(0.1, 5.0, size=n)
+    elif times_kind == "integer":
+        times = rng.integers(1, 4, size=n).astype(np.float64)
+    else:
+        times = np.full(n, 2.0)
+    events = rng.uniform(size=n) >= censoring
+    batch = _batch(times, events)
+    theta, s_g, s_p = rng.uniform(-scale, scale, size=(3, n))
+
+    _close(cox_loss(theta, batch), ref.cox_loss(theta, batch))
+    _close(cox_gradient(theta, batch), ref.cox_gradient(theta, batch))
+    for cfg in _KERNEL_CONFIGS:
+        new = contribution_ratio(s_g, s_p, batch, cfg)
+        old = ref.contribution_ratio(s_g, s_p, batch, cfg)
+        assert new.degenerate == old.degenerate
+        for name in ("rho_g", "rho_p", "rho_g_clamped", "rho_p_clamped",
+                     "factor_g", "factor_p", "per_sample_ratios"):
+            _close(getattr(new, name), getattr(old, name))
 
 
 # ---------------------------------------------------------------------------
