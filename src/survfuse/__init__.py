@@ -6,6 +6,14 @@ branch, with contribution-ratio gradient modulation and mixup-based latent
 smoothing, plus synthetic data generation and a cross-validation harness.
 """
 
+import os
+
+# Training GEMMs are step-sized, so BLAS worker threads only spin and fight
+# the --jobs fold pool for cores; an exported value still wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from importlib.metadata import PackageNotFoundError
 from importlib.metadata import version as _pkg_version
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .cohort import fold_split, split_folds
 from .config import RunConfig, config_echo
+from .errors import ConfigError
 from .fusion import (FusionSpec, TrainConfig, build_model, evaluate,
                      image_branch_features, train_survival)
 from .nnet import DenseLayer
@@ -156,10 +157,13 @@ class RunOutputs:
 
 def run_cross_validation(records: list[SurvivalRecord], cfg: RunConfig,
                          bundle: Stage1Bundle, jobs: int = 1) -> RunOutputs:
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     plan = split_folds(records, cfg.k_folds, cfg.seed)
     folds = list(range(cfg.k_folds))
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork pool starts all its workers at once: no more than one per fold
+        with ProcessPoolExecutor(max_workers=min(jobs, cfg.k_folds)) as pool:
             futures = [pool.submit(run_single_fold, records, plan, f, cfg, bundle)
                        for f in folds]
             rows = [fut.result() for fut in futures]

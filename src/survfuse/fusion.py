@@ -27,8 +27,8 @@ from .errors import (ConfigError, NumericalError, ShapeError, StateError,
 from .modulation import (ModulationConfig, apply_modulation, branch_scores,
                          contribution_ratio)
 from .nnet import (DenseLayer, ParamGroup, layer_group, load_checkpoint,
-                   make_mlp, mlp_backward, mlp_forward, save_checkpoint,
-                   sgd_step, step_decay_eta)
+                   make_mlp, meta_typed, mlp_backward, mlp_forward,
+                   save_checkpoint, sgd_step, step_decay_eta)
 from .smoothing import FrozenEncoder
 from .survival import (CoxBatch, SurvivalRecord, build_risk_sets,
                        concordance_index, cox_gradient, cox_loss)
@@ -477,19 +477,22 @@ def load_model(path: str) -> FusionModel:
         raise ValidationError(f"{path}: not a fusion-model checkpoint")
 
     def stack(gname: str) -> list[DenseLayer]:
-        acts = meta["activations"][gname]
+        acts = meta_typed(path, f"activations.{gname}", groups[gname], list)
         return [DenseLayer.from_params(tensors[f"{gname}.{i}.weight"],
                                        tensors[f"{gname}.{i}.bias"], act)
                 for i, act in enumerate(acts)]
 
     try:
+        groups = meta_typed(path, "activations", meta["activations"], dict)
         encoder = FrozenEncoder(tensors["encoder.weight"], tensors["encoder.bias"],
                                 meta.get("encoder_activation", "tanh"))
         mlp_a = None
         if meta.get("mlp_a_activations"):
+            mlp_acts = meta_typed(path, "mlp_a_activations",
+                                  meta["mlp_a_activations"], list)
             mlp_a = [DenseLayer.from_params(tensors[f"mlp_a.{i}.weight"],
                                             tensors[f"mlp_a.{i}.bias"], act)
-                     for i, act in enumerate(meta["mlp_a_activations"])]
+                     for i, act in enumerate(mlp_acts)]
         head = DenseLayer.from_params(tensors["head.weight"], tensors["head.bias"],
                                       "identity")
         model = FusionModel(stack("snn"), encoder, mlp_a, stack("mlp_b"),

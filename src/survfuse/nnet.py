@@ -305,3 +305,11 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     if i >= len(lines) or lines[i] != "end":
         raise ValidationError(f"{path}: line {i + 1}: missing end marker")
     return meta, tensors
+
+
+def meta_typed(path, key: str, value, kind: type):
+    """Return a checkpoint meta value after checking its JSON type."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{path}: meta '{key}' is a {type(value).__name__}, "
+                              f"expected a {kind.__name__}")
+    return value

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .nnet import (DenseLayer, layer_group, load_checkpoint, make_mlp,
-                   mlp_backward, mlp_forward, mse_loss, save_checkpoint,
-                   sgd_step, step_decay_eta)
+                   meta_typed, mlp_backward, mlp_forward, mse_loss,
+                   save_checkpoint, sgd_step, step_decay_eta)
 
 DEFAULT_NUM_TYPES = 17  # cell-type categories
 DEFAULT_GENE_DIM = 64
@@ -236,6 +236,11 @@ def load_cells(path: str, num_types: int = DEFAULT_NUM_TYPES) -> list[CellProfil
                 ctype = int(row[-1])
             except ValueError as exc:
                 raise ValidationError(f"{path}: row {row_no}: {exc}") from exc
+            bad = np.flatnonzero(~np.isfinite(expr) | (expr < 0))
+            if bad.size:
+                raise ValidationError(
+                    f"{path}: row {row_no}: {header[bad[0]]} = {row[bad[0]]}: "
+                    "expression must be finite and non-negative")
             if not 0 <= ctype < num_types:
                 raise ValidationError(
                     f"{path}: row {row_no}: cell_type {ctype} outside [0, {num_types})")
@@ -389,9 +394,11 @@ def load_stage1(path: str) -> tuple[list[DenseLayer], DenseLayer, FrozenEncoder]
     if meta.get("kind") != "stage1":
         raise ValidationError(f"{path}: not a stage-1 checkpoint")
     try:
+        mlp_acts = meta_typed(path, "mlp_a_activations",
+                              meta["mlp_a_activations"], list)
         mlp_a = [DenseLayer.from_params(tensors[f"mlp_a.{i}.weight"],
                                         tensors[f"mlp_a.{i}.bias"], act)
-                 for i, act in enumerate(meta["mlp_a_activations"])]
+                 for i, act in enumerate(mlp_acts)]
         classifier = DenseLayer.from_params(tensors["classifier.weight"],
                                             tensors["classifier.bias"],
                                             meta["classifier_activation"])

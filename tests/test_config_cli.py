@@ -11,6 +11,7 @@ from survfuse.config import (RunConfig, config_echo, load_cells_spec,
                              load_cohort_spec, load_run_config)
 from survfuse.errors import ConfigError, ValidationError
 from survfuse.fusion import load_model
+from survfuse.smoothing import load_stage1
 
 # ---------------------------------------------------------------------------
 # config files
@@ -245,15 +246,23 @@ def _damage_checkpoint(lines, kind):
     elif kind == "missing_tensor":
         at = next(i for i, line in enumerate(lines) if line.startswith("tensor head.weight "))
         del lines[at:at + 2]
-    elif kind == "missing_meta_key":
+    elif kind in META_EDITS:
         meta = json.loads(lines[1][len("meta "):])
-        del meta["fusion_mode"]
+        META_EDITS[kind](meta)
         lines[1] = "meta " + json.dumps(meta)
     return lines
 
 
+META_EDITS = {  # kind -> in-place edit of the checkpoint's meta object
+    "missing_meta_key": lambda meta: meta.pop("fusion_mode"),
+    "activations_not_object": lambda meta: meta.update(activations=[]),
+    "group_activations_not_list": lambda meta: meta["activations"].update(snn="selu"),
+    "mlp_a_activations_not_list": lambda meta: meta.update(mlp_a_activations={"0": "tanh"}),
+}
+
+
 @pytest.mark.parametrize("kind", ["non_integer_dim", "bad_meta_json", "truncated_before_end",
-                                  "nan_value", "missing_tensor", "missing_meta_key"])
+                                  "nan_value", "missing_tensor", *META_EDITS])
 def test_damaged_checkpoint_is_a_clean_error(pipeline, capsys, kind):
     root, cfg = pipeline
     lines = (root / "run" / "model.ckpt").read_text().splitlines()
@@ -262,6 +271,21 @@ def test_damaged_checkpoint_is_a_clean_error(pipeline, capsys, kind):
     with pytest.raises(ValidationError, match=str(bad)):
         load_model(str(bad))
     assert main(["eval", *cfg, "--model", str(bad)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_stage1_meta_of_wrong_type_is_a_clean_error(pipeline, capsys):
+    root, cfg = pipeline
+    lines = (root / "stage1.ckpt").read_text().splitlines()
+    meta = json.loads(lines[1][len("meta "):])
+    meta["mlp_a_activations"] = "tanh"
+    lines[1] = "meta " + json.dumps(meta)
+    bad = root / "damaged_stage1.ckpt"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match=f"{bad}: meta 'mlp_a_activations'"):
+        load_stage1(str(bad))
+    argv = ["train", *cfg, "--stage1", str(bad), "--out", str(root / "run_bad")]
+    assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
 
 

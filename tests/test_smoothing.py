@@ -184,6 +184,14 @@ def test_load_cells_reports_offending_row(tmp_path):
         load_cells(str(path))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
+def test_load_cells_rejects_non_finite_and_negative_values(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"gene_0,gene_1,cell_type\n1.0,2.0,0\n1.0,{value},1\n")
+    with pytest.raises(ValidationError, match=rf"{path}: row 3: gene_1 = {value}:"):
+        load_cells(str(path), num_types=3)
+
+
 # ---------------------------------------------------------------------------
 # stage-1 pretraining
 
