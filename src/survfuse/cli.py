@@ -231,10 +231,13 @@ def _add_common(sp) -> None:
     sp.add_argument("--config", default=None, help="INI config file")
     sp.add_argument("--seed", type=int, default=None, help="override the seed")
     sp.add_argument("--out", default=None, help="output directory")
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="parallel fold workers (default 1)")
     sp.add_argument("--force", action="store_true",
                     help="overwrite existing outputs")
+
+
+def _add_jobs(sp) -> None:
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="parallel worker processes (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,6 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="k-fold cross-validated survival training")
     _add_common(p)
+    _add_jobs(p)
     p.add_argument("--cohort", default=None, help="cohort CSV")
     p.add_argument("--stage1", default=None, help="stage-1 checkpoint")
     p.add_argument("--modulation", choices=("on", "off"), default=None)
@@ -287,6 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="run the 6-row ablation grid")
     _add_common(p)
+    _add_jobs(p)
     p.add_argument("--cohort", default=None)
     p.add_argument("--cells", default=None)
     p.set_defaults(handler=cmd_ablate)

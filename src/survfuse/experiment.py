@@ -155,22 +155,9 @@ class RunOutputs:
     contribution_stream: list[dict]  # one object per (fold, step) report
 
 
-def run_cross_validation(records: list[SurvivalRecord], cfg: RunConfig,
-                         bundle: Stage1Bundle, jobs: int = 1) -> RunOutputs:
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
-    plan = split_folds(records, cfg.k_folds, cfg.seed)
-    folds = list(range(cfg.k_folds))
-    if jobs > 1:
-        # a fork pool starts all its workers at once: no more than one per fold
-        with ProcessPoolExecutor(max_workers=min(jobs, cfg.k_folds)) as pool:
-            futures = [pool.submit(run_single_fold, records, plan, f, cfg, bundle)
-                       for f in folds]
-            rows = [fut.result() for fut in futures]
-    else:
-        rows = [run_single_fold(records, plan, f, cfg, bundle) for f in folds]
-    rows.sort(key=lambda r: r["fold"])
-
+def _run_outputs(rows: list[dict], cfg: RunConfig, bundle: Stage1Bundle) -> RunOutputs:
+    """One cross-validation run's report and streams from its fold rows."""
+    rows = sorted(rows, key=lambda r: r["fold"])
     epoch_stream, contribution_stream = [], []
     for row in rows:
         epoch_stream.extend(row.pop("epoch_stream"))
@@ -196,6 +183,72 @@ def run_cross_validation(records: list[SurvivalRecord], cfg: RunConfig,
         report["stage1"] = bundle.report
     return RunOutputs(report=report, epoch_stream=epoch_stream,
                       contribution_stream=contribution_stream)
+
+
+# ---------------------------------------------------------------------------
+# worker pool
+#
+# One pool serves a whole command. The cohort and the cell corpus reach each
+# worker once, through the pool initializer (inherited, not pickled, under
+# fork); a task carries only what differs between tasks. Tasks call
+# run_single_fold and run_stage1 through this module's globals, so a wrapper
+# installed on those names before the pool starts runs in the workers too.
+
+_worker_inputs: dict = {}
+
+
+def _init_worker(records: list[SurvivalRecord],
+                 cells: list[CellProfile] | None) -> None:
+    _worker_inputs["records"] = records
+    _worker_inputs["cells"] = cells
+
+
+def _fold_task(plan, fold: int, cfg: RunConfig, bundle: Stage1Bundle) -> dict:
+    return run_single_fold(_worker_inputs["records"], plan, fold, cfg, bundle)
+
+
+def _stage1_task(cfg: RunConfig) -> Stage1Bundle:
+    return run_stage1(_worker_inputs["cells"], cfg)
+
+
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+
+
+def _open_pool(jobs: int, n_tasks: int, records: list[SurvivalRecord],
+               cells: list[CellProfile] | None = None) -> ProcessPoolExecutor:
+    # a fork pool starts all its workers at once: no more than one per task
+    return ProcessPoolExecutor(max_workers=min(jobs, n_tasks),
+                               initializer=_init_worker, initargs=(records, cells))
+
+
+def _submit_folds(pool, plan, cfg: RunConfig, bundle: Stage1Bundle) -> list:
+    return [pool.submit(_fold_task, plan, fold, cfg, bundle)
+            for fold in range(cfg.k_folds)]
+
+
+def _results(pool, futures: list) -> list:
+    """Every future's result in order. On the first error, pending tasks are
+    cancelled so the error surfaces without running the rest."""
+    try:
+        return [fut.result() for fut in futures]
+    except BaseException:
+        pool.shutdown(cancel_futures=True)
+        raise
+
+
+def run_cross_validation(records: list[SurvivalRecord], cfg: RunConfig,
+                         bundle: Stage1Bundle, jobs: int = 1) -> RunOutputs:
+    _check_jobs(jobs)
+    plan = split_folds(records, cfg.k_folds, cfg.seed)
+    if jobs > 1:
+        with _open_pool(jobs, cfg.k_folds, records) as pool:
+            rows = _results(pool, _submit_folds(pool, plan, cfg, bundle))
+    else:
+        rows = [run_single_fold(records, plan, f, cfg, bundle)
+                for f in range(cfg.k_folds)]
+    return _run_outputs(rows, cfg, bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +279,40 @@ def run_ablation(records: list[SurvivalRecord], cells: list[CellProfile],
                  cfg: RunConfig, jobs: int = 1) -> dict:
     """All six grid cells, sharing one stage-1 pretraining across the
     smoothing rows. Row order is fixed: rows 1-3 without smoothing, 4-6
-    with, each block ordered concat, kronecker, modulation."""
-    bundles = {}
+    with, each block ordered concat, kronecker, modulation.
+
+    With jobs > 1 the grid runs on one pool: stage 1 trains in a worker
+    beside the folds of rows 1-3, which do not need it, and the folds of
+    rows 4-6 are submitted when it returns."""
+    _check_jobs(jobs)
+    plan = split_folds(records, cfg.k_folds, cfg.seed)
+    configs = {row_id: _grid_config(cfg, on, label)
+               for row_id, on, label in ABLATION_GRID}
+    plain = [row_id for row_id, on, _ in ABLATION_GRID if not on]
+    smooth = [row_id for row_id, on, _ in ABLATION_GRID if on]
+    bundles = {False: run_stage1(cells, configs[plain[0]])}
+    if jobs > 1:
+        n_tasks = len(ABLATION_GRID) * cfg.k_folds + 1
+        with _open_pool(jobs, n_tasks, records, cells) as pool:
+            stage1 = pool.submit(_stage1_task, configs[smooth[0]])
+            futures = {r: _submit_folds(pool, plan, configs[r], bundles[False])
+                       for r in plain}
+            [bundles[True]] = _results(pool, [stage1])
+            futures.update({r: _submit_folds(pool, plan, configs[r], bundles[True])
+                            for r in smooth})
+            fold_rows = {r: _results(pool, futures[r]) for r in configs}
+    else:
+        fold_rows = {}
+        for row_id, on, _ in ABLATION_GRID:
+            if on not in bundles:
+                bundles[on] = run_stage1(cells, configs[row_id])
+            fold_rows[row_id] = [run_single_fold(records, plan, f, configs[row_id],
+                                                 bundles[on])
+                                 for f in range(cfg.k_folds)]
     rows = []
     for row_id, smoothing_on, fusion_label in ABLATION_GRID:
-        row_cfg = _grid_config(cfg, smoothing_on, fusion_label)
-        if smoothing_on not in bundles:
-            bundles[smoothing_on] = run_stage1(cells, row_cfg)
-        outputs = run_cross_validation(records, row_cfg, bundles[smoothing_on],
-                                       jobs=jobs)
+        outputs = _run_outputs(fold_rows[row_id], configs[row_id],
+                               bundles[smoothing_on])
         rows.append({
             "row": row_id,
             "smoothing": smoothing_on,

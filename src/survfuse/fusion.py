@@ -406,7 +406,7 @@ def train_survival(model: FusionModel, records: list[SurvivalRecord],
             sgd_step(group_list, step_decay_eta(cfg.eta, step_index, total_steps))
             epoch_loss_sum += loss
             epoch_event_count += sub.n_events
-        theta_all = predict_theta(model, records)
+        theta_all, _, _ = model.forward_batch(x_cnv, g2_all, x_img)
         c_index = concordance_index(theta_all, full.times, full.events)
         mean_loss = epoch_loss_sum / epoch_event_count if epoch_event_count else 0.0
         epoch_rows.append(EpochMetrics(

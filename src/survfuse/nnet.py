@@ -104,6 +104,13 @@ class DenseLayer:
         layer.bias[...] = b
         return layer
 
+    def __getstate__(self) -> dict:
+        # the forward caches belong to the batch that filled them; a copy of
+        # the layer (pickled to a worker, say) starts without one
+        state = dict(self.__dict__)
+        state["_cached_input"] = state["_cached_preact"] = None
+        return state
+
     def forward(self, x) -> np.ndarray:
         x = as_matrix(x, "layer input")
         if x.shape[1] != self.in_dim:

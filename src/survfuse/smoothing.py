@@ -118,6 +118,11 @@ class FrozenEncoder:
         self.bias = bias
         self.activation = activation
 
+    def __reduce__(self):
+        # rebuild through __init__, so a copy (pickled to a worker, say) is
+        # write-locked too
+        return FrozenEncoder, (self.weight, self.bias, self.activation)
+
     @property
     def gene_dim(self) -> int:
         return self.weight.shape[1]
@@ -287,9 +292,7 @@ class Stage1Result:
     loss_history: list[float] = field(default_factory=list)
 
 
-def _stack_mixes(cells, idx_a, idx_b, lams):
-    expr = np.stack([c.expression for c in cells])
-    hot = np.stack([c.one_hot for c in cells])
+def _stack_mixes(expr, hot, idx_a, idx_b, lams):
     lam = lams[:, None]
     mixed = lam * expr[idx_a] + (1.0 - lam) * expr[idx_b]
     target = lam * hot[idx_a] + (1.0 - lam) * hot[idx_b]
@@ -315,6 +318,8 @@ def pretrain_mlp_a(cells: list[CellProfile], encoder: FrozenEncoder,
     classifier = DenseLayer(cfg.feature_dim, num_types, activation="identity", rng=init_rng)
     groups = [layer_group("mlp_a", mlp_a), layer_group("classifier", [classifier])]
 
+    expr = np.stack([c.expression for c in cells])
+    hot = np.stack([c.one_hot for c in cells])
     step_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA2]))
     total_steps = cfg.epochs * cfg.steps_per_epoch
     history = []
@@ -322,7 +327,7 @@ def pretrain_mlp_a(cells: list[CellProfile], encoder: FrozenEncoder,
         idx_a = step_rng.integers(0, len(cells), size=cfg.batch_pairs)
         idx_b = step_rng.integers(0, len(cells), size=cfg.batch_pairs)
         lams = step_rng.uniform(0.0, 1.0, size=cfg.batch_pairs)
-        mixed, target = _stack_mixes(cells, idx_a, idx_b, lams)
+        mixed, target = _stack_mixes(expr, hot, idx_a, idx_b, lams)
         feat = mlp_forward(mlp_a, encoder.apply(mixed))
         pred = classifier.forward(feat)
         loss, grad = mse_loss(pred, target)

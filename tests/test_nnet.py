@@ -1,5 +1,7 @@
 """Dense layers, MLP stacks, optimizer, losses, checkpoint format."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +88,19 @@ def test_backward_before_forward_is_an_error():
     layer = _layer([[1.0]], [0.0])
     with pytest.raises(StateError):
         layer.backward(np.array([[1.0]]))
+
+
+def test_pickled_layer_keeps_weights_and_drops_forward_cache():
+    layer = DenseLayer(3, 4, "relu", rng=np.random.default_rng(0))
+    layer.bias[:] = [0.1, -0.2, 0.3, 0.0]
+    layer.forward(np.ones((200, 3)))
+    back = pickle.loads(pickle.dumps(layer))
+    assert np.array_equal(back.weight, layer.weight)
+    assert np.array_equal(back.bias, layer.bias)
+    assert back.activation == layer.activation
+    assert layer._cached_input is not None   # the original keeps its cache
+    with pytest.raises(StateError):
+        back.backward(np.ones((200, 4)))
 
 
 def test_relu_backward_masks_dead_units():

@@ -1,10 +1,13 @@
 """Where survfuse's parallelism comes from: one BLAS thread per process by
-default, and a fold pool sized to the folds it has to run."""
+default, and one worker pool per command, sized to the tasks it has to run,
+whose workers receive the cohort and cell corpus once."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -12,12 +15,14 @@ import pytest
 
 import survfuse
 from survfuse import experiment
-from survfuse.cli import main
+from survfuse.cli import build_parser, main
 from survfuse.cohort import CohortSpec, generate_cohort, save_cohort
 from survfuse.config import load_run_config
-from survfuse.errors import ConfigError
-from survfuse.experiment import run_cross_validation, run_stage1
-from survfuse.smoothing import CellCorpusSpec, generate_cells
+from survfuse.errors import ConfigError, NumericalError
+from survfuse.experiment import run_ablation, run_cross_validation, run_stage1
+from survfuse.smoothing import (CellCorpusSpec, CellProfile, generate_cells,
+                                save_cells)
+from survfuse.survival import SurvivalRecord
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SRC = str(Path(survfuse.__file__).resolve().parent.parent)
@@ -73,22 +78,39 @@ def test_blas_thread_count_does_not_change_results(tmp_path):
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs folds here."""
+    """Stands in for ProcessPoolExecutor: records its size, what each task is
+    sent and how it is shut down; runs the initializer and every task here."""
 
     sizes: list[int] = []
+    submissions: list[tuple] = []
+    shutdowns: list[dict] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         RecordingPool.sizes.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
+
+    @classmethod
+    def reset(cls):
+        cls.sizes, cls.submissions, cls.shutdowns = [], [], []
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
+        self.shutdown()
         return False
 
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        RecordingPool.shutdowns.append({"wait": wait, "cancel_futures": cancel_futures})
+
     def submit(self, fn, *args, **kwargs):
+        RecordingPool.submissions.append((fn, args, kwargs))
         future = Future()
-        future.set_result(fn(*args, **kwargs))
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
         return future
 
 
@@ -96,24 +118,141 @@ class RecordingPool:
 def tiny_run():
     records = generate_cohort(CohortSpec(n_patients=40, seed=0))
     cfg = load_run_config(None, seed=0, smoothing_enabled=False, k_folds=2, epochs=1)
+    cfg = dataclasses.replace(cfg, smoothing=dataclasses.replace(
+        cfg.smoothing, stage1_epochs=1, steps_per_epoch=5))
     cells = generate_cells(CellCorpusSpec(n_cells=4, gene_dim=records[0].rna.size,
                                           num_types=2))
-    return records, cfg, run_stage1(cells, cfg)
+    return records, cfg, run_stage1(cells, cfg), cells
+
+
+def _carries(value, kind) -> bool:
+    """Whether `value` is, or holds in its lists, tuples or dicts, a `kind`."""
+    if isinstance(value, kind):
+        return True
+    if isinstance(value, (list, tuple)):
+        return any(_carries(v, kind) for v in value)
+    if isinstance(value, dict):
+        return any(_carries(v, kind) for v in value.values())
+    return False
 
 
 def test_fold_pool_has_no_more_workers_than_folds(tiny_run, monkeypatch):
-    records, cfg, bundle = tiny_run
+    records, cfg, bundle, _ = tiny_run
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
-    RecordingPool.sizes = []
+    RecordingPool.reset()
     pooled = run_cross_validation(records, cfg, bundle, jobs=50)
     assert RecordingPool.sizes == [2]
     serial = run_cross_validation(records, cfg, bundle, jobs=1)
     assert RecordingPool.sizes == [2]
     assert pooled == serial
+    assert len(RecordingPool.submissions) == 2
+    assert not _carries(RecordingPool.submissions, SurvivalRecord)
+
+
+@pytest.mark.parametrize("jobs", [3, 50])
+def test_ablate_runs_on_one_pool_and_sends_inputs_once(tiny_run, monkeypatch, jobs):
+    records, cfg, _, cells = tiny_run
+    serial = run_ablation(records, cells, cfg, jobs=1)
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    RecordingPool.reset()
+    pooled = run_ablation(records, cells, cfg, jobs=jobs)
+    n_tasks = 6 * cfg.k_folds + 1   # every fold of the grid, plus stage 1
+    assert RecordingPool.sizes == [min(jobs, n_tasks)]
+    assert len(RecordingPool.submissions) == n_tasks
+    assert not _carries(RecordingPool.submissions, (SurvivalRecord, CellProfile))
+    assert pooled == serial
+
+
+def test_failed_task_cancels_the_rest_and_surfaces_its_error(tiny_run, monkeypatch):
+    records, cfg, _, cells = tiny_run
+
+    def failing_fold(records, plan, fold, cfg, bundle):
+        raise NumericalError(f"fold {fold} diverged")
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiment, "run_single_fold", failing_fold)
+    RecordingPool.reset()
+    with pytest.raises(NumericalError, match="fold 0 diverged"):
+        run_ablation(records, cells, cfg, jobs=2)
+    assert RecordingPool.shutdowns[0] == {"wait": True, "cancel_futures": True}
+
+
+SMALL_GRID_INI = ("[run]\nk_folds = 2\nepochs = 1\n"
+                  "[smoothing]\nstage1_epochs = 1\nsteps_per_epoch = 10\n")
+
+
+def test_worker_error_is_a_clean_cli_error_without_running_the_rest(
+        tiny_run, tmp_path, monkeypatch, capsys):
+    records, _, _, cells = tiny_run
+    started = tmp_path / "started"
+    started.mkdir()
+
+    def fold(records, plan, fold, cfg, bundle):
+        if cfg.fusion_mode == "concat" and not cfg.smoothing.enabled \
+                and not cfg.modulation.enabled and fold == 0:
+            raise NumericalError("row 1 fold 0 diverged")
+        (started / f"{os.getpid()}-{time.monotonic_ns()}").touch()
+        time.sleep(1.0)
+        return {}
+
+    # forked workers inherit the substitute
+    monkeypatch.setattr(experiment, "run_single_fold", fold)
+    save_cohort(str(tmp_path / "cohort.csv"), records)
+    save_cells(str(tmp_path / "cells.csv"), cells)
+    (tmp_path / "grid.ini").write_text(SMALL_GRID_INI)
+    argv = ["ablate", "--config", str(tmp_path / "grid.ini"),
+            "--cohort", str(tmp_path / "cohort.csv"),
+            "--cells", str(tmp_path / "cells.csv"),
+            "--out", str(tmp_path / "ablation"), "--jobs", "2"]
+    assert main(argv) == 1
+    assert "error: row 1 fold 0 diverged" in capsys.readouterr().err
+    # 11 other folds; cancelling leaves only those already handed to a worker
+    assert len(list(started.iterdir())) < 6 * 2 - 1
+
+
+# ---------------------------------------------------------------------------
+# --jobs on the command line
+
+
+def _ablate_outputs(root: Path, jobs: int) -> tuple:
+    cwd = root / f"jobs_{jobs}"
+    cwd.mkdir()
+    _run(["-m", "survfuse.cli", "ablate", "--config", "../grid.ini",
+          "--cohort", "../cohort.csv", "--cells", "../cells.csv",
+          "--out", "ablation", "--jobs", str(jobs)], _env(), cwd=cwd)
+    table = json.loads((cwd / "ablation" / "ablation.json").read_text())
+    table.pop("timestamp")
+    return (cwd / "ablation" / "ablation.csv").read_bytes(), table
+
+
+def test_ablate_is_byte_identical_across_jobs(tmp_path):
+    save_cohort(str(tmp_path / "cohort.csv"),
+                generate_cohort(CohortSpec(n_patients=120, seed=3)))
+    save_cells(str(tmp_path / "cells.csv"),
+               generate_cells(CellCorpusSpec(n_cells=40, seed=3)))
+    (tmp_path / "grid.ini").write_text(SMALL_GRID_INI)
+    assert _ablate_outputs(tmp_path, 1) == _ablate_outputs(tmp_path, 2)
+
+
+@pytest.mark.parametrize("command", [
+    ["gen-cohort"], ["gen-cells"], ["pretrain-smooth"], ["eval", "--model", "m.ckpt"],
+    ["gradcheck"]])
+def test_jobs_is_a_usage_error_where_nothing_reads_it(command, tmp_path,
+                                                      monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)   # a command that did run would write here
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_train_and_ablate_take_jobs(command):
+    assert build_parser().parse_args([command, "--jobs", "3"]).jobs == 3
 
 
 def test_jobs_below_one_is_a_clean_error(tiny_run, tmp_path, capsys):
-    records, cfg, bundle = tiny_run
+    records, cfg, bundle, _ = tiny_run
     with pytest.raises(ConfigError, match="--jobs"):
         run_cross_validation(records, cfg, bundle, jobs=0)
     cohort = str(tmp_path / "cohort.csv")

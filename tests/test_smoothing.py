@@ -1,5 +1,7 @@
 """Mixup construction, the frozen encoder, and stage-1 pretraining."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,18 @@ def test_encoder_parameters_are_write_locked():
         enc.weight[0, 0] = 99.0
     with pytest.raises(ValueError):
         enc.bias[0] = 99.0
+
+
+def test_pickled_encoder_is_equal_and_write_locked():
+    enc = default_encoder(gene_dim=4, embed_dim=2, seed=0)
+    back = pickle.loads(pickle.dumps(enc))   # as sent to or from a pool worker
+    assert np.array_equal(back.weight, enc.weight)
+    assert np.array_equal(back.bias, enc.bias)
+    assert back.activation == enc.activation
+    with pytest.raises(ValueError):
+        back.weight[0, 0] = 99.0
+    with pytest.raises(ValueError):
+        back.bias[0] = 99.0
 
 
 def test_encoder_vector_and_matrix_agree():
