@@ -18,8 +18,8 @@ import numpy as np
 from .cohort import fold_split, split_folds
 from .config import RunConfig, config_echo
 from .errors import ConfigError
-from .fusion import (FusionSpec, TrainConfig, build_model, evaluate,
-                     image_branch_features, train_survival)
+from .fusion import (FusionModel, FusionSpec, TrainConfig, build_model,
+                     evaluate, image_branch_features, train_survival)
 from .nnet import DenseLayer
 from .smoothing import (CellProfile, FrozenEncoder, Stage1Config, Stage1Result,
                         default_encoder, gap_probe_pairs, interpolation_gap,
@@ -93,19 +93,25 @@ def run_stage1(cells: list[CellProfile], cfg: RunConfig) -> Stage1Bundle:
 # one fold
 
 
-def run_single_fold(records: list[SurvivalRecord], plan, fold: int,
-                    cfg: RunConfig, bundle: Stage1Bundle) -> dict:
-    train_recs, test_recs = fold_split(records, plan, fold)
-    fold_seed = derive_seed(cfg.seed, 0xFD, fold)
+def _new_model(records: list[SurvivalRecord], cfg: RunConfig, bundle: Stage1Bundle,
+               seed: int, track_rho: bool = False) -> tuple[FusionModel, TrainConfig]:
+    """A fresh model sized to the cohort, and its training config, from one seed."""
     fspec = FusionSpec(
         dim_cnv_mut=records[0].cnv_mut.size, dim_rna=records[0].rna.size,
         dim_image=records[0].image.size, snn_dim=cfg.snn_dim,
         gen_dim=cfg.gen_dim, img_dim=cfg.img_dim, hidden_dim=cfg.hidden_dim,
         fusion_mode=cfg.fusion_mode)
-    model = build_model(fspec, bundle.encoder, bundle.mlp_a, seed=fold_seed)
+    model = build_model(fspec, bundle.encoder, bundle.mlp_a, seed=seed)
     tcfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, eta=cfg.eta,
-                       seed=fold_seed, modulation=cfg.modulation,
-                       track_rho=cfg.track_rho)
+                       seed=seed, modulation=cfg.modulation, track_rho=track_rho)
+    return model, tcfg
+
+
+def run_single_fold(records: list[SurvivalRecord], plan, fold: int,
+                    cfg: RunConfig, bundle: Stage1Bundle) -> dict:
+    train_recs, test_recs = fold_split(records, plan, fold)
+    model, tcfg = _new_model(records, cfg, bundle, derive_seed(cfg.seed, 0xFD, fold),
+                             track_rho=cfg.track_rho)
     tres = train_survival(model, train_recs, tcfg)
     test_metrics = evaluate(model, test_recs)
     row = {
@@ -135,15 +141,12 @@ def run_single_fold(records: list[SurvivalRecord], plan, fold: int,
 
 def run_final_fit(records: list[SurvivalRecord], cfg: RunConfig,
                   bundle: Stage1Bundle):
-    """One model trained on the whole cohort (what `eval` consumes later)."""
-    fspec = FusionSpec(
-        dim_cnv_mut=records[0].cnv_mut.size, dim_rna=records[0].rna.size,
-        dim_image=records[0].image.size, snn_dim=cfg.snn_dim,
-        gen_dim=cfg.gen_dim, img_dim=cfg.img_dim, hidden_dim=cfg.hidden_dim,
-        fusion_mode=cfg.fusion_mode)
-    model = build_model(fspec, bundle.encoder, bundle.mlp_a, seed=cfg.seed)
-    tcfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, eta=cfg.eta,
-                       seed=cfg.seed, modulation=cfg.modulation)
+    """One model trained on the whole cohort (what `eval` consumes later).
+
+    Its contribution reports are not kept, so it does not compute them unless
+    modulation needs them.
+    """
+    model, tcfg = _new_model(records, cfg, bundle, cfg.seed)
     train_survival(model, records, tcfg)
     return model
 

@@ -26,9 +26,9 @@ from .errors import (ConfigError, NumericalError, ShapeError, StateError,
                      ValidationError)
 from .modulation import (ModulationConfig, apply_modulation, branch_scores,
                          contribution_ratio)
-from .nnet import (DenseLayer, ParamGroup, layer_group, load_checkpoint,
-                   make_mlp, meta_typed, mlp_backward, mlp_forward,
-                   save_checkpoint, sgd_step, step_decay_eta)
+from .nnet import (DenseLayer, ParamGroup, checkpoint_layers, layer_group,
+                   load_checkpoint, make_mlp, meta_typed, mlp_backward,
+                   mlp_forward, save_checkpoint, sgd_step, step_decay_eta)
 from .smoothing import FrozenEncoder
 from .survival import (CoxBatch, SurvivalRecord, build_risk_sets,
                        concordance_index, cox_gradient, cox_loss)
@@ -476,30 +476,50 @@ def load_model(path: str) -> FusionModel:
     if meta.get("kind") != "fusion_model":
         raise ValidationError(f"{path}: not a fusion-model checkpoint")
 
-    def stack(gname: str) -> list[DenseLayer]:
+    def stack(gname: str, in_dim: int | None = None) -> list[DenseLayer]:
         acts = meta_typed(path, f"activations.{gname}", groups[gname], list)
-        return [DenseLayer.from_params(tensors[f"{gname}.{i}.weight"],
-                                       tensors[f"{gname}.{i}.bias"], act)
-                for i, act in enumerate(acts)]
+        if not acts:
+            raise ValidationError(f"{path}: meta 'activations.{gname}' lists no layer")
+        return checkpoint_layers(path, tensors, [f"{gname}.{i}" for i in range(len(acts))],
+                                 acts, in_dim)
 
     try:
         groups = meta_typed(path, "activations", meta["activations"], dict)
+        mode = meta["fusion_mode"]
+        if mode not in FUSION_MODES:
+            raise ValidationError(f"{path}: meta 'fusion_mode' is {mode!r}, "
+                                  f"expected one of {FUSION_MODES}")
         encoder = FrozenEncoder(tensors["encoder.weight"], tensors["encoder.bias"],
                                 meta.get("encoder_activation", "tanh"))
         mlp_a = None
         if meta.get("mlp_a_activations"):
             mlp_acts = meta_typed(path, "mlp_a_activations",
                                   meta["mlp_a_activations"], list)
-            mlp_a = [DenseLayer.from_params(tensors[f"mlp_a.{i}.weight"],
-                                            tensors[f"mlp_a.{i}.bias"], act)
-                     for i, act in enumerate(mlp_acts)]
-        head = DenseLayer.from_params(tensors["head.weight"], tensors["head.bias"],
-                                      "identity")
-        model = FusionModel(stack("snn"), encoder, mlp_a, stack("mlp_b"),
-                            stack("image_encoder"), head, meta["fusion_mode"])
+            mlp_a = checkpoint_layers(path, tensors,
+                                      [f"mlp_a.{i}" for i in range(len(mlp_acts))],
+                                      mlp_acts, encoder.embed_dim)
+        g2_dim = mlp_a[-1].out_dim if mlp_a else encoder.embed_dim
+        snn = stack("snn")
+        mlp_b = stack("mlp_b", snn[-1].out_dim + g2_dim)
+        image_encoder = stack("image_encoder")
+        gen_dim, img_dim = mlp_b[-1].out_dim, image_encoder[-1].out_dim
+        head_in = (gen_dim + img_dim if mode == "concat"
+                   else (gen_dim + 1) * (img_dim + 1))
+        [head] = checkpoint_layers(path, tensors, ["head"], ["identity"], head_in)
+        if head.out_dim != 1:
+            raise ValidationError(f"{path}: tensor 'head.weight' has {head.out_dim} "
+                                  "outputs, expected 1")
+        model = FusionModel(snn, encoder, mlp_a, mlp_b, image_encoder, head, mode)
         if meta.get("g2_normalized"):
+            for name in ("g2_norm.mean", "g2_norm.std"):
+                if tensors[name].shape != (g2_dim,):
+                    raise ValidationError(
+                        f"{path}: tensor '{name}' has shape {tensors[name].shape}, "
+                        f"expected ({g2_dim},) for the {g2_dim}-wide frozen rna path")
             model.g2_mean = tensors["g2_norm.mean"]
             model.g2_std = tensors["g2_norm.std"]
     except KeyError as exc:
         raise ValidationError(f"{path}: checkpoint has no entry {exc}") from exc
+    except ShapeError as exc:   # the encoder's weight and bias disagree
+        raise ValidationError(f"{path}: {exc}") from exc
     return model

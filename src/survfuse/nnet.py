@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,14 +27,27 @@ ACTIVATIONS = ("identity", "relu", "selu", "tanh")
 CHECKPOINT_MAGIC = "survfuse-checkpoint v1"
 
 
-def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array and validate finiteness."""
+def _as_2d(x, name: str) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got ndim={a.ndim}")
+    return a
+
+
+def as_matrix(x, name: str = "matrix") -> np.ndarray:
+    """Coerce to a 2-D float64 array and validate finiteness."""
+    a = _as_2d(x, name)
     if not np.isfinite(a).all():
         raise NumericalError(f"{name} contains non-finite entries")
     return a
+
+
+# The kernels below compute the same floating-point operations, element for
+# element, as the textbook selections
+#   relu:  where(z > 0, z, 0)                       grad  where(z > 0, 1, 0)
+#   selu:  lambda * where(z > 0, z, alpha * expm1(z))
+#          grad  lambda * where(z > 0, 1, alpha * exp(z))
+# without a masked selection, which costs more than the exp itself.
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -43,25 +56,43 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return np.maximum(z, 0.0)
     if kind == "selu":
-        return SELU_LAMBDA * np.where(z > 0.0, z, SELU_ALPHA * np.expm1(z))
+        # alpha * expm1(min(z, 0)) + max(z, 0): one of the terms is +-0, so
+        # the sum is exactly the selected branch, and copysign restores the
+        # sign of z = -0.0
+        out = np.minimum(z, 0.0)
+        np.expm1(out, out=out)
+        out *= SELU_ALPHA
+        out += np.maximum(z, 0.0)
+        np.copysign(out, z, out=out)
+        out *= SELU_LAMBDA
+        return out
     if kind == "tanh":
         return np.tanh(z)
     raise ValidationError(f"unknown activation '{kind}'")
 
 
-def _activation_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    # Derivative w.r.t. the pre-activation. At the relu/selu kink (z == 0)
-    # the left derivative is used; the kink has measure zero for the
-    # continuous inputs this package generates.
+def _activation_backward(upstream: np.ndarray, z: np.ndarray, kind: str) -> np.ndarray:
+    """upstream times the activation's derivative at the pre-activation z.
+
+    At the relu/selu kink (z == 0) the left derivative is used; the kink has
+    measure zero for the continuous inputs this package generates.
+    """
     if kind == "identity":
-        return np.ones_like(z)
+        return upstream
     if kind == "relu":
-        return (z > 0.0).astype(np.float64)
+        return upstream * (z > 0.0)
     if kind == "selu":
-        return SELU_LAMBDA * np.where(z > 0.0, 1.0, SELU_ALPHA * np.exp(z))
+        # alpha * exp(min(z, 0)) is alpha where z > 0; adding 1 - alpha there
+        # (exact, as is their sum) gives 1, adding -0.0 elsewhere changes nothing
+        d = np.exp(np.minimum(z, 0.0))
+        d *= SELU_ALPHA
+        d += (z > 0.0) * (1.0 - SELU_ALPHA)
+        d *= SELU_LAMBDA
+        d *= upstream
+        return d
     if kind == "tanh":
         t = np.tanh(z)
-        return 1.0 - t * t
+        return upstream * (1.0 - t * t)
     raise ValidationError(f"unknown activation '{kind}'")
 
 
@@ -112,11 +143,18 @@ class DenseLayer:
         return state
 
     def forward(self, x) -> np.ndarray:
-        x = as_matrix(x, "layer input")
+        """act(x @ W.T + b); a non-finite output raises NumericalError.
+
+        The input's finiteness is not checked here: mlp_forward checks a
+        stack's input, and the package builds every other layer input from
+        checked layer outputs.
+        """
+        x = _as_2d(x, "layer input")
         if x.shape[1] != self.in_dim:
             raise ShapeError(
                 f"input has {x.shape[1]} columns, layer expects {self.in_dim}")
-        z = x @ self.weight.T + self.bias
+        z = x @ self.weight.T
+        z += self.bias
         self._cached_input = x
         self._cached_preact = z
         out = _activate(z, self.activation)
@@ -132,9 +170,9 @@ class DenseLayer:
             raise ShapeError(
                 f"upstream gradient has shape {upstream.shape}, expected "
                 f"{(self._cached_input.shape[0], self.out_dim)}")
-        dz = upstream * _activation_grad(self._cached_preact, self.activation)
-        self.grad_weight[...] = dz.T @ self._cached_input
-        self.grad_bias[...] = dz.sum(axis=0)
+        dz = _activation_backward(upstream, self._cached_preact, self.activation)
+        np.matmul(dz.T, self._cached_input, out=self.grad_weight)
+        np.add.reduce(dz, axis=0, out=self.grad_bias)
         return dz @ self.weight
 
 
@@ -169,22 +207,46 @@ def mlp_forward(net: list[DenseLayer], x) -> np.ndarray:
 def mlp_backward(net: list[DenseLayer], upstream) -> np.ndarray:
     """Backpropagate, filling every layer's gradient buffers.
 
-    Returns the gradient w.r.t. the stack's input.
+    Returns the gradient w.r.t. the stack's input. Each layer checks the
+    gradient it receives.
     """
-    grad = as_matrix(upstream, "upstream gradient")
+    grad = _as_2d(upstream, "upstream gradient")
     for layer in reversed(net):
         grad = layer.backward(grad)
     return grad
 
 
+def _tiled_buffer(arrays: list[np.ndarray]) -> np.ndarray | None:
+    """The 1-D buffer that `arrays` tile end to end, in order, or None."""
+    if not arrays:
+        return np.empty(0)
+    buffer = arrays[0].base
+    if buffer is None or buffer.ndim != 1 or not buffer.flags.c_contiguous:
+        return None
+    start = address = buffer.__array_interface__["data"][0]
+    for a in arrays:
+        if (a.base is not buffer or not a.flags.c_contiguous
+                or a.__array_interface__["data"][0] != address):
+            return None
+        address += a.nbytes
+    return buffer if address == start + buffer.nbytes else None
+
+
 @dataclass
 class ParamGroup:
-    """Named parameter tensors with aliased gradient buffers and an lr scale."""
+    """Named parameter tensors with aliased gradient buffers and an lr scale.
+
+    The params tile one flat buffer, `flat_params`, and the grads another,
+    `flat_grads`, so sgd_step checks and updates a group in one operation
+    each. layer_group builds groups whose tensors are laid out this way.
+    """
 
     name: str
     params: list[np.ndarray]
     grads: list[np.ndarray]
     lr_scale: float = 1.0
+    flat_params: np.ndarray = field(init=False, repr=False)
+    flat_grads: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.params) != len(self.grads):
@@ -194,6 +256,11 @@ class ParamGroup:
             if p.shape != g.shape:
                 raise ShapeError(
                     f"group '{self.name}': param shape {p.shape} != grad shape {g.shape}")
+        self.flat_params = _tiled_buffer(self.params)
+        self.flat_grads = _tiled_buffer(self.grads)
+        if self.flat_params is None or self.flat_grads is None:
+            raise ShapeError(f"group '{self.name}': params and grads must each tile "
+                             "one contiguous buffer (build groups with layer_group)")
         self._check_lr_scale()
 
     def _check_lr_scale(self):
@@ -206,12 +273,36 @@ class ParamGroup:
         self._check_lr_scale()
 
 
+def _layer_tensors(layers: list[DenseLayer]) -> tuple[list, list]:
+    params = [t for layer in layers for t in (layer.weight, layer.bias)]
+    grads = [t for layer in layers for t in (layer.grad_weight, layer.grad_bias)]
+    return params, grads
+
+
 def layer_group(name: str, layers: list[DenseLayer], lr_scale: float = 1.0) -> ParamGroup:
-    """Collect layer weights/biases into one group; arrays are aliased, not copied."""
-    params, grads = [], []
-    for layer in layers:
-        params.extend([layer.weight, layer.bias])
-        grads.extend([layer.grad_weight, layer.grad_bias])
+    """Collect layer weights/biases into one group; arrays are aliased, not copied.
+
+    The first time, the layers' tensors move (values kept) into one flat
+    parameter buffer and one flat gradient buffer, and the layers' attributes
+    become views of them; a later group over the same layers finds them laid
+    out already and shares the buffers. Layers laid out for another group
+    cannot join a different one: moving them would cut that group off.
+    """
+    params, grads = _layer_tensors(layers)
+    if _tiled_buffer(params) is None or _tiled_buffer(grads) is None:
+        if any(t.base is not None for t in params + grads):
+            raise StateError(f"group '{name}': its layers are laid out for another group")
+        flat_params = np.concatenate([t.ravel() for t in params])
+        flat_grads = np.concatenate([t.ravel() for t in grads])
+        offset = 0
+        for layer in layers:
+            for attr, grad_attr in (("weight", "grad_weight"), ("bias", "grad_bias")):
+                shape = getattr(layer, attr).shape
+                end = offset + math.prod(shape)
+                setattr(layer, attr, flat_params[offset:end].reshape(shape))
+                setattr(layer, grad_attr, flat_grads[offset:end].reshape(shape))
+                offset = end
+        params, grads = _layer_tensors(layers)
     return ParamGroup(name, params, grads, lr_scale)
 
 
@@ -223,13 +314,13 @@ def sgd_step(groups: list[ParamGroup], eta: float) -> None:
     if not eta > 0.0:
         raise ValidationError(f"eta must be positive, got {eta}")
     for group in groups:
-        for g in group.grads:
-            if not np.isfinite(g).all():
-                raise NumericalError(f"non-finite gradient in group '{group.name}'")
+        if not np.isfinite(group.flat_grads).all():
+            raise NumericalError(f"non-finite gradient in group '{group.name}'")
     for group in groups:
-        for p, g in zip(group.params, group.grads):
-            p -= eta * group.lr_scale * g
-            g[...] = 0.0
+        step = group.flat_grads   # zeroed below, so it can hold the step
+        step *= eta * group.lr_scale
+        group.flat_params -= step
+        step.fill(0.0)
 
 
 def step_decay_eta(eta0: float, step: int, total_steps: int) -> float:
@@ -242,7 +333,7 @@ def step_decay_eta(eta0: float, step: int, total_steps: int) -> float:
 
 def mse_loss(pred, target) -> tuple[float, np.ndarray]:
     """Mean squared error over all entries and its gradient w.r.t. pred."""
-    p = as_matrix(pred, "pred")
+    p = _as_2d(pred, "pred")   # a layer output, checked where it was produced
     t = as_matrix(target, "target")
     if p.shape != t.shape:
         raise ShapeError(f"pred shape {p.shape} != target shape {t.shape}")
@@ -282,8 +373,11 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = No
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a checkpoint; malformed content raises ValidationError naming the line."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: byte {exc.start}: not UTF-8 text") from exc
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ValidationError(f"{path}: not a survfuse checkpoint")
     if len(lines) < 2 or not lines[1].startswith("meta "):
@@ -320,3 +414,27 @@ def meta_typed(path, key: str, value, kind: type):
         raise ValidationError(f"{path}: meta '{key}' is a {type(value).__name__}, "
                               f"expected a {kind.__name__}")
     return value
+
+
+def checkpoint_layers(path, tensors: dict[str, np.ndarray], names: list[str],
+                      activations: list, in_dim: int | None = None) -> list[DenseLayer]:
+    """Rebuild a chain of layers from the tensors `<name>.weight`, `<name>.bias`.
+
+    Each weight must be (out, in) with an (out,) bias, and take the previous
+    layer's output width as its input (the first layer: `in_dim`, if given);
+    a mismatch raises ValidationError naming the file and the tensor. A
+    missing tensor raises KeyError.
+    """
+    layers = []
+    for name, activation in zip(names, activations):
+        weight, bias = tensors[f"{name}.weight"], tensors[f"{name}.bias"]
+        if weight.ndim != 2 or bias.shape != weight.shape[:1]:
+            raise ValidationError(
+                f"{path}: tensor '{name}.weight' has shape {weight.shape} and "
+                f"'{name}.bias' shape {bias.shape}; expected (out, in) and (out,)")
+        if in_dim is not None and weight.shape[1] != in_dim:
+            raise ValidationError(f"{path}: tensor '{name}.weight' takes {weight.shape[1]} "
+                                  f"inputs, expected {in_dim}")
+        layers.append(DenseLayer.from_params(weight, bias, activation))
+        in_dim = layers[-1].out_dim
+    return layers

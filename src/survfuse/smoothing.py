@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .nnet import (DenseLayer, layer_group, load_checkpoint, make_mlp,
-                   meta_typed, mlp_backward, mlp_forward, mse_loss,
+from .nnet import (DenseLayer, checkpoint_layers, layer_group, load_checkpoint,
+                   make_mlp, meta_typed, mlp_backward, mlp_forward, mse_loss,
                    save_checkpoint, sgd_step, step_decay_eta)
 
 DEFAULT_NUM_TYPES = 17  # cell-type categories
@@ -401,14 +401,16 @@ def load_stage1(path: str) -> tuple[list[DenseLayer], DenseLayer, FrozenEncoder]
     try:
         mlp_acts = meta_typed(path, "mlp_a_activations",
                               meta["mlp_a_activations"], list)
-        mlp_a = [DenseLayer.from_params(tensors[f"mlp_a.{i}.weight"],
-                                        tensors[f"mlp_a.{i}.bias"], act)
-                 for i, act in enumerate(mlp_acts)]
-        classifier = DenseLayer.from_params(tensors["classifier.weight"],
-                                            tensors["classifier.bias"],
-                                            meta["classifier_activation"])
         encoder = FrozenEncoder(tensors["encoder.weight"], tensors["encoder.bias"],
                                 meta.get("encoder_activation", "tanh"))
+        mlp_a = checkpoint_layers(path, tensors,
+                                  [f"mlp_a.{i}" for i in range(len(mlp_acts))],
+                                  mlp_acts, encoder.embed_dim)
+        [classifier] = checkpoint_layers(
+            path, tensors, ["classifier"], [meta["classifier_activation"]],
+            mlp_a[-1].out_dim if mlp_a else encoder.embed_dim)
     except KeyError as exc:
         raise ValidationError(f"{path}: checkpoint has no entry {exc}") from exc
+    except ShapeError as exc:   # the encoder's weight and bias disagree
+        raise ValidationError(f"{path}: {exc}") from exc
     return mlp_a, classifier, encoder

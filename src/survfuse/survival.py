@@ -66,17 +66,19 @@ class CoxBatch:
     `block_start[p]`/`block_end[p]` bound sorted position p's tie block, so
     the risk set at p is sorted positions 0..block_end[p], and the row at p
     is in the risk set of every event at sorted position >= block_start[p].
+
+    Times must be positive and finite. They are checked where they enter:
+    SurvivalRecord checks each record's time and fit_linear_cox the times it
+    is given, so a batch of another batch's rows is not checked again.
     """
 
     def __init__(self, times, events):
         times = np.asarray(times, dtype=np.float64).reshape(-1)
-        events = np.asarray(events).reshape(-1).astype(bool)
+        events = np.asarray(events, dtype=bool).reshape(-1)
         if times.size == 0:
             raise ValidationError("empty batch")
         if times.shape != events.shape:
             raise ShapeError(f"times length {times.size} != events length {events.size}")
-        if not np.isfinite(times).all() or (times <= 0.0).any():
-            raise ValidationError("all observation times must be positive and finite")
         self.times = times
         self.events = events
         self.event_indices = np.flatnonzero(events)
@@ -117,12 +119,10 @@ def build_risk_sets(records: list[SurvivalRecord]) -> CoxBatch:
     return CoxBatch(times, events)
 
 
-def _check_theta(theta, batch: CoxBatch) -> np.ndarray:
+def _scores(theta, batch: CoxBatch) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     if theta.size != len(batch):
         raise ShapeError(f"theta length {theta.size} != batch size {len(batch)}")
-    if not np.isfinite(theta).all():
-        raise NumericalError("theta contains non-finite entries")
     return theta
 
 
@@ -130,9 +130,11 @@ def cox_loss(theta, batch: CoxBatch) -> float:
     """Negative Cox partial log-likelihood (see module docstring).
 
     Degenerate batches (no uncensored event) contribute 0; check
-    `batch.degenerate` to count them.
+    `batch.degenerate` to count them. Non-finite theta raises NumericalError.
     """
-    theta = _check_theta(theta, batch)
+    theta = _scores(theta, batch)
+    if not np.isfinite(theta).all():
+        raise NumericalError("theta contains non-finite entries")
     k = batch.event_indices
     return float((batch.log_risk_denominators(theta)[k] - theta[k]).sum())
 
@@ -142,8 +144,10 @@ def cox_gradient(theta, batch: CoxBatch) -> np.ndarray:
 
     Row i collects exp(theta_i - lse_k) over the events k at or after its tie
     block in sorted order: a suffix log-sum-exp of -lse_k, so nothing overflows.
+    theta's finiteness is checked once, by cox_loss; a non-finite theta gives
+    a non-finite gradient here, which sgd_step rejects before any update.
     """
-    theta = _check_theta(theta, batch)
+    theta = _scores(theta, batch)
     order = batch.order
     ev = batch.events[order]
     neg_lse = np.where(ev, -batch.log_risk_denominators(theta)[order], -np.inf)
@@ -159,6 +163,12 @@ def concordance_index(theta, times, events) -> float:
     A pair (i, j) is comparable when t_i < t_j and sample i is uncensored.
     Concordant pairs (theta_i > theta_j) score 1, theta ties score 0.5.
     Raises ConcordanceUndefinedError when no pair is comparable.
+
+    Pairs are counted as integers, in O(n log n) time and O(n) memory, over
+    the rows sorted by descending time (ties in row order, as in CoxBatch):
+    the rows comparable with event i are the prefix before i's tie block.
+    Tied pairs come from one sort of (score rank, position) keys; concordant
+    pairs from a wavelet matrix over the score ranks, O(n) per rank bit.
     """
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     times = np.asarray(times, dtype=np.float64).reshape(-1)
@@ -166,14 +176,40 @@ def concordance_index(theta, times, events) -> float:
     if not (theta.size == times.size == events.size):
         raise ShapeError(
             f"length mismatch: theta {theta.size}, times {times.size}, events {events.size}")
-    comparable = (times[:, None] < times[None, :]) & events[:, None]
-    n_comparable = int(comparable.sum())
+    n = times.size
+    order = np.argsort(-times, kind="stable")
+    neg_sorted = -times[order]
+    n_later = np.searchsorted(neg_sorted, neg_sorted)   # rows with a later time
+    event = events[order]
+    n_comparable = int(n_later[event].sum())
     if n_comparable == 0:
         raise ConcordanceUndefinedError("no comparable pair (check censoring and time ties)")
-    higher = theta[:, None] > theta[None, :]
-    tied = theta[:, None] == theta[None, :]
-    concordant = int((comparable & higher).sum())
-    ties = int((comparable & tied).sum())
+    score = theta[order]
+    _, rank = np.unique(score, return_inverse=True)   # nan ranks last
+    query = event & ~np.isnan(score)   # a nan score is neither concordant nor tied
+    end, own = n_later[query], rank[query]
+    by_rank = np.sort(rank * n + np.arange(n))
+    ties = int((np.searchsorted(by_rank, own * n + end)
+                - np.searchsorted(by_rank, own * n)).sum())
+    # Each event counts the rows of lower rank in its range [start, end),
+    # first the prefix [0, end). Ranks are read bit by bit from the top: the
+    # rows are split stably, bit 0 first, and each range moves to the part
+    # holding its event's bit. Where that bit is 1, the range's rows with bit
+    # 0 agree with the event on every higher bit and rank lower.
+    concordant = 0
+    start = np.zeros_like(end)
+    ones = np.zeros(n + 1, dtype=np.int64)   # ones[i]: rows before i with the bit set
+    level = rank
+    for b in reversed(range(int(rank.max()).bit_length())):
+        high = (level >> b) & 1 == 1
+        np.cumsum(high, out=ones[1:])
+        up = (own >> b) & 1 == 1
+        ones_start, ones_end = ones[start], ones[end]
+        concordant += int((end - ones_end - start + ones_start)[up].sum())
+        n_zeros = n - ones[n]
+        start = np.where(up, n_zeros + ones_start, start - ones_start)
+        end = np.where(up, n_zeros + ones_end, end - ones_end)
+        level = level[np.argsort(high, kind="stable")]
     return (concordant + 0.5 * ties) / n_comparable
 
 
@@ -187,6 +223,8 @@ def fit_linear_cox(x, times, events, l2: float = 1e-3, max_iter: int = 200) -> n
 
     x = np.asarray(x, dtype=np.float64)
     batch = CoxBatch(times, events)
+    if not np.isfinite(batch.times).all() or (batch.times <= 0.0).any():
+        raise ValidationError("all observation times must be positive and finite")
     if x.shape[0] != len(batch):
         raise ShapeError(f"feature rows {x.shape[0]} != batch size {len(batch)}")
 

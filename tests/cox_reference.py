@@ -1,15 +1,17 @@
-"""Reference Cox and contribution-ratio computations, one Python loop per event.
+"""Reference Cox, contribution-ratio and concordance computations.
 
 These are the explicit risk-set definitions the vectorised kernel in
-`survfuse.survival.CoxBatch` must reproduce:
+`survfuse.survival.CoxBatch` must reproduce, one Python loop per event:
 
     R_k = { j : t_j >= t_k }   for every uncensored k (Breslow: ties share R_k)
 
-Kept for tests only; nothing in the package imports this module.
+and Harrell's C over explicit n x n pair matrices. Kept for tests only;
+nothing in the package imports this module.
 """
 
 import numpy as np
 
+from survfuse.errors import ConcordanceUndefinedError
 from survfuse.modulation import ContributionReport, modulation_factor
 
 
@@ -71,3 +73,19 @@ def contribution_ratio(s_g, s_p, batch, cfg) -> ContributionReport:
         rho_g=rho_g, rho_p=1.0 / rho_g, rho_g_clamped=rho_g_c, rho_p_clamped=1.0 / rho_g_c,
         factor_g=modulation_factor(rho_g_c), factor_p=modulation_factor(1.0 / rho_g_c),
         per_sample_ratios=per_sample)
+
+
+def concordance_index(theta, times, events) -> float:
+    """Harrell's C from boolean pair matrices: O(n^2) time and memory."""
+    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
+    times = np.asarray(times, dtype=np.float64).reshape(-1)
+    events = np.asarray(events).reshape(-1).astype(bool)
+    comparable = (times[:, None] < times[None, :]) & events[:, None]
+    n_comparable = int(comparable.sum())
+    if n_comparable == 0:
+        raise ConcordanceUndefinedError("no comparable pair")
+    higher = theta[:, None] > theta[None, :]
+    tied = theta[:, None] == theta[None, :]
+    concordant = int((comparable & higher).sum())
+    ties = int((comparable & tied).sum())
+    return (concordant + 0.5 * ties) / n_comparable

@@ -1,6 +1,7 @@
 """INI configuration loading and the command-line surface."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from survfuse.config import (RunConfig, config_echo, load_cells_spec,
                              load_cohort_spec, load_run_config)
 from survfuse.errors import ConfigError, ValidationError
 from survfuse.fusion import load_model
+from survfuse.nnet import load_checkpoint, save_checkpoint
 from survfuse.smoothing import load_stage1
 
 # ---------------------------------------------------------------------------
@@ -261,14 +263,40 @@ META_EDITS = {  # kind -> in-place edit of the checkpoint's meta object
 }
 
 
+def _cut(name: str, keep: slice):
+    def edit(tensors):
+        tensors[name] = tensors[name][keep]
+    return edit
+
+
+TENSOR_EDITS = {  # kind -> (in-place edit of the tensors, the tensor the error names)
+    "g2_mean_one_value": (_cut("g2_norm.mean", slice(0, 1)), "g2_norm.mean"),
+    "g2_mean_five_values": (_cut("g2_norm.mean", slice(0, 5)), "g2_norm.mean"),
+    "g2_std_one_short": (_cut("g2_norm.std", slice(0, -1)), "g2_norm.std"),
+    "layer_dims_do_not_chain": (_cut("mlp_b.1.weight", np.s_[:, 1:]), "mlp_b.1.weight"),
+    "mlp_b_input_width": (_cut("mlp_b.0.weight", np.s_[:, 1:]), "mlp_b.0.weight"),
+    "head_input_width": (_cut("head.weight", np.s_[:, 1:]), "head.weight"),
+    "bias_length": (_cut("snn.0.bias", slice(0, -1)), "snn.0.bias"),
+    "encoder_bias_length": (_cut("encoder.bias", slice(0, -1)), "encoder bias"),
+}
+
+
 @pytest.mark.parametrize("kind", ["non_integer_dim", "bad_meta_json", "truncated_before_end",
-                                  "nan_value", "missing_tensor", *META_EDITS])
+                                  "nan_value", "missing_tensor", *META_EDITS, *TENSOR_EDITS])
 def test_damaged_checkpoint_is_a_clean_error(pipeline, capsys, kind):
     root, cfg = pipeline
-    lines = (root / "run" / "model.ckpt").read_text().splitlines()
+    good = root / "run" / "model.ckpt"
     bad = root / f"damaged_{kind}.ckpt"
-    bad.write_text("\n".join(_damage_checkpoint(lines, kind)) + "\n")
-    with pytest.raises(ValidationError, match=str(bad)):
+    match = re.escape(str(bad))
+    if kind in TENSOR_EDITS:
+        edit, tensor = TENSOR_EDITS[kind]
+        meta, tensors = load_checkpoint(str(good))
+        edit(tensors)
+        save_checkpoint(str(bad), tensors, meta)
+        match += ".*" + re.escape(tensor)
+    else:
+        bad.write_text("\n".join(_damage_checkpoint(good.read_text().splitlines(), kind)) + "\n")
+    with pytest.raises(ValidationError, match=match):
         load_model(str(bad))
     assert main(["eval", *cfg, "--model", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Two-branch fusion model: architecture, fusion ops, training loop."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from survfuse.fusion import (FusionSpec, GenomicInput, TrainConfig,
                              kronecker_features, kronecker_fusion, load_model,
                              predict_theta, save_model, train_survival)
 from survfuse.modulation import ModulationConfig
-from survfuse.smoothing import default_encoder
+from survfuse.nnet import layer_group, sgd_step
+from survfuse.smoothing import (CellCorpusSpec, Stage1Config, default_encoder,
+                                generate_cells, pretrain_mlp_a)
 from survfuse.survival import SurvivalRecord, concordance_index
 
 DIMS = dict(dim_cnv_mut=6, dim_rna=8, dim_image=6)
@@ -92,6 +96,48 @@ def test_param_groups_partition():
     assert {id(p) for p in groups["genomic"].params} == ids(m.snn + m.mlp_b)
     assert {id(p) for p in groups["image"].params} == ids(m.image_encoder)
     assert {id(p) for p in groups["head"].params} == ids([m.head])
+
+
+def _assert_groups_alias_layers(model, groups):
+    stacks = {"genomic": model.snn + model.mlp_b, "image": model.image_encoder,
+              "head": [model.head]}
+    for name, layers in stacks.items():
+        for layer in layers:
+            assert layer.weight.base is groups[name].flat_params
+            assert layer.bias.base is groups[name].flat_params
+            assert layer.grad_weight.base is groups[name].flat_grads
+            assert layer.grad_bias.base is groups[name].flat_grads
+
+
+def test_param_groups_alias_layers_across_calls_pickling_and_stage1():
+    m = _small_model()
+    first, second = m.param_groups(), m.param_groups()
+    _assert_groups_alias_layers(m, first)
+    _assert_groups_alias_layers(m, second)
+    assert all(second[k].flat_params is first[k].flat_params for k in first)
+    m.image_encoder[0].grad_bias[:] = 1.0
+    before = m.image_encoder[0].bias.copy()
+    sgd_step(list(first.values()), eta=0.25)
+    assert np.array_equal(m.image_encoder[0].bias, before - 0.25)
+
+    back = pickle.loads(pickle.dumps(m))
+    _assert_groups_alias_layers(back, back.param_groups())
+    for a, b in zip(m.snn + m.mlp_b + m.image_encoder + [m.head],
+                    back.snn + back.mlp_b + back.image_encoder + [back.head]):
+        assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
+
+    # MLP-A trains through its own group in stage 1, then stays frozen
+    cells = generate_cells(CellCorpusSpec(n_cells=12, gene_dim=DIMS["dim_rna"],
+                                          num_types=3, seed=0))
+    enc = default_encoder(gene_dim=DIMS["dim_rna"], embed_dim=5, seed=0)
+    stage1 = pretrain_mlp_a(cells, enc, Stage1Config(epochs=1, steps_per_epoch=3,
+                                                    hidden_dim=8, feature_dim=4))
+    assert layer_group("mlp_a", stage1.mlp_a).flat_params is stage1.mlp_a[0].weight.base
+    frozen = [layer.weight.copy() for layer in stage1.mlp_a]
+    smoothed = build_model(_small_spec(), enc, stage1.mlp_a, seed=1)
+    train_survival(smoothed, _records(), TrainConfig(epochs=1, batch_size=8))
+    _assert_groups_alias_layers(smoothed, smoothed.param_groups())
+    assert all(np.array_equal(layer.weight, w) for layer, w in zip(stage1.mlp_a, frozen))
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,17 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from survfuse.errors import (NumericalError, ShapeError, StateError,
                              ValidationError)
 from survfuse.nnet import (SELU_ALPHA, SELU_LAMBDA, DenseLayer, ParamGroup,
-                           layer_group, load_checkpoint, make_mlp,
-                           mlp_backward, mlp_forward, mse_loss,
-                           save_checkpoint, sgd_step, step_decay_eta)
+                           _activate, _activation_backward, layer_group,
+                           load_checkpoint, make_mlp, mlp_backward,
+                           mlp_forward, mse_loss, save_checkpoint, sgd_step,
+                           step_decay_eta)
 
 
 def _layer(weight, bias, activation="identity"):
@@ -60,6 +62,52 @@ def test_forward_shape_mismatch():
     layer = _layer([[1.0, 0.0]], [0.0])
     with pytest.raises(ShapeError):
         layer.forward(np.zeros((2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# activation kernels against the np.where formulas they replace
+
+
+def _where_activate(z, kind):
+    if kind == "identity":
+        return z
+    if kind == "relu":
+        return np.maximum(z, 0.0)
+    return SELU_LAMBDA * np.where(z > 0.0, z, SELU_ALPHA * np.expm1(z))
+
+
+def _where_activation_grad(z, kind):
+    if kind == "identity":
+        return np.ones_like(z)
+    if kind == "relu":
+        return (z > 0.0).astype(np.float64)
+    return SELU_LAMBDA * np.where(z > 0.0, 1.0, SELU_ALPHA * np.exp(z))
+
+
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-300,
+          -30.0, -745.0, -800.0, -1e300, 710.0, 1e300]
+_PREACTS = arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                  elements=st.one_of(st.sampled_from(_EDGES),
+                                     st.floats(-50.0, 50.0, allow_nan=False)))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=_PREACTS, up_seed=st.integers(0, 2 ** 31 - 1),
+       kind=st.sampled_from(["identity", "relu", "selu"]))
+@example(z=np.array([_EDGES]), up_seed=0, kind="selu")
+@example(z=np.array([_EDGES]), up_seed=1, kind="relu")
+def test_activation_kernels_match_where_formulas_bit_for_bit(z, up_seed, kind):
+    up = np.random.default_rng(up_seed).normal(size=z.shape)
+    up.ravel()[::2] *= -1.0   # negative upstream times a zero slope gives -0.0
+    with np.errstate(over="ignore"):   # the where forms overflow in the branch they drop
+        expected_out = _where_activate(z, kind)
+        expected_dz = up * _where_activation_grad(z, kind)
+    assert _same_bits(_activate(z.copy(), kind), expected_out)
+    assert _same_bits(_activation_backward(up, z, kind), expected_dz)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +205,81 @@ def test_sgd_rejects_non_finite_gradients():
     layer.grad_weight[0, 0] = np.nan
     with pytest.raises(NumericalError):
         sgd_step([layer_group("g", [layer])], eta=0.1)
+
+
+def _random_layers(rng, dims):
+    return [DenseLayer(i, o, "identity", rng=rng) for i, o in dims]
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), eta=st.floats(1e-4, 1.0),
+       scales=st.tuples(*[st.floats(0.01, 1.0)] * 3))
+def test_sgd_step_on_flat_buffers_equals_per_array_update(seed, eta, scales):
+    rng = np.random.default_rng(seed)
+    stacks = [_random_layers(rng, [(3, 5), (5, 2)]), _random_layers(rng, [(4, 4)]),
+              _random_layers(rng, [(2, 1)])]
+    groups = [layer_group(f"g{i}", layers, scale)
+              for i, (layers, scale) in enumerate(zip(stacks, scales))]
+    for group in groups:
+        for g in group.grads:
+            g[...] = rng.normal(size=g.shape) * 10.0 ** rng.integers(-8, 3)
+    expected = [[p - eta * group.lr_scale * g for p, g in zip(group.params, group.grads)]
+                for group in groups]
+    sgd_step(groups, eta)
+    for group, want in zip(groups, expected):
+        for p, w, g in zip(group.params, want, group.grads):
+            assert _same_bits(p, w)
+            assert not g.any()
+
+
+@pytest.mark.parametrize("bad_group", [0, 1, 2])
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+def test_sgd_step_non_finite_gradient_in_any_group_moves_nothing(bad_group, bad_value):
+    rng = np.random.default_rng(4)
+    stacks = [_random_layers(rng, [(3, 4)]), _random_layers(rng, [(4, 4), (4, 2)]),
+              _random_layers(rng, [(2, 1)])]
+    groups = [layer_group(f"g{i}", layers) for i, layers in enumerate(stacks)]
+    for group in groups:
+        group.flat_grads[:] = rng.normal(size=group.flat_grads.size)
+    groups[bad_group].grads[-1].flat[0] = bad_value
+    before = [group.flat_params.copy() for group in groups]
+    grads_before = [group.flat_grads.copy() for group in groups]
+    with pytest.raises(NumericalError, match=f"g{bad_group}"):
+        sgd_step(groups, eta=0.1)
+    for group, p, g in zip(groups, before, grads_before):
+        assert _same_bits(group.flat_params, p)
+        assert np.array_equal(group.flat_grads, g, equal_nan=True)
+
+
+def test_layer_group_aliases_layer_tensors_through_one_buffer():
+    rng = np.random.default_rng(5)
+    layers = _random_layers(rng, [(3, 4), (4, 2)])
+    weights = [layer.weight.copy() for layer in layers]
+    first = layer_group("g", layers)
+    again = layer_group("g", layers)
+    assert again.flat_params is first.flat_params
+    assert again.flat_grads is first.flat_grads
+    for layer, w in zip(layers, weights):
+        assert np.array_equal(layer.weight, w)     # values kept by the move
+        assert layer.weight.base is first.flat_params
+        assert layer.grad_bias.base is first.flat_grads
+    layers[1].forward(np.ones((2, 4)))
+    layers[1].backward(np.ones((2, 2)))          # written into the shared buffer
+    sgd_step([again], eta=0.5)
+    assert np.array_equal(layers[1].bias, -1.0 * np.ones(2))
+    assert not first.flat_grads.any()
+
+
+def test_layers_of_one_group_cannot_join_another():
+    layers = _random_layers(np.random.default_rng(6), [(3, 4), (4, 2)])
+    layer_group("both", layers)
+    with pytest.raises(StateError, match="another group"):
+        layer_group("second only", layers[1:])
+
+
+def test_param_group_rejects_tensors_outside_one_buffer():
+    with pytest.raises(ShapeError, match="contiguous buffer"):
+        ParamGroup("g", [np.zeros(2), np.zeros(3)], [np.zeros(2), np.zeros(3)])
 
 
 def test_step_decay_halves_at_each_third():

@@ -1,5 +1,7 @@
 """Cox partial likelihood, risk sets, concordance, linear probe."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -260,6 +262,54 @@ def test_concordance_matches_brute_force_random():
         assert concordance_index(theta, times, events) == expected
 
 
+_SCORES = st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.0]),   # forced score ties
+                    st.floats(-1e6, 1e6, allow_nan=False),
+                    st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def _c_index_inputs(draw):
+    n = draw(st.integers(1, 60))
+    n_times = draw(st.integers(1, 6))   # few distinct times: many time ties
+    theta = draw(st.lists(_SCORES, min_size=n, max_size=n))
+    times = draw(st.lists(st.integers(1, n_times), min_size=n, max_size=n))
+    events = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return np.array(theta), np.array(times, dtype=np.float64), np.array(events)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_c_index_inputs())
+@example(inputs=(np.array([0.5]), np.array([1.0]), np.array([True])))
+@example(inputs=(np.arange(5.0), np.arange(1.0, 6.0), np.zeros(5, dtype=bool)))
+@example(inputs=(np.zeros(4), np.array([1.0, 1.0, 2.0, 2.0]), np.ones(4, dtype=bool)))
+def test_concordance_matches_pair_matrix_oracle(inputs):
+    # exact equality: both count pairs as integers and divide once
+    theta, times, events = inputs
+    try:
+        expected = ref.concordance_index(theta, times, events)
+    except ConcordanceUndefinedError:
+        with pytest.raises(ConcordanceUndefinedError):
+            concordance_index(theta, times, events)
+        return
+    assert concordance_index(theta, times, events) == expected
+
+
+def test_concordance_memory_is_linear_in_n():
+    rng = np.random.default_rng(3)
+    n = 6000
+    theta = rng.normal(size=n)
+    times = rng.exponential(size=n) + 0.01
+    events = rng.uniform(size=n) < 0.6
+    tracemalloc.start()
+    try:
+        c = concordance_index(theta, times, events)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000   # one n x n boolean matrix alone is 36 MB
+    assert c == ref.concordance_index(theta, times, events)
+
+
 # ---------------------------------------------------------------------------
 # records
 
@@ -320,3 +370,11 @@ def test_probe_on_pure_noise_sits_near_chance():
     c = probe_c_index(X[:200], times[:200], events[:200],
                       X[200:], times[200:], events[200:])
     assert abs(c - 0.5) < 0.1
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_fit_linear_cox_rejects_times_that_are_not_positive_and_finite(bad):
+    # CoxBatch leaves times to its callers; fit_linear_cox takes them from outside
+    times = np.array([1.0, 2.0, bad, 3.0])
+    with pytest.raises(ValidationError, match="positive and finite"):
+        fit_linear_cox(np.eye(4), times, np.ones(4, dtype=bool))
