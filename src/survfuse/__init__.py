@@ -32,14 +32,12 @@ from .survival import (CoxBatch, SurvivalRecord, build_risk_sets,
                        fit_linear_cox, probe_c_index)
 from .modulation import (ContributionReport, ModulationConfig, apply_modulation,
                          branch_scores, contribution_ratio, modulation_factor)
-from .smoothing import (CellCorpusSpec, CellProfile, FrozenEncoder, MixupSample,
+from .smoothing import (CellCorpusSpec, CellProfile, FrozenEncoder,
                         Stage1Config, Stage1Result, default_encoder,
                         generate_cells, interpolation_gap, load_cells,
-                        load_stage1, mix_samples, pretrain_mlp_a, save_cells,
-                        save_stage1)
-from .fusion import (FusionModel, FusionSpec, GenomicInput, TrainConfig,
-                     build_model, evaluate, fused_hazard, genomic_branch,
-                     kronecker_fusion, load_model, predict_theta, save_model,
+                        load_stage1, pretrain_mlp_a, save_cells, save_stage1)
+from .fusion import (FusionModel, FusionSpec, TrainConfig, build_model,
+                     evaluate, load_model, predict_theta, save_model,
                      train_survival)
 from .cohort import (CohortSpec, FoldPlan, default_hazard_coef, fold_split,
                      generate_cohort, load_cohort, modality_spans, save_cohort,
@@ -56,12 +54,11 @@ __all__ = [
     "cox_gradient", "concordance_index", "fit_linear_cox", "probe_c_index",
     "ModulationConfig", "ContributionReport", "branch_scores",
     "contribution_ratio", "modulation_factor", "apply_modulation",
-    "CellProfile", "MixupSample", "mix_samples", "FrozenEncoder",
+    "CellProfile", "FrozenEncoder",
     "default_encoder", "CellCorpusSpec", "generate_cells", "save_cells",
     "load_cells", "Stage1Config", "Stage1Result", "pretrain_mlp_a",
     "interpolation_gap", "save_stage1", "load_stage1",
-    "FusionSpec", "FusionModel", "GenomicInput", "build_model",
-    "genomic_branch", "fused_hazard", "kronecker_fusion", "TrainConfig",
+    "FusionSpec", "FusionModel", "build_model", "TrainConfig",
     "train_survival", "evaluate", "predict_theta", "save_model", "load_model",
     "CohortSpec", "generate_cohort", "FoldPlan", "split_folds", "fold_split",
     "save_cohort", "load_cohort", "modality_spans", "default_hazard_coef",

@@ -27,13 +27,12 @@ signal to recover.
 from __future__ import annotations
 
 import csv
-import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, open_text
 from .survival import SurvivalRecord
 
 _CENSOR_TOL = 0.02      # calibration stops when within this of the target
@@ -83,8 +82,10 @@ class CohortSpec:
         if min(self.n_patients, self.latent_dim, self.dim_cnv_mut,
                self.dim_rna, self.dim_image) <= 0:
             raise ValidationError("all cohort counts and dims must be positive")
-        if self.noise_g < 0 or self.noise_p < 0:
-            raise ValidationError("noise scales must be non-negative")
+        if not (0.0 <= self.noise_g < np.inf and 0.0 <= self.noise_p < np.inf):
+            raise ValidationError("noise scales must be finite and non-negative")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.censor_fraction_target < 1.0:
             raise ValidationError(
                 f"censor target must lie in [0, 1), got {self.censor_fraction_target}")
@@ -96,6 +97,8 @@ class CohortSpec:
                 raise ValidationError(
                     f"hazard_coef has {self.hazard_coef.size} entries, "
                     f"latent_dim is {self.latent_dim}")
+            if not np.isfinite(self.hazard_coef).all():
+                raise ValidationError("hazard_coef entries must be finite")
         if self.share_maps and self.dim_image != self.dim_cnv_mut:
             raise ValidationError("share_maps requires dim_image == dim_cnv_mut")
 
@@ -180,26 +183,10 @@ def _calibrate_censor_scale(survival, censor_u, target: float) -> float:
 
 @dataclass
 class FoldPlan:
+    """k folds and each record id's held-out fold."""
+
     k: int
     assignments: dict[str, int] = field(default_factory=dict)
-
-    def test_ids(self, fold: int) -> list[str]:
-        return [rid for rid, f in self.assignments.items() if f == fold]
-
-    def save(self, path: str) -> None:
-        tmp = path + ".partial"
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump({"k": self.k, "assignments": self.assignments}, fh,
-                      indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-
-    @classmethod
-    def load(cls, path: str) -> "FoldPlan":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return cls(k=int(raw["k"]),
-                   assignments={str(k): int(v) for k, v in raw["assignments"].items()})
 
 
 def split_folds(records: list[SurvivalRecord], k: int, seed: int) -> FoldPlan:
@@ -295,19 +282,22 @@ def _header_dims(header: list[str], path: str) -> tuple[int, int, int]:
 
 
 def load_cohort(path: str) -> list[SurvivalRecord]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValidationError(f"{path}: empty file")
         dg, dr, dp = _header_dims(header, path)
         records = []
+        ids = set()
         for row_no, row in enumerate(reader, start=2):
             if len(row) != 3 + dg + dr + dp:
                 raise ValidationError(
                     f"{path}: row {row_no}: expected {3 + dg + dr + dp} fields, "
                     f"got {len(row)}")
-            rid = row[0]
+            if row[0] in ids:   # folds are assigned by id
+                raise ValidationError(f"{path}: row {row_no}: duplicate id '{row[0]}'")
+            ids.add(row[0])
             try:
                 time = float(row[1])
             except ValueError as exc:
@@ -322,12 +312,12 @@ def load_cohort(path: str) -> list[SurvivalRecord]:
             if not np.isfinite(vals).all():
                 col = header[3 + int(np.argmin(np.isfinite(vals)))]
                 raise ValidationError(f"{path}: row {row_no}: column '{col}' is not finite")
-            if time <= 0 or not np.isfinite(time):
-                raise ValidationError(
-                    f"{path}: row {row_no}: time must be positive, got {row[1]}")
-            records.append(SurvivalRecord(
-                id=rid, time=time, event=row[2] == "1",
-                cnv_mut=vals[:dg], rna=vals[dg:dg + dr], image=vals[dg + dr:]))
+            try:
+                records.append(SurvivalRecord(
+                    id=row[0], time=time, event=row[2] == "1",
+                    cnv_mut=vals[:dg], rna=vals[dg:dg + dr], image=vals[dg + dr:]))
+            except ValidationError as exc:   # time not positive
+                raise ValidationError(f"{path}: row {row_no}: {exc}") from exc
     if not records:
         raise ValidationError(f"{path}: no data rows")
     return records

@@ -13,7 +13,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from .cohort import CohortSpec
-from .errors import ConfigError
+from .errors import ConfigError, open_text
 from .fusion import FUSION_MODES
 from .modulation import ModulationConfig
 from .smoothing import CellCorpusSpec
@@ -62,8 +62,11 @@ class RunConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ConfigError(f"eta must be positive, got {self.eta}")
+        if min(self.seed, self.smoothing.encoder_seed) < 0:
+            raise ConfigError(f"seeds must be non-negative, got seed = {self.seed}, "
+                              f"encoder_seed = {self.smoothing.encoder_seed}")
+        if not 0.0 < self.eta < float("inf"):
+            raise ConfigError(f"eta must be positive and finite, got {self.eta}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.epochs < 1:
@@ -72,8 +75,12 @@ class RunConfig:
             raise ConfigError("k_folds must be >= 2")
         if self.fusion_mode not in FUSION_MODES:
             raise ConfigError(f"fusion_mode must be one of {FUSION_MODES}")
-        if self.modulation.enabled and self.fusion_mode != "concat":
-            raise ConfigError("gradient modulation requires fusion_mode = concat")
+        if self.fusion_mode != "concat":
+            if self.modulation.enabled:
+                raise ConfigError("gradient modulation requires fusion_mode = concat")
+            if self.track_rho:
+                raise ConfigError("track_rho requires fusion_mode = concat "
+                                  "(contribution ratios split the concat head)")
 
 
 _BOOL_TRUE = ("1", "true", "yes", "on")
@@ -98,49 +105,45 @@ def _coerce(raw: str, like, key: str):
     return raw
 
 
-def _fill_section(parser: configparser.ConfigParser, section: str, obj,
-                  renames: dict[str, str] | None = None):
-    """Overwrite obj's fields from one INI section, type-led by the defaults."""
-    if not parser.has_section(section):
-        return obj
-    renames = renames or {}
-    valid = {f.name for f in dataclasses.fields(obj)}
+def _defaults(obj, drop=()) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+            if f.name not in drop}
+
+
+def _section(parser: configparser.ConfigParser, section: str, defaults: dict,
+             renames: dict[str, str] | None = None) -> dict:
+    """Field updates from one INI section, typed like the defaults."""
     updates = {}
-    for key, raw in parser.items(section):
-        name = renames.get(key, key)
-        if name not in valid:
-            raise ConfigError(f"[{section}] unknown key '{key}'")
-        updates[name] = _coerce(raw, getattr(obj, name), f"[{section}] {key}")
-    return dataclasses.replace(obj, **updates)
+    if parser.has_section(section):
+        for key, raw in parser.items(section):
+            name = (renames or {}).get(key, key)
+            if name not in defaults:
+                raise ConfigError(f"[{section}] unknown key '{key}'")
+            updates[name] = _coerce(raw, defaults[name], f"[{section}] {key}")
+    return updates
 
 
 def _modulation_from(parser: configparser.ConfigParser) -> ModulationConfig:
-    cfg = ModulationConfig(enabled=False)
-    if not parser.has_section("modulation"):
-        return cfg
-    lo, hi = cfg.ratio_clamp
-    fields = {"enabled": cfg.enabled, "epsilon": cfg.epsilon,
-              "aggregate": cfg.aggregate, "exp_numerator": cfg.exp_numerator,
-              "warmup_steps": cfg.warmup_steps, "rho_min": lo, "rho_max": hi}
-    for key, raw in parser.items("modulation"):
-        if key not in fields:
-            raise ConfigError(f"[modulation] unknown key '{key}'")
-        fields[key] = _coerce(raw, fields[key], f"[modulation] {key}")
-    return ModulationConfig(
-        enabled=fields["enabled"],
-        ratio_clamp=(fields["rho_min"], fields["rho_max"]),
-        epsilon=fields["epsilon"], aggregate=fields["aggregate"],
-        exp_numerator=fields["exp_numerator"], warmup_steps=fields["warmup_steps"])
+    base = ModulationConfig(enabled=False)
+    lo, hi = base.ratio_clamp
+    fields = dict(_defaults(base, drop=("ratio_clamp",)), rho_min=lo, rho_max=hi)
+    updates = _section(parser, "modulation", fields)
+    clamp = (updates.pop("rho_min", lo), updates.pop("rho_max", hi))
+    return dataclasses.replace(base, ratio_clamp=clamp, **updates)
 
 
 _KNOWN_SECTIONS = ("run", "modulation", "smoothing", "paths", "cohort", "cells")
 
 
 def _read_ini(path: str | None) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    # values are taken literally: no %-interpolation
+    parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
+        with open_text(path, ConfigError) as fh:
+            try:
+                parser.read_file(fh)
+            except configparser.Error as exc:
+                raise ConfigError(f"{path}: {exc}") from exc
         for section in parser.sections():
             if section not in _KNOWN_SECTIONS:
                 raise ConfigError(f"unknown config section [{section}]")
@@ -155,18 +158,13 @@ def load_run_config(path: str | None = None, **overrides) -> RunConfig:
     A None override means "not given".
     """
     parser = _read_ini(path)
-    base = RunConfig()
-    run_fields = {f.name for f in dataclasses.fields(RunConfig)
-                  if f.name not in ("modulation", "smoothing", "paths")}
-    run_updates = {}
-    if parser.has_section("run"):
-        for key, raw in parser.items("run"):
-            if key not in run_fields:
-                raise ConfigError(f"[run] unknown key '{key}'")
-            run_updates[key] = _coerce(raw, getattr(base, key), f"[run] {key}")
+    run_defaults = _defaults(RunConfig(), drop=("modulation", "smoothing", "paths"))
+    run_updates = _section(parser, "run", run_defaults)
     modulation = _modulation_from(parser)
-    smoothing = _fill_section(parser, "smoothing", SmoothingConfig())
-    paths = _fill_section(parser, "paths", PathsConfig())
+    smoothing = dataclasses.replace(SmoothingConfig(), **_section(
+        parser, "smoothing", _defaults(SmoothingConfig())))
+    paths = dataclasses.replace(PathsConfig(), **_section(
+        parser, "paths", _defaults(PathsConfig())))
 
     for key, value in overrides.items():
         if value is None:
@@ -177,7 +175,7 @@ def load_run_config(path: str | None = None, **overrides) -> RunConfig:
             smoothing = dataclasses.replace(smoothing, enabled=bool(value))
         elif key in ("cohort", "cells", "stage1", "out_dir"):
             paths = dataclasses.replace(paths, **{key: value})
-        elif key in run_fields:
+        elif key in run_defaults:
             run_updates[key] = value
         else:
             raise ConfigError(f"unknown override '{key}'")
@@ -188,33 +186,29 @@ def load_run_config(path: str | None = None, **overrides) -> RunConfig:
 def load_cohort_spec(path: str | None = None, **overrides) -> CohortSpec:
     # built from a raw field dict (not dataclasses.replace) so that an
     # unspecified hazard_coef re-derives its default from the final latent_dim
-    parser = _read_ini(path)
-    defaults = CohortSpec()
-    names = {f.name for f in dataclasses.fields(CohortSpec)}
-    updates: dict = {}
-    if parser.has_section("cohort"):
-        for key, raw in parser.items("cohort"):
-            name = "censor_fraction_target" if key == "censor_fraction" else key
-            if name not in names:
-                raise ConfigError(f"[cohort] unknown key '{key}'")
-            if name == "hazard_coef":
-                updates[name] = [float(tok) for tok in raw.replace(",", " ").split()]
-            else:
-                updates[name] = _coerce(raw, getattr(defaults, name), f"[cohort] {key}")
+    defaults = _defaults(CohortSpec())
+    updates = _section(_read_ini(path), "cohort", defaults,
+                       renames={"censor_fraction": "censor_fraction_target"})
+    if "hazard_coef" in updates:   # floats, comma or space separated
+        try:
+            updates["hazard_coef"] = [
+                float(tok) for tok in updates["hazard_coef"].replace(",", " ").split()]
+        except ValueError as exc:
+            raise ConfigError(f"[cohort] hazard_coef: {exc}") from exc
     for key, value in overrides.items():
         if value is None:
             continue
-        if key not in names:
+        if key not in defaults:
             raise ConfigError(f"unknown cohort override '{key}'")
         updates[key] = value
     return CohortSpec(**updates)
 
 
 def load_cells_spec(path: str | None = None, **overrides) -> CellCorpusSpec:
-    parser = _read_ini(path)
-    spec = _fill_section(parser, "cells", CellCorpusSpec())
-    clean = {k: v for k, v in overrides.items() if v is not None}
-    return dataclasses.replace(spec, **clean) if clean else spec
+    defaults = _defaults(CellCorpusSpec())
+    updates = _section(_read_ini(path), "cells", defaults)
+    updates.update((k, v) for k, v in overrides.items() if v is not None)
+    return CellCorpusSpec(**updates)
 
 
 def config_echo(cfg: RunConfig) -> dict:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text-file opener that
+turns undecodable or malformed input into them."""
+
+import csv
+from contextlib import contextmanager
 
 
 class SurvfuseError(Exception):
@@ -27,3 +31,27 @@ class ConcordanceUndefinedError(SurvfuseError, ValueError):
 
 class ConfigError(SurvfuseError, ValueError):
     """Invalid or contradictory run configuration."""
+
+
+@contextmanager
+def open_text(path, error_type: type = ValidationError):
+    """Open a UTF-8 text file for reading, with newline="" as csv needs.
+
+    Undecodable bytes or malformed CSV met inside the block raise
+    error_type naming the file (and the offset of the first bad byte).
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            # the error counts from the start of one buffered chunk, so
+            # decode the whole file again to find the offset in it
+            with open(path, "rb") as raw:
+                try:
+                    raw.read().decode("utf-8")
+                    where = ""
+                except UnicodeDecodeError as exc:
+                    where = f"byte {exc.start}: "
+            raise error_type(f"{path}: {where}not UTF-8 text") from None
+        except csv.Error as exc:
+            raise error_type(f"{path}: {exc}") from exc

@@ -273,9 +273,11 @@ def _grid_config(cfg: RunConfig, smoothing_on: bool, fusion_label: str) -> RunCo
     modulation = dataclasses.replace(cfg.modulation,
                                      enabled=fusion_label == "modulation")
     smoothing = dataclasses.replace(cfg.smoothing, enabled=smoothing_on)
-    mode = "kronecker" if fusion_label == "kronecker" else "concat"
-    return dataclasses.replace(cfg, fusion_mode=mode, modulation=modulation,
-                               smoothing=smoothing)
+    kronecker = fusion_label == "kronecker"
+    # contribution ratios split the concat head, so kronecker rows track none
+    return dataclasses.replace(cfg, fusion_mode="kronecker" if kronecker else "concat",
+                               track_rho=cfg.track_rho and not kronecker,
+                               modulation=modulation, smoothing=smoothing)
 
 
 def run_ablation(records: list[SurvivalRecord], cells: list[CellProfile],

@@ -37,16 +37,6 @@ FUSION_MODES = ("concat", "kronecker")
 
 
 @dataclass
-class GenomicInput:
-    cnv_mut: np.ndarray
-    rna: np.ndarray
-
-    def __post_init__(self):
-        self.cnv_mut = np.asarray(self.cnv_mut, dtype=np.float64).reshape(-1)
-        self.rna = np.asarray(self.rna, dtype=np.float64).reshape(-1)
-
-
-@dataclass
 class FusionSpec:
     """Architecture hyperparameters; dims must match the cohort."""
 
@@ -72,9 +62,6 @@ class FusionSpec:
             raise ValidationError("all architecture dims must be positive")
         if min(self.snn_hidden, self.mlp_b_hidden, self.image_hidden) < 0:
             raise ValidationError("hidden layer counts must be non-negative")
-        if self.fusion_mode not in FUSION_MODES:
-            raise ConfigError(f"fusion_mode must be one of {FUSION_MODES}, "
-                              f"got '{self.fusion_mode}'")
 
 
 class FusionModel:
@@ -85,7 +72,8 @@ class FusionModel:
                  image_encoder: list[DenseLayer], head: DenseLayer,
                  fusion_mode: str):
         if fusion_mode not in FUSION_MODES:
-            raise ConfigError(f"fusion_mode must be one of {FUSION_MODES}")
+            raise ConfigError(f"fusion_mode must be one of {FUSION_MODES}, "
+                              f"got '{fusion_mode}'")
         self.snn = snn
         self.encoder = encoder
         self.mlp_a = mlp_a
@@ -147,21 +135,21 @@ class FusionModel:
     def frozen_rna_features(self, rna_matrix) -> np.ndarray:
         """Frozen path: encoder, then MLP-A when present (raw latent otherwise),
         then the fitted standardization if one has been fitted."""
-        z = self.encoder.apply(np.asarray(rna_matrix, dtype=np.float64))
-        if z.ndim == 1:
-            z = z[None, :]
+        z = self.encoder.apply(rna_matrix)
         feats = mlp_forward(self.mlp_a, z) if self.mlp_a else z
         if self.g2_mean is not None:
             feats = (feats - self.g2_mean) / self.g2_std
         return feats
 
-    def fit_g2_normalization(self, rna_matrix) -> None:
-        """Fit the frozen-path standardization on training rows only."""
+    def fit_g2_normalization(self, rna_matrix) -> np.ndarray:
+        """Fit the frozen-path standardization on training rows only; returns
+        those rows' standardized features."""
         self.g2_mean = None
         self.g2_std = None
         feats = self.frozen_rna_features(rna_matrix)
         self.g2_mean = feats.mean(axis=0)
         self.g2_std = np.maximum(feats.std(axis=0), 1e-8)
+        return (feats - self.g2_mean) / self.g2_std
 
     # --- batch forward/backward ---
 
@@ -222,39 +210,8 @@ def build_model(spec: FusionSpec, encoder: FrozenEncoder,
                        spec.fusion_mode)
 
 
-# ---------------------------------------------------------------------------
-# single-sample operations
-
-
-def genomic_branch(model: FusionModel, ginput: GenomicInput) -> np.ndarray:
-    """G = MLP_B([SNN(cnv_mut) || frozen-path(rna)]) for one patient."""
-    g1 = mlp_forward(model.snn, ginput.cnv_mut[None, :])
-    g2 = model.frozen_rna_features(ginput.rna[None, :])
-    return mlp_forward(model.mlp_b, np.concatenate([g1, g2], axis=1))[0]
-
-
-def fused_hazard(model: FusionModel, G, P) -> float:
-    """theta = W^G.G + W^P.P + b, evaluated as one dot over [G || P] so the
-    block and concatenated forms are the same floating-point computation."""
-    if model.fusion_mode != "concat":
-        raise StateError("fused_hazard is defined for the concat head only")
-    G = np.asarray(G, dtype=np.float64).reshape(-1)
-    P = np.asarray(P, dtype=np.float64).reshape(-1)
-    if G.size != model.gen_dim or P.size != model.img_dim:
-        raise ShapeError(f"expected |G|={model.gen_dim}, |P|={model.img_dim}, "
-                         f"got {G.size}, {P.size}")
-    return float(np.dot(model.head.weight[0], np.concatenate([G, P])) + model.head.bias[0])
-
-
-def kronecker_fusion(G, P) -> np.ndarray:
-    """flat row-major outer product of [G || 1] and [P || 1]."""
-    G = np.asarray(G, dtype=np.float64).reshape(-1)
-    P = np.asarray(P, dtype=np.float64).reshape(-1)
-    return np.outer(np.append(G, 1.0), np.append(P, 1.0)).reshape(-1)
-
-
 def kronecker_features(G, P) -> np.ndarray:
-    """Batch kronecker_fusion: rows of G and P paired row-by-row."""
+    """Row i is the flat row-major outer product of [G_i || 1] and [P_i || 1]."""
     G = np.asarray(G, dtype=np.float64)
     P = np.asarray(P, dtype=np.float64)
     ones = np.ones((G.shape[0], 1))
@@ -345,21 +302,21 @@ def train_survival(model: FusionModel, records: list[SurvivalRecord],
     """Mini-batch SGD on the negative Cox partial log-likelihood.
 
     Per step: forward the batch, backpropagate the Cox gradient, optionally
-    rescale the two branch groups from the contribution report, update. An
+    rescale the two branch groups from the contribution report, update.
+    Contribution reports need the concat head: with a kronecker head, the
+    first step raises StateError before any parameter moves. An
     all-censored batch contributes nothing and is skipped (counted). The
     eta schedule is a function of the step position, skipped or not.
     """
-    if cfg.modulation.enabled and model.fusion_mode != "concat":
-        raise ConfigError("gradient modulation requires the concat fusion head")
     full = build_risk_sets(records)
     n = len(records)
     x_cnv, x_rna, x_img = _feature_matrices(records)
-    model.fit_g2_normalization(x_rna)          # training rows only — no fold leakage
-    g2_all = model.frozen_rna_features(x_rna)  # frozen path never changes mid-run
+    # training rows only — no fold leakage; the frozen path never changes mid-run
+    g2_all = model.fit_g2_normalization(x_rna)
 
     groups = model.param_groups()
     group_list = list(groups.values())
-    want_reports = (cfg.modulation.enabled or cfg.track_rho) and model.fusion_mode == "concat"
+    want_reports = cfg.modulation.enabled or cfg.track_rho
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x57E9]))
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size

@@ -18,13 +18,12 @@ down, the other keeps its full step.
 
 rho is a ratio of per-branch aggregates rather than an aggregate of
 per-sample ratios so that swapping the two branches inverts rho exactly
-for every aggregation choice; the per-sample ratios are still recorded
-for diagnostics.
+for every aggregation choice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,23 +60,22 @@ class ModulationConfig:
 class ContributionReport:
     """One step's discrepancy summary.
 
-    rho_g / rho_p are pre-clamp (their product is exactly 1); the clamped
-    values actually used for the factors are recorded separately.
+    rho_g / rho_p are pre-clamp (their product is exactly 1); rho_g_clamped
+    is the value the factors are computed from (the image side uses its
+    reciprocal).
     """
 
     rho_g: float
     rho_p: float
     rho_g_clamped: float
-    rho_p_clamped: float
     factor_g: float
     factor_p: float
     degenerate: bool = False
-    per_sample_ratios: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 NEUTRAL_REPORT = ContributionReport(
-    rho_g=1.0, rho_p=1.0, rho_g_clamped=1.0, rho_p_clamped=1.0,
-    factor_g=1.0, factor_p=1.0, degenerate=True)
+    rho_g=1.0, rho_p=1.0, rho_g_clamped=1.0, factor_g=1.0, factor_p=1.0,
+    degenerate=True)
 
 
 def branch_scores(Wg, G, Wp, P, b: float):
@@ -134,18 +132,15 @@ def contribution_ratio(s_g, s_p, batch: CoxBatch, cfg: ModulationConfig) -> Cont
         r_p = s_p[k] * np.exp(-lse_p)
 
     agg = np.mean if cfg.aggregate == "mean" else np.median
-    per_sample = r_g / _signed_guard(r_p, cfg.epsilon)
     rho_g = float(_signed_guard(agg(r_g), cfg.epsilon) / _signed_guard(agg(r_p), cfg.epsilon))
     rho_p = 1.0 / rho_g
 
     lo, hi = cfg.ratio_clamp
     rho_g_c = min(max(rho_g, lo), hi)
-    rho_p_c = 1.0 / rho_g_c
     return ContributionReport(
-        rho_g=rho_g, rho_p=rho_p,
-        rho_g_clamped=rho_g_c, rho_p_clamped=rho_p_c,
-        factor_g=modulation_factor(rho_g_c), factor_p=modulation_factor(rho_p_c),
-        per_sample_ratios=per_sample)
+        rho_g=rho_g, rho_p=rho_p, rho_g_clamped=rho_g_c,
+        factor_g=modulation_factor(rho_g_c),
+        factor_p=modulation_factor(1.0 / rho_g_c))
 
 
 def modulation_factor(rho: float) -> float:

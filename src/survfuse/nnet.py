@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError, StateError, ValidationError
+from .errors import (NumericalError, ShapeError, StateError, ValidationError,
+                     open_text)
 
 SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
@@ -373,11 +374,8 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = No
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a checkpoint; malformed content raises ValidationError naming the line."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: byte {exc.start}: not UTF-8 text") from exc
+    with open_text(path) as fh:
+        lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ValidationError(f"{path}: not a survfuse checkpoint")
     if len(lines) < 2 or not lines[1].startswith("meta "):

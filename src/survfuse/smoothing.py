@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, open_text
 from .nnet import (DenseLayer, checkpoint_layers, layer_group, load_checkpoint,
                    make_mlp, meta_typed, mlp_backward, mlp_forward, mse_loss,
                    save_checkpoint, sgd_step, step_decay_eta)
@@ -32,7 +32,7 @@ DEFAULT_GENE_DIM = 64
 
 
 # ---------------------------------------------------------------------------
-# profiles and mixing
+# profiles
 
 
 @dataclass(eq=False)
@@ -45,8 +45,10 @@ class CellProfile:
 
     def __post_init__(self):
         self.expression = np.asarray(self.expression, dtype=np.float64).reshape(-1)
-        if (self.expression < 0).any():
-            raise ValidationError("expression entries must be non-negative")
+        bad = np.flatnonzero(~np.isfinite(self.expression) | (self.expression < 0))
+        if bad.size:
+            raise ValidationError(f"gene_{bad[0]} = {float(self.expression[bad[0]])!r}: "
+                                  "expression must be finite and non-negative")
         self.cell_type = int(self.cell_type)
         self.one_hot = np.asarray(self.one_hot, dtype=np.float64).reshape(-1)
         if not (0 <= self.cell_type < self.one_hot.size):
@@ -59,36 +61,8 @@ class CellProfile:
 
     @classmethod
     def make(cls, expression, cell_type: int, num_types: int = DEFAULT_NUM_TYPES):
-        cell_type = int(cell_type)
-        if not 0 <= cell_type < num_types:
-            raise ValidationError(
-                f"cell_type {cell_type} outside [0, {num_types})")
-        one_hot = np.zeros(num_types)
-        one_hot[cell_type] = 1.0
+        one_hot = (np.arange(num_types) == cell_type).astype(np.float64)
         return cls(expression=expression, cell_type=cell_type, one_hot=one_hot)
-
-
-@dataclass
-class MixupSample:
-    mixed_expression: np.ndarray
-    lam: float
-    target: np.ndarray
-
-
-def mix_samples(a: CellProfile, b: CellProfile, lam: float) -> MixupSample:
-    """Convex combination of two profiles and of their one-hot targets."""
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"lambda must lie in [0, 1], got {lam}")
-    if a.expression.size != b.expression.size:
-        raise ShapeError(
-            f"expression dims differ: {a.expression.size} vs {b.expression.size}")
-    if a.one_hot.size != b.one_hot.size:
-        raise ShapeError("profiles disagree on the number of cell types")
-    return MixupSample(
-        mixed_expression=lam * a.expression + (1.0 - lam) * b.expression,
-        lam=lam,
-        target=lam * a.one_hot + (1.0 - lam) * b.one_hot)
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +72,8 @@ def mix_samples(a: CellProfile, b: CellProfile, lam: float) -> MixupSample:
 class FrozenEncoder:
     """Deterministic expression → embedding map; parameters are write-locked.
 
-    Stands in for a large pretrained encoder. Any (weight, bias, activation)
-    triple can be supplied from a checkpoint file, so externally computed
-    projections drop in behind the same interface.
+    Stands in for a large pretrained encoder: any (weight, bias, activation)
+    triple drops in behind the same interface.
     """
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray, activation: str = "tanh"):
@@ -132,27 +105,13 @@ class FrozenEncoder:
         return self.weight.shape[0]
 
     def apply(self, x) -> np.ndarray:
-        """Encode a (n, gene_dim) matrix or a single vector."""
+        """Encode a (n, gene_dim) matrix, one sample per row."""
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        if x.shape[1] != self.gene_dim:
-            raise ShapeError(f"input has {x.shape[1]} genes, encoder expects {self.gene_dim}")
+        if x.ndim != 2 or x.shape[1] != self.gene_dim:
+            raise ShapeError(f"input has shape {x.shape}, encoder expects "
+                             f"(n, {self.gene_dim})")
         z = x @ self.weight.T + self.bias
-        out = np.tanh(z) if self.activation == "tanh" else z
-        return out[0] if single else out
-
-    def save(self, path: str) -> None:
-        save_checkpoint(path, {"weight": self.weight, "bias": self.bias},
-                        meta={"kind": "frozen_encoder", "activation": self.activation})
-
-    @classmethod
-    def load(cls, path: str) -> "FrozenEncoder":
-        meta, tensors = load_checkpoint(path)
-        if meta.get("kind") != "frozen_encoder":
-            raise ValidationError(f"{path}: not a frozen-encoder checkpoint")
-        return cls(tensors["weight"], tensors["bias"], meta.get("activation", "tanh"))
+        return np.tanh(z) if self.activation == "tanh" else z
 
 
 def default_encoder(gene_dim: int = DEFAULT_GENE_DIM, embed_dim: int = 32,
@@ -187,8 +146,10 @@ class CellCorpusSpec:
     def __post_init__(self):
         if self.n_cells < 2 or self.gene_dim <= 0 or self.num_types < 2:
             raise ValidationError("corpus needs >= 2 cells, positive gene_dim, >= 2 types")
-        if self.cluster_scale < 0 or self.noise_scale < 0:
-            raise ValidationError("scales must be non-negative")
+        if not (0.0 <= self.cluster_scale < np.inf and 0.0 <= self.noise_scale < np.inf):
+            raise ValidationError("scales must be finite and non-negative")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
 
 def generate_cells(spec: CellCorpusSpec) -> list[CellProfile]:
@@ -223,12 +184,12 @@ def save_cells(path: str, cells: list[CellProfile]) -> None:
 
 
 def load_cells(path: str, num_types: int = DEFAULT_NUM_TYPES) -> list[CellProfile]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValidationError(f"{path}: empty file")
-        if header[-1] != "cell_type" or not all(
+        if header[-1:] != ["cell_type"] or len(header) < 2 or not all(
                 h == f"gene_{i}" for i, h in enumerate(header[:-1])):
             raise ValidationError(f"{path}: unexpected header")
         gene_dim = len(header) - 1
@@ -237,19 +198,10 @@ def load_cells(path: str, num_types: int = DEFAULT_NUM_TYPES) -> list[CellProfil
             if len(row) != gene_dim + 1:
                 raise ValidationError(f"{path}: row {row_no}: expected {gene_dim + 1} fields")
             try:
-                expr = np.array([float(v) for v in row[:-1]])
-                ctype = int(row[-1])
-            except ValueError as exc:
+                cells.append(CellProfile.make([float(v) for v in row[:-1]],
+                                              int(row[-1]), num_types))
+            except ValueError as exc:   # a bad literal, or CellProfile's ValidationError
                 raise ValidationError(f"{path}: row {row_no}: {exc}") from exc
-            bad = np.flatnonzero(~np.isfinite(expr) | (expr < 0))
-            if bad.size:
-                raise ValidationError(
-                    f"{path}: row {row_no}: {header[bad[0]]} = {row[bad[0]]}: "
-                    "expression must be finite and non-negative")
-            if not 0 <= ctype < num_types:
-                raise ValidationError(
-                    f"{path}: row {row_no}: cell_type {ctype} outside [0, {num_types})")
-            cells.append(CellProfile.make(expr, ctype, num_types))
     if not cells:
         raise ValidationError(f"{path}: no data rows")
     return cells

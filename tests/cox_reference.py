@@ -52,8 +52,7 @@ def contribution_ratio(s_g, s_p, batch, cfg) -> ContributionReport:
     s_p = np.asarray(s_p, dtype=np.float64)
     if batch.degenerate:
         return ContributionReport(rho_g=1.0, rho_p=1.0, rho_g_clamped=1.0,
-                                  rho_p_clamped=1.0, factor_g=1.0, factor_p=1.0,
-                                  degenerate=True)
+                                  factor_g=1.0, factor_p=1.0, degenerate=True)
     n_ev = batch.n_events
     r_g = np.empty(n_ev)
     r_p = np.empty(n_ev)
@@ -65,14 +64,12 @@ def contribution_ratio(s_g, s_p, batch, cfg) -> ContributionReport:
         r_g[m] = num_g / denom_g
         r_p[m] = num_p / denom_p
     agg = np.mean if cfg.aggregate == "mean" else np.median
-    per_sample = r_g / np.array([_signed_guard(v, cfg.epsilon) for v in r_p])
     rho_g = _signed_guard(float(agg(r_g)), cfg.epsilon) / _signed_guard(float(agg(r_p)), cfg.epsilon)
     lo, hi = cfg.ratio_clamp
     rho_g_c = min(max(rho_g, lo), hi)
     return ContributionReport(
-        rho_g=rho_g, rho_p=1.0 / rho_g, rho_g_clamped=rho_g_c, rho_p_clamped=1.0 / rho_g_c,
-        factor_g=modulation_factor(rho_g_c), factor_p=modulation_factor(1.0 / rho_g_c),
-        per_sample_ratios=per_sample)
+        rho_g=rho_g, rho_p=1.0 / rho_g, rho_g_clamped=rho_g_c,
+        factor_g=modulation_factor(rho_g_c), factor_p=modulation_factor(1.0 / rho_g_c))
 
 
 def concordance_index(theta, times, events) -> float:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survfuse.cohort import (CohortSpec, FoldPlan, default_hazard_coef,
+from survfuse.cohort import (CohortSpec, default_hazard_coef,
                              fold_split, generate_cohort, load_cohort,
                              modality_spans, save_cohort, split_folds)
 from survfuse.errors import ValidationError
@@ -142,13 +142,17 @@ def _cohort(n=30, seed=0):
     return generate_cohort(CohortSpec(n_patients=n, seed=seed))
 
 
+def _test_ids(plan, fold):
+    return [rid for rid, f in plan.assignments.items() if f == fold]
+
+
 def test_fold_sizes_and_partition():
     recs = _cohort(30)
     plan = split_folds(recs, k=15, seed=0)
     assert plan.k == 15
-    sizes = [len(plan.test_ids(f)) for f in range(15)]
+    sizes = [len(_test_ids(plan, f)) for f in range(15)]
     assert sizes == [2] * 15
-    seen = [rid for f in range(15) for rid in plan.test_ids(f)]
+    seen = [rid for f in range(15) for rid in _test_ids(plan, f)]
     assert sorted(seen) == sorted(r.id for r in recs)
 
 
@@ -157,7 +161,7 @@ def test_every_fold_gets_an_event():
     plan = split_folds(recs, k=15, seed=7)
     by_id = {r.id: r for r in recs}
     for f in range(15):
-        assert any(by_id[rid].event for rid in plan.test_ids(f))
+        assert any(by_id[rid].event for rid in _test_ids(plan, f))
 
 
 def test_split_is_seed_deterministic():
@@ -185,19 +189,10 @@ def test_fold_split_partitions_records():
     plan = split_folds(recs, k=4, seed=0)
     train, test = fold_split(recs, plan, 2)
     assert len(train) + len(test) == 20
-    assert {r.id for r in test} == set(plan.test_ids(2))
+    assert {r.id for r in test} == set(_test_ids(plan, 2))
     assert not ({r.id for r in train} & {r.id for r in test})
     with pytest.raises(ValidationError):
         fold_split(recs, plan, 4)
-
-
-def test_fold_plan_json_round_trip(tmp_path):
-    plan = split_folds(_cohort(12), k=3, seed=9)
-    path = str(tmp_path / "folds.json")
-    plan.save(path)
-    back = FoldPlan.load(path)
-    assert back.k == plan.k
-    assert back.assignments == plan.assignments
 
 
 # ---------------------------------------------------------------------------
@@ -244,4 +239,7 @@ def test_load_cohort_row_addressed_errors(tmp_path):
         load_cohort(str(path))
     path.write_text(head)
     with pytest.raises(ValidationError, match="no data rows"):
+        load_cohort(str(path))
+    path.write_text(head + "a,1.0,1,0.1,0.2,0.3\na,2.0,0,0.1,0.2,0.3\n")
+    with pytest.raises(ValidationError, match="row 3: duplicate id 'a'"):
         load_cohort(str(path))

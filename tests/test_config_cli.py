@@ -82,6 +82,15 @@ def test_modulation_needs_concat_mode():
         load_run_config(None, fusion_mode="kronecker", modulation_enabled=True)
 
 
+def test_track_rho_needs_concat_mode(tmp_path):
+    with pytest.raises(ConfigError, match="track_rho requires fusion_mode = concat"):
+        load_run_config(None, fusion_mode="kronecker", track_rho=True)
+    path = tmp_path / "run.ini"
+    path.write_text("[run]\nfusion_mode = kronecker\ntrack_rho = yes\n")
+    with pytest.raises(ConfigError, match="track_rho"):
+        load_run_config(str(path))
+
+
 def test_cohort_spec_hazard_parsing(tmp_path):
     path = tmp_path / "c.ini"
     path.write_text("[cohort]\nlatent_dim = 4\nhazard_coef = 0.1, 0.2 0.3,0.4\n"
@@ -381,3 +390,44 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
     ini.write_text("[run]\nepochs = 0\n")
     assert main(["gen-cohort", "--config", str(ini)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_kronecker_track_rho_train_is_refused(pipeline, capsys):
+    root, cfg = pipeline
+    out = root / "run_kron_rho"
+    argv = ["train", *cfg, "--out", str(out), "--fusion-mode", "kronecker", "--track-rho"]
+    assert main(argv) == 1
+    assert "error: track_rho requires fusion_mode = concat" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ablate_with_track_rho_tracks_the_concat_rows(pipeline, capsys):
+    root, _ = pipeline
+    ini = root / "tiny_rho.ini"
+    ini.write_text(TINY_INI.format(dir=root).replace("[run]\n", "[run]\ntrack_rho = true\n"))
+    out = root / "abl_rho"
+    assert main(["ablate", "--config", str(ini), "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = json.loads((out / "ablation.json").read_text())["rows"]
+    for row in rows:
+        tracked = row["fusion"] != "kronecker"
+        assert row["report"]["config"]["track_rho"] is tracked
+        assert (row["report"]["rho_g_median"] is not None) is tracked
+
+
+@pytest.mark.parametrize("kind, offset", [("config", 7), ("cohort", 20000), ("cells", 3000)])
+def test_non_utf8_inputs_are_clean_errors(pipeline, tmp_path, capsys, kind, offset):
+    # the cohort's bad byte lies past the first 8 KiB a text reader decodes
+    root, cfg = pipeline
+    source = {"config": root / "tiny.ini", "cohort": root / "cohort.csv",
+              "cells": root / "cells.csv"}[kind]
+    bad = tmp_path / source.name
+    data = bytearray(source.read_bytes())
+    data[offset] = 0xFF
+    bad.write_bytes(bytes(data))
+    out = ["--out", str(tmp_path / "run")]
+    argv = {"config": ["train", "--config", str(bad), *out],
+            "cohort": ["train", *cfg, "--cohort", str(bad), *out],
+            "cells": ["pretrain-smooth", *cfg, "--cells", str(bad), *out]}[kind]
+    assert main(argv) == 1
+    assert f"error: {bad}: byte {offset}: not UTF-8 text" in capsys.readouterr().err

@@ -8,13 +8,12 @@ import pytest
 from survfuse.cohort import CohortSpec, generate_cohort
 from survfuse.errors import (ConfigError, ShapeError, StateError,
                              ValidationError)
-from survfuse.fusion import (FusionSpec, GenomicInput, TrainConfig,
-                             build_model, evaluate, fused_hazard,
-                             genomic_branch, image_branch_features,
-                             kronecker_features, kronecker_fusion, load_model,
-                             predict_theta, save_model, train_survival)
+from survfuse.fusion import (FusionSpec, TrainConfig, build_model, evaluate,
+                             image_branch_features, kronecker_features,
+                             load_model, predict_theta, save_model,
+                             train_survival)
 from survfuse.modulation import ModulationConfig
-from survfuse.nnet import layer_group, sgd_step
+from survfuse.nnet import layer_group, save_checkpoint, sgd_step
 from survfuse.smoothing import (CellCorpusSpec, Stage1Config, default_encoder,
                                 generate_cells, pretrain_mlp_a)
 from survfuse.survival import SurvivalRecord, concordance_index
@@ -62,8 +61,9 @@ def test_spec_validation():
         _small_spec(snn_dim=0)
     with pytest.raises(ValidationError):
         _small_spec(image_hidden=-1)
-    with pytest.raises(ConfigError):
-        _small_spec(fusion_mode="attention")
+    enc = default_encoder(gene_dim=DIMS["dim_rna"], embed_dim=5, seed=0)
+    with pytest.raises(ConfigError, match="attention"):
+        build_model(_small_spec(fusion_mode="attention"), enc, seed=0)
 
 
 def test_build_model_checks_encoder_dims():
@@ -144,13 +144,26 @@ def test_param_groups_alias_layers_across_calls_pickling_and_stage1():
 # hazard head
 
 
-def test_fused_hazard_hand_oracle():
+def _pin_branch_outputs(m, G, P):
+    """Zero the last layer of MLP-B and of the image encoder and set their
+    biases, so every row's G and P are exactly the given vectors."""
+    for layer, value in ((m.mlp_b[-1], G), (m.image_encoder[-1], P)):
+        layer.weight[:] = 0.0
+        layer.bias[:] = value
+
+
+def test_concat_head_hand_oracle():
     m = _small_model(gen_dim=2, img_dim=2)
     m.head.weight[0] = [1.0, 2.0, -1.0, 0.5]
     m.head.bias[0] = 0.25
+    _pin_branch_outputs(m, [2.0, 4.0], [8.0, 16.0])
+    rng = np.random.default_rng(0)
+    theta, G, P = m.forward_batch(rng.normal(size=(3, DIMS["dim_cnv_mut"])),
+                                  m.frozen_rna_features(rng.normal(size=(3, 8))),
+                                  rng.normal(size=(3, DIMS["dim_image"])))
+    assert G.tolist() == [[2.0, 4.0]] * 3 and P.tolist() == [[8.0, 16.0]] * 3
     # powers of two keep the arithmetic exact
-    theta = fused_hazard(m, [2.0, 4.0], [8.0, 16.0])
-    assert theta == 2.0 + 8.0 - 8.0 + 8.0 + 0.25
+    assert theta.tolist() == [2.0 + 8.0 - 8.0 + 8.0 + 0.25] * 3
 
 
 def test_head_block_views_alias_the_weight_row():
@@ -162,38 +175,44 @@ def test_head_block_views_alias_the_weight_row():
     assert m.head.weight[0, 0] == 9.0
 
 
-def test_fused_hazard_matches_batch_forward():
+def test_head_blocks_match_batch_forward():
     m = _small_model()
     rng = np.random.default_rng(1)
     x_cnv = rng.normal(size=(4, DIMS["dim_cnv_mut"]))
     x_rna = rng.normal(size=(4, DIMS["dim_rna"]))
     x_img = rng.normal(size=(4, DIMS["dim_image"]))
     theta, G, P = m.forward_batch(x_cnv, m.frozen_rna_features(x_rna), x_img)
-    for i in range(4):
-        assert fused_hazard(m, G[i], P[i]) == pytest.approx(theta[i], abs=1e-12)
+    blocks = G @ m.head_Wg + P @ m.head_Wp + m.head_b
+    assert np.allclose(blocks, theta, rtol=0.0, atol=1e-12)
 
 
-def test_fused_hazard_requires_concat():
+def test_head_blocks_require_concat():
     m = _small_model(fusion_mode="kronecker")
     with pytest.raises(StateError):
-        fused_hazard(m, np.zeros(4), np.zeros(4))
-    with pytest.raises(StateError):
         m.head_Wg
+    with pytest.raises(StateError):
+        m.head_Wp
 
 
-def test_fused_hazard_shape_check():
-    m = _small_model(gen_dim=3, img_dim=2)
+def test_forward_batch_shape_check():
+    m = _small_model()
+    g2 = m.frozen_rna_features(np.zeros((2, DIMS["dim_rna"])))
     with pytest.raises(ShapeError):
-        fused_hazard(m, np.zeros(2), np.zeros(2))
+        m.forward_batch(np.zeros((2, DIMS["dim_cnv_mut"] - 1)), g2,
+                        np.zeros((2, DIMS["dim_image"])))
+    with pytest.raises(ShapeError):
+        m.forward_batch(np.zeros((2, DIMS["dim_cnv_mut"])), g2,
+                        np.zeros((2, DIMS["dim_image"] + 1)))
 
 
 def test_zeroed_mlp_b_silences_genomic_branch():
     m = _small_model()
     _zero_stack(m.mlp_b)
     rng = np.random.default_rng(2)
-    g = genomic_branch(m, GenomicInput(cnv_mut=rng.normal(size=6),
-                                       rna=rng.normal(size=8)))
-    assert np.array_equal(g, np.zeros(4))
+    _, G, _ = m.forward_batch(rng.normal(size=(3, 6)),
+                              m.frozen_rna_features(rng.normal(size=(3, 8))),
+                              rng.normal(size=(3, 6)))
+    assert np.array_equal(G, np.zeros((3, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -201,22 +220,23 @@ def test_zeroed_mlp_b_silences_genomic_branch():
 
 
 def test_kronecker_frozen_oracles():
-    assert kronecker_fusion([2.0], [3.0]).tolist() == [6.0, 2.0, 3.0, 1.0]
-    assert kronecker_fusion([0.0], [0.0]).tolist() == [0.0, 0.0, 0.0, 1.0]
+    out = kronecker_features([[2.0], [0.0]], [[3.0], [0.0]])
+    assert out.tolist() == [[6.0, 2.0, 3.0, 1.0], [0.0, 0.0, 0.0, 1.0]]
 
 
 def test_kronecker_shape_law():
-    out = kronecker_fusion(np.ones(3), np.ones(5))
-    assert out.shape == ((3 + 1) * (5 + 1),)
+    out = kronecker_features(np.ones((2, 3)), np.ones((2, 5)))
+    assert out.shape == (2, (3 + 1) * (5 + 1))
 
 
-def test_kronecker_features_match_per_row():
+def test_kronecker_features_match_per_row_outer_product():
     rng = np.random.default_rng(3)
     G = rng.normal(size=(6, 3))
     P = rng.normal(size=(6, 2))
     batch = kronecker_features(G, P)
     for i in range(6):
-        assert np.array_equal(batch[i], kronecker_fusion(G[i], P[i]))
+        want = np.outer(np.append(G[i], 1.0), np.append(P[i], 1.0)).reshape(-1)
+        assert np.array_equal(batch[i], want)
 
 
 def test_kronecker_head_width():
@@ -228,12 +248,19 @@ def test_kronecker_head_width():
     assert theta.shape == (2,)
 
 
-def test_modulation_rejects_kronecker_mode():
+@pytest.mark.parametrize("cfg", [
+    TrainConfig(epochs=1, batch_size=8, seed=0,
+                modulation=ModulationConfig(enabled=True)),
+    TrainConfig(epochs=1, batch_size=8, seed=0, track_rho=True),
+], ids=["modulation", "track_rho"])
+def test_contribution_reports_need_the_concat_head(cfg):
     m = _small_model(fusion_mode="kronecker")
-    cfg = TrainConfig(epochs=1, batch_size=8, seed=0,
-                      modulation=ModulationConfig(enabled=True))
-    with pytest.raises(ConfigError):
+    layers = m.snn + m.mlp_b + m.image_encoder + [m.head]
+    before = [layer.weight.copy() for layer in layers]
+    with pytest.raises(StateError, match="concat"):
         train_survival(m, _records(), cfg)
+    # raised on the first step, before any parameter moved
+    assert all(np.array_equal(layer.weight, w) for layer, w in zip(layers, before))
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +420,9 @@ def test_model_checkpoint_round_trip(tmp_path, trained_on_cohort):
 
 
 def test_load_model_rejects_other_kinds(tmp_path):
-    enc = default_encoder(gene_dim=4, embed_dim=2, seed=0)
-    path = str(tmp_path / "enc.ckpt")
-    enc.save(path)
-    with pytest.raises(ValidationError):
+    path = str(tmp_path / "other.ckpt")
+    save_checkpoint(path, {"weight": np.zeros((2, 4))}, meta={"kind": "stage1"})
+    with pytest.raises(ValidationError, match="not a fusion-model checkpoint"):
         load_model(path)
 
 

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survfuse.errors import ShapeError, ValidationError
-from survfuse.nnet import DenseLayer, mlp_forward
+from survfuse.nnet import DenseLayer, mlp_forward, save_checkpoint
 from survfuse.smoothing import (CellCorpusSpec, CellProfile, FrozenEncoder,
-                                Stage1Config, default_encoder, gap_probe_pairs,
+                                Stage1Config, Stage1Result, _stack_mixes,
+                                default_encoder, gap_probe_pairs,
                                 generate_cells, interpolation_gap, load_cells,
-                                load_stage1, mix_samples, pretrain_mlp_a,
-                                save_cells, save_stage1)
+                                load_stage1, pretrain_mlp_a, save_cells,
+                                save_stage1)
 
 
 def _profile(expr, ctype, num_types=4):
@@ -21,26 +22,34 @@ def _profile(expr, ctype, num_types=4):
 
 
 # ---------------------------------------------------------------------------
-# mixup
+# mixup (the batched mixing pretrain_mlp_a runs on every step)
+
+
+def _mix_one(a, b, lam):
+    expr = np.stack([a.expression, b.expression])
+    hot = np.stack([a.one_hot, b.one_hot])
+    mixed, target = _stack_mixes(expr, hot, np.array([0]), np.array([1]),
+                                 np.array([lam], dtype=np.float64))
+    return mixed[0], target[0]
 
 
 def test_mix_endpoints_recover_inputs():
     a = _profile([1.0, 2.0], 0)
     b = _profile([5.0, 7.0], 2)
-    at_one = mix_samples(a, b, 1.0)
-    at_zero = mix_samples(a, b, 0.0)
-    assert np.array_equal(at_one.mixed_expression, a.expression)
-    assert np.array_equal(at_one.target, a.one_hot)
-    assert np.array_equal(at_zero.mixed_expression, b.expression)
-    assert np.array_equal(at_zero.target, b.one_hot)
+    mixed, target = _mix_one(a, b, 1.0)
+    assert np.array_equal(mixed, a.expression)
+    assert np.array_equal(target, a.one_hot)
+    mixed, target = _mix_one(a, b, 0.0)
+    assert np.array_equal(mixed, b.expression)
+    assert np.array_equal(target, b.one_hot)
 
 
 def test_mix_arithmetic_oracle():
     a = _profile([4.0, 0.0], 1)
     b = _profile([0.0, 8.0], 3)
-    m = mix_samples(a, b, 0.25)
-    assert m.mixed_expression.tolist() == [1.0, 6.0]
-    assert m.target.tolist() == [0.0, 0.25, 0.0, 0.75]
+    mixed, target = _mix_one(a, b, 0.25)
+    assert mixed.tolist() == [1.0, 6.0]
+    assert target.tolist() == [0.0, 0.25, 0.0, 0.75]
 
 
 @settings(max_examples=60, deadline=None)
@@ -49,23 +58,26 @@ def test_mix_symmetry_and_simplex(lam, seed):
     rng = np.random.default_rng(seed)
     a = _profile(rng.uniform(0, 3, size=5), int(rng.integers(0, 4)))
     b = _profile(rng.uniform(0, 3, size=5), int(rng.integers(0, 4)))
-    fwd = mix_samples(a, b, lam)
-    rev = mix_samples(b, a, 1.0 - lam)
-    assert np.allclose(fwd.mixed_expression, rev.mixed_expression, atol=1e-12)
-    assert np.allclose(fwd.target, rev.target, atol=1e-12)
-    assert fwd.target.sum() == pytest.approx(1.0, abs=1e-12)
-    assert (fwd.target >= 0).all()
+    fwd_mixed, fwd_target = _mix_one(a, b, lam)
+    rev_mixed, rev_target = _mix_one(b, a, 1.0 - lam)
+    assert np.allclose(fwd_mixed, rev_mixed, atol=1e-12)
+    assert np.allclose(fwd_target, rev_target, atol=1e-12)
+    assert fwd_target.sum() == pytest.approx(1.0, abs=1e-12)
+    assert (fwd_target >= 0).all()
 
 
-def test_mix_rejects_bad_lambda_and_shapes():
-    a = _profile([1.0], 0)
-    b = _profile([2.0], 1)
-    with pytest.raises(ValidationError):
-        mix_samples(a, b, 1.5)
-    with pytest.raises(ValidationError):
-        mix_samples(a, b, -0.1)
-    with pytest.raises(ShapeError):
-        mix_samples(a, _profile([1.0, 2.0], 0), 0.5)
+def test_stacked_mixes_pair_rows_by_index():
+    rng = np.random.default_rng(4)
+    cells = [_profile(rng.uniform(0, 3, size=3), t) for t in (0, 1, 2, 3)]
+    expr = np.stack([c.expression for c in cells])
+    hot = np.stack([c.one_hot for c in cells])
+    idx_a, idx_b = np.array([0, 2, 3]), np.array([1, 1, 0])
+    lams = np.array([0.5, 0.25, 1.0])
+    mixed, target = _stack_mixes(expr, hot, idx_a, idx_b, lams)
+    for row, (i, j, lam) in enumerate(zip(idx_a, idx_b, lams)):
+        want_mixed, want_target = _mix_one(cells[i], cells[j], lam)
+        assert np.array_equal(mixed[row], want_mixed)
+        assert np.array_equal(target[row], want_target)
 
 
 def test_profile_validation():
@@ -92,7 +104,7 @@ def test_default_encoder_is_seed_deterministic():
 
 def test_encoder_zero_input_yields_tanh_bias():
     enc = default_encoder(gene_dim=6, embed_dim=3, seed=0)
-    out = enc.apply(np.zeros(6))
+    out = enc.apply(np.zeros((2, 6)))
     assert np.allclose(out, np.tanh(enc.bias), atol=1e-15)
 
 
@@ -116,10 +128,12 @@ def test_pickled_encoder_is_equal_and_write_locked():
         back.bias[0] = 99.0
 
 
-def test_encoder_vector_and_matrix_agree():
+def test_encoder_encodes_rows_independently():
     enc = default_encoder(gene_dim=5, embed_dim=3, seed=1)
-    x = np.random.default_rng(0).normal(size=5)
-    assert np.array_equal(enc.apply(x), enc.apply(x[None, :])[0])
+    x = np.random.default_rng(0).normal(size=(4, 5))
+    batch = enc.apply(x)
+    for i in range(4):
+        assert np.allclose(batch[i], enc.apply(x[i:i + 1])[0], rtol=0.0, atol=1e-15)
 
 
 def test_encoder_shape_and_activation_errors():
@@ -131,14 +145,19 @@ def test_encoder_shape_and_activation_errors():
         FrozenEncoder(np.zeros((2, 3)), np.zeros(2), activation="relu")
     enc = default_encoder(gene_dim=4, embed_dim=2, seed=0)
     with pytest.raises(ShapeError):
-        enc.apply(np.zeros(5))
+        enc.apply(np.zeros((1, 5)))
+    with pytest.raises(ShapeError):   # one sample is a (1, gene_dim) row
+        enc.apply(np.zeros(4))
 
 
-def test_encoder_checkpoint_round_trip(tmp_path):
+def test_encoder_round_trips_inside_the_stage1_checkpoint(tmp_path):
     enc = default_encoder(gene_dim=7, embed_dim=4, seed=9)
-    path = str(tmp_path / "enc.ckpt")
-    enc.save(path)
-    back = FrozenEncoder.load(path)
+    rng = np.random.default_rng(9)
+    result = Stage1Result(mlp_a=[DenseLayer(4, 3, "relu", rng=rng)],
+                          classifier=DenseLayer(3, 2, rng=rng))
+    path = str(tmp_path / "stage1.ckpt")
+    save_stage1(path, result, enc)
+    _, _, back = load_stage1(path)
     assert np.array_equal(back.weight, enc.weight)
     assert np.array_equal(back.bias, enc.bias)
     assert back.activation == enc.activation
@@ -193,9 +212,10 @@ def test_load_cells_reports_offending_row(tmp_path):
     path.write_text("gene_0,gene_1,cell_type\n1.0,0\n")
     with pytest.raises(ValidationError, match="row 2"):
         load_cells(str(path), num_types=3)
-    path.write_text("wrong,header\n")
-    with pytest.raises(ValidationError, match="header"):
-        load_cells(str(path))
+    for header in ("wrong,header\n", "cell_type\n", "\n"):
+        path.write_text(header + "0\n")
+        with pytest.raises(ValidationError, match="header"):
+            load_cells(str(path))
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
@@ -302,10 +322,9 @@ def test_stage1_checkpoint_round_trip(tmp_path, trained_stage1):
 
 
 def test_load_stage1_rejects_other_kinds(tmp_path):
-    enc = default_encoder(gene_dim=4, embed_dim=2, seed=0)
-    path = str(tmp_path / "enc.ckpt")
-    enc.save(path)
-    with pytest.raises(ValidationError):
+    path = str(tmp_path / "other.ckpt")
+    save_checkpoint(path, {"weight": np.zeros((2, 4))}, meta={"kind": "fusion_model"})
+    with pytest.raises(ValidationError, match="not a stage-1 checkpoint"):
         load_stage1(path)
 
 
