@@ -304,6 +304,8 @@ def interpolation_gap(encoder: FrozenEncoder, mlp_a: list[DenseLayer],
         raise ShapeError(f"{len(pairs)} pairs but {lambdas.size} lambdas")
     if ((lambdas < 0) | (lambdas > 1)).any():
         raise ValidationError("lambdas must lie in [0, 1]")
+    if len({c.expression.shape for pair in pairs for c in pair}) != 1:
+        raise ShapeError("interpolation_gap pairs mix cells of different gene counts")
 
     def embed(x):
         return mlp_forward(mlp_a, encoder.apply(x))

@@ -152,7 +152,7 @@ def _pin_branch_outputs(m, G, P):
         layer.bias[:] = value
 
 
-def test_concat_head_hand_oracle():
+def test_fused_hazard_hand_oracle():
     m = _small_model(gen_dim=2, img_dim=2)
     m.head.weight[0] = [1.0, 2.0, -1.0, 0.5]
     m.head.bias[0] = 0.25
@@ -175,7 +175,7 @@ def test_head_block_views_alias_the_weight_row():
     assert m.head.weight[0, 0] == 9.0
 
 
-def test_head_blocks_match_batch_forward():
+def test_fused_hazard_matches_batch_forward():
     m = _small_model()
     rng = np.random.default_rng(1)
     x_cnv = rng.normal(size=(4, DIMS["dim_cnv_mut"]))
@@ -186,7 +186,7 @@ def test_head_blocks_match_batch_forward():
     assert np.allclose(blocks, theta, rtol=0.0, atol=1e-12)
 
 
-def test_head_blocks_require_concat():
+def test_fused_hazard_requires_concat():
     m = _small_model(fusion_mode="kronecker")
     with pytest.raises(StateError):
         m.head_Wg
@@ -194,7 +194,7 @@ def test_head_blocks_require_concat():
         m.head_Wp
 
 
-def test_forward_batch_shape_check():
+def test_fused_hazard_shape_check():
     m = _small_model()
     g2 = m.frozen_rna_features(np.zeros((2, DIMS["dim_rna"])))
     with pytest.raises(ShapeError):
@@ -229,7 +229,7 @@ def test_kronecker_shape_law():
     assert out.shape == (2, (3 + 1) * (5 + 1))
 
 
-def test_kronecker_features_match_per_row_outer_product():
+def test_kronecker_features_match_per_row():
     rng = np.random.default_rng(3)
     G = rng.normal(size=(6, 3))
     P = rng.normal(size=(6, 2))
@@ -248,12 +248,7 @@ def test_kronecker_head_width():
     assert theta.shape == (2,)
 
 
-@pytest.mark.parametrize("cfg", [
-    TrainConfig(epochs=1, batch_size=8, seed=0,
-                modulation=ModulationConfig(enabled=True)),
-    TrainConfig(epochs=1, batch_size=8, seed=0, track_rho=True),
-], ids=["modulation", "track_rho"])
-def test_contribution_reports_need_the_concat_head(cfg):
+def _assert_kronecker_refuses(cfg):
     m = _small_model(fusion_mode="kronecker")
     layers = m.snn + m.mlp_b + m.image_encoder + [m.head]
     before = [layer.weight.copy() for layer in layers]
@@ -261,6 +256,16 @@ def test_contribution_reports_need_the_concat_head(cfg):
         train_survival(m, _records(), cfg)
     # raised on the first step, before any parameter moved
     assert all(np.array_equal(layer.weight, w) for layer, w in zip(layers, before))
+
+
+def test_modulation_rejects_kronecker_mode():
+    _assert_kronecker_refuses(TrainConfig(epochs=1, batch_size=8, seed=0,
+                                          modulation=ModulationConfig(enabled=True)))
+
+
+def test_track_rho_rejects_kronecker_mode():
+    _assert_kronecker_refuses(TrainConfig(epochs=1, batch_size=8, seed=0,
+                                          track_rho=True))
 
 
 # ---------------------------------------------------------------------------

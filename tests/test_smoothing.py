@@ -80,6 +80,20 @@ def test_stacked_mixes_pair_rows_by_index():
         assert np.array_equal(target[row], want_target)
 
 
+def test_mix_rejects_bad_lambda_and_shapes():
+    # interpolation_gap is where caller-chosen lambdas and pairs are mixed
+    enc = default_encoder(gene_dim=1, embed_dim=2, seed=0)
+    mlp = [DenseLayer.from_params(np.zeros((2, 2)), np.zeros(2), "identity")]
+    a = _profile([1.0], 0)
+    b = _profile([2.0], 1)
+    with pytest.raises(ValidationError):
+        interpolation_gap(enc, mlp, [(a, b)], [1.5])
+    with pytest.raises(ValidationError):
+        interpolation_gap(enc, mlp, [(a, b)], [-0.1])
+    with pytest.raises(ShapeError):
+        interpolation_gap(enc, mlp, [(a, _profile([1.0, 2.0], 0))], [0.5])
+
+
 def test_profile_validation():
     with pytest.raises(ValidationError):
         _profile([-1.0], 0)
@@ -128,7 +142,8 @@ def test_pickled_encoder_is_equal_and_write_locked():
         back.bias[0] = 99.0
 
 
-def test_encoder_encodes_rows_independently():
+def test_encoder_vector_and_matrix_agree():
+    # one sample is a (1, gene_dim) row; it encodes as its row in a batch
     enc = default_encoder(gene_dim=5, embed_dim=3, seed=1)
     x = np.random.default_rng(0).normal(size=(4, 5))
     batch = enc.apply(x)
@@ -150,7 +165,7 @@ def test_encoder_shape_and_activation_errors():
         enc.apply(np.zeros(4))
 
 
-def test_encoder_round_trips_inside_the_stage1_checkpoint(tmp_path):
+def test_encoder_checkpoint_round_trip(tmp_path):
     enc = default_encoder(gene_dim=7, embed_dim=4, seed=9)
     rng = np.random.default_rng(9)
     result = Stage1Result(mlp_a=[DenseLayer(4, 3, "relu", rng=rng)],
