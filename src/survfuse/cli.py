@@ -4,7 +4,7 @@ Subcommands: gen-cohort, gen-cells, pretrain-smooth, train, eval, ablate,
 gradcheck. Every command is deterministic given its configuration (the
 seed is part of it); reports echo the full effective config, and the only
 non-reproducible output field is the top-level "timestamp" key. Outputs
-are written atomically via a .partial temp file; existing outputs are
+are written atomically (a temp file renamed into place); existing outputs are
 refused unless --force is given. Exit code 0 means all requested work
 completed.
 """
@@ -20,7 +20,7 @@ import sys
 from .cohort import generate_cohort, load_cohort, save_cohort
 from .config import (RunConfig, config_echo, load_cells_spec, load_cohort_spec,
                      load_run_config)
-from .errors import SurvfuseError, ValidationError
+from .errors import SurvfuseError, ValidationError, write_text
 from .experiment import (Stage1Bundle, ablation_csv_lines, run_ablation,
                          run_cross_validation, run_final_fit, run_stage1,
                          tool_version)
@@ -41,13 +41,7 @@ def _refuse_existing(path: str, force: bool) -> None:
 
 def _write_text(path: str, text: str, force: bool) -> None:
     _refuse_existing(path, force)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    tmp = path + ".partial"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    write_text(path, text)
 
 
 def _write_json(path: str, obj: dict, force: bool) -> None:
@@ -79,9 +73,6 @@ def cmd_gen_cohort(args) -> int:
     path = _out_path(args, "cohort.csv", cfg.paths.cohort)
     _refuse_existing(path, args.force)
     records = generate_cohort(spec)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     save_cohort(path, records)
     n_events = sum(r.event for r in records)
     print(f"wrote {len(records)} records ({n_events} events, "
@@ -95,9 +86,6 @@ def cmd_gen_cells(args) -> int:
     path = _out_path(args, "cells.csv", cfg.paths.cells)
     _refuse_existing(path, args.force)
     cells = generate_cells(spec)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     save_cells(path, cells)
     print(f"wrote {len(cells)} cells ({spec.num_types} types, "
           f"{spec.gene_dim} genes) to {path}")
@@ -107,16 +95,13 @@ def cmd_gen_cells(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg = load_run_config(args.config, seed=args.seed, cells=args.cells,
                           smoothing_enabled=True)
-    cells = load_cells(cfg.paths.cells, num_types=cfg.num_cell_types)
+    cells = load_cells(cfg.paths.cells)
     ckpt_path = _out_path(args, "stage1.ckpt", cfg.paths.stage1)
     report_path = _out_path(args, "stage1_report.json",
                             os.path.splitext(cfg.paths.stage1)[0] + "_report.json")
     _refuse_existing(ckpt_path, args.force)
     _refuse_existing(report_path, args.force)
     bundle = run_stage1(cells, cfg)
-    parent = os.path.dirname(ckpt_path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     save_stage1(ckpt_path, bundle.result, bundle.encoder)
     report = dict(bundle.report)
     report.update({"kind": "stage1_report", "tool_version": tool_version(),
@@ -135,11 +120,8 @@ def _load_bundle_for_train(cfg: RunConfig, records) -> Stage1Bundle:
         return Stage1Bundle(encoder=encoder,
                             result=Stage1Result(mlp_a=mlp_a, classifier=classifier),
                             report=None)
-    from .smoothing import default_encoder
-    encoder = default_encoder(records[0].rna.size, cfg.smoothing.embed_dim,
-                              seed=cfg.smoothing.encoder_seed,
-                              scale=cfg.smoothing.encoder_scale)
-    return Stage1Bundle(encoder=encoder, result=None, report=None)
+    return Stage1Bundle(encoder=cfg.smoothing.frozen_encoder(records[0].rna.size),
+                        result=None, report=None)
 
 
 def _train_overrides(args) -> dict:
@@ -200,7 +182,7 @@ def cmd_ablate(args) -> int:
     _refuse_existing(json_path, args.force)
     _refuse_existing(csv_path, args.force)
     records = load_cohort(cfg.paths.cohort)
-    cells = load_cells(cfg.paths.cells, num_types=cfg.num_cell_types)
+    cells = load_cells(cfg.paths.cells)
     table = run_ablation(records, cells, cfg, jobs=args.jobs)
     table["timestamp"] = _timestamp()
     _write_json(json_path, table, args.force)

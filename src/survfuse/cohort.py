@@ -27,12 +27,12 @@ signal to recover.
 from __future__ import annotations
 
 import csv
-import os
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, open_text
+from .errors import ValidationError, open_text, write_text
 from .survival import SurvivalRecord
 
 _CENSOR_TOL = 0.02      # calibration stops when within this of the target
@@ -255,16 +255,15 @@ def save_cohort(path: str, records: list[SurvivalRecord]) -> None:
               + [f"g{i}" for i in range(dg)]
               + [f"r{i}" for i in range(dr)]
               + [f"p{i}" for i in range(dp)])
-    tmp = path + ".partial"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for r in records:
-            writer.writerow([r.id, repr(r.time), int(r.event)]
-                            + [repr(float(v)) for v in r.cnv_mut]
-                            + [repr(float(v)) for v in r.rna]
-                            + [repr(float(v)) for v in r.image])
-    os.replace(tmp, path)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    for r in records:
+        writer.writerow([r.id, repr(r.time), int(r.event)]
+                        + [repr(float(v)) for v in r.cnv_mut]
+                        + [repr(float(v)) for v in r.rna]
+                        + [repr(float(v)) for v in r.image])
+    write_text(path, text.getvalue())
 
 
 def _header_dims(header: list[str], path: str) -> tuple[int, int, int]:

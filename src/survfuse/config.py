@@ -16,7 +16,7 @@ from .cohort import CohortSpec
 from .errors import ConfigError, open_text
 from .fusion import FUSION_MODES
 from .modulation import ModulationConfig
-from .smoothing import CellCorpusSpec
+from .smoothing import CellCorpusSpec, FrozenEncoder, default_encoder
 
 
 @dataclass
@@ -31,6 +31,11 @@ class SmoothingConfig:
     embed_dim: int = 32
     encoder_seed: int = 0   # the frozen encoder is one fixed artifact; run
     encoder_scale: float = 2.0  # seeds vary training, not the encoder
+
+    def frozen_encoder(self, gene_dim: int) -> FrozenEncoder:
+        """The fixed encoder these settings describe, for gene_dim genes."""
+        return default_encoder(gene_dim, self.embed_dim, seed=self.encoder_seed,
+                               scale=self.encoder_scale)
 
 
 @dataclass
@@ -48,7 +53,6 @@ class RunConfig:
     epochs: int = 12
     batch_size: int = 32
     hidden_dim: int = 128
-    num_cell_types: int = 17
     k_folds: int = 15
     fusion_mode: str = "concat"
     snn_dim: int = 32
@@ -123,13 +127,9 @@ def _section(parser: configparser.ConfigParser, section: str, defaults: dict,
     return updates
 
 
-def _modulation_from(parser: configparser.ConfigParser) -> ModulationConfig:
-    base = ModulationConfig(enabled=False)
-    lo, hi = base.ratio_clamp
-    fields = dict(_defaults(base, drop=("ratio_clamp",)), rho_min=lo, rho_max=hi)
-    updates = _section(parser, "modulation", fields)
-    clamp = (updates.pop("rho_min", lo), updates.pop("rho_max", hi))
-    return dataclasses.replace(base, ratio_clamp=clamp, **updates)
+def _updated(parser: configparser.ConfigParser, section: str, base):
+    """base with the values one INI section sets."""
+    return dataclasses.replace(base, **_section(parser, section, _defaults(base)))
 
 
 _KNOWN_SECTIONS = ("run", "modulation", "smoothing", "paths", "cohort", "cells")
@@ -160,11 +160,9 @@ def load_run_config(path: str | None = None, **overrides) -> RunConfig:
     parser = _read_ini(path)
     run_defaults = _defaults(RunConfig(), drop=("modulation", "smoothing", "paths"))
     run_updates = _section(parser, "run", run_defaults)
-    modulation = _modulation_from(parser)
-    smoothing = dataclasses.replace(SmoothingConfig(), **_section(
-        parser, "smoothing", _defaults(SmoothingConfig())))
-    paths = dataclasses.replace(PathsConfig(), **_section(
-        parser, "paths", _defaults(PathsConfig())))
+    modulation = _updated(parser, "modulation", ModulationConfig(enabled=False))
+    smoothing = _updated(parser, "smoothing", SmoothingConfig())
+    paths = _updated(parser, "paths", PathsConfig())
 
     for key, value in overrides.items():
         if value is None:
@@ -212,7 +210,6 @@ def load_cells_spec(path: str | None = None, **overrides) -> CellCorpusSpec:
 
 
 def config_echo(cfg: RunConfig) -> dict:
-    """The full effective configuration as plain JSON-ready data."""
-    out = dataclasses.asdict(cfg)
-    out["modulation"]["ratio_clamp"] = list(out["modulation"]["ratio_clamp"])
-    return out
+    """The full effective configuration as plain JSON-ready data, keyed like
+    the INI file."""
+    return dataclasses.asdict(cfg)

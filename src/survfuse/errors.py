@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the text-file opener that
-turns undecodable or malformed input into them."""
+"""Exception types shared across the package, the text-file opener that
+turns undecodable or malformed input into them, and the atomic text writer."""
 
 import csv
+import os
 from contextlib import contextmanager
 
 
@@ -55,3 +56,13 @@ def open_text(path, error_type: type = ValidationError):
             raise error_type(f"{path}: {where}not UTF-8 text") from None
         except csv.Error as exc:
             raise error_type(f"{path}: {exc}") from exc
+
+
+def write_text(path, text: str) -> None:
+    """Write text to `<path>.partial`, then rename it into place, so `path`
+    never holds a half-written file; the parent directory is created."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.partial"
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    os.replace(tmp, path)

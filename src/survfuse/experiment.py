@@ -22,8 +22,7 @@ from .fusion import (FusionModel, FusionSpec, TrainConfig, build_model,
                      evaluate, image_branch_features, train_survival)
 from .nnet import DenseLayer
 from .smoothing import (CellProfile, FrozenEncoder, Stage1Config, Stage1Result,
-                        default_encoder, gap_probe_pairs, interpolation_gap,
-                        pretrain_mlp_a)
+                        gap_probe_pairs, interpolation_gap, pretrain_mlp_a)
 from .survival import SurvivalRecord, probe_c_index
 
 
@@ -64,9 +63,7 @@ def run_stage1(cells: list[CellProfile], cfg: RunConfig) -> Stage1Bundle:
     training (freshly initialized MLP-A) and after.
     """
     sm = cfg.smoothing
-    gene_dim = cells[0].expression.size
-    encoder = default_encoder(gene_dim, sm.embed_dim, seed=sm.encoder_seed,
-                              scale=sm.encoder_scale)
+    encoder = sm.frozen_encoder(cells[0].expression.size)
     if not sm.enabled:
         return Stage1Bundle(encoder=encoder, result=None, report=None)
     s1cfg = Stage1Config(epochs=sm.stage1_epochs, steps_per_epoch=sm.steps_per_epoch,

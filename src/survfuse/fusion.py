@@ -26,14 +26,20 @@ from .errors import (ConfigError, NumericalError, ShapeError, StateError,
                      ValidationError)
 from .modulation import (ModulationConfig, apply_modulation, branch_scores,
                          contribution_ratio)
-from .nnet import (DenseLayer, ParamGroup, checkpoint_layers, layer_group,
-                   load_checkpoint, make_mlp, meta_typed, mlp_backward,
-                   mlp_forward, save_checkpoint, sgd_step, step_decay_eta)
+from .nnet import (DenseLayer, ParamGroup, add_layers, checkpoint_layers,
+                   layer_group, load_checkpoint, make_mlp, meta_typed,
+                   mlp_backward, mlp_forward, save_checkpoint, sgd_step,
+                   stack_names, step_decay_eta)
 from .smoothing import FrozenEncoder
 from .survival import (CoxBatch, SurvivalRecord, build_risk_sets,
                        concordance_index, cox_gradient, cox_loss)
 
 FUSION_MODES = ("concat", "kronecker")
+
+
+def head_width(gen_dim: int, img_dim: int, fusion_mode: str) -> int:
+    """The fusion head's input width: G || P, or flat([G || 1] outer [P || 1])."""
+    return gen_dim + img_dim if fusion_mode == "concat" else (gen_dim + 1) * (img_dim + 1)
 
 
 @dataclass
@@ -83,8 +89,7 @@ class FusionModel:
         self.fusion_mode = fusion_mode
         self.gen_dim = mlp_b[-1].out_dim
         self.img_dim = image_encoder[-1].out_dim
-        expected = (self.gen_dim + self.img_dim if fusion_mode == "concat"
-                    else (self.gen_dim + 1) * (self.img_dim + 1))
+        expected = head_width(self.gen_dim, self.img_dim, fusion_mode)
         if head.in_dim != expected:
             raise ShapeError(f"head expects {head.in_dim} inputs, "
                              f"{fusion_mode} fusion produces {expected}")
@@ -203,9 +208,8 @@ def build_model(spec: FusionSpec, encoder: FrozenEncoder,
     image_encoder = make_mlp(spec.dim_image, spec.img_dim,
                              hidden_dim=spec.hidden_dim, n_hidden=spec.image_hidden,
                              rng=rng)
-    head_in = (spec.gen_dim + spec.img_dim if spec.fusion_mode == "concat"
-               else (spec.gen_dim + 1) * (spec.img_dim + 1))
-    head = DenseLayer(head_in, 1, "identity", rng=rng)
+    head = DenseLayer(head_width(spec.gen_dim, spec.img_dim, spec.fusion_mode), 1,
+                      "identity", rng=rng)
     return FusionModel(snn, encoder, mlp_a, mlp_b, image_encoder, head,
                        spec.fusion_mode)
 
@@ -395,28 +399,17 @@ def evaluate(model: FusionModel, records: list[SurvivalRecord]) -> dict:
 def save_model(path: str, model: FusionModel) -> None:
     tensors: dict[str, np.ndarray] = {}
     manifest: dict[str, list[str]] = {}
-    stacks = {"snn": model.snn, "mlp_b": model.mlp_b,
-              "image_encoder": model.image_encoder}
     activations: dict[str, list[str]] = {}
-    for gname, layers in stacks.items():
-        manifest[gname] = []
-        activations[gname] = []
-        for i, layer in enumerate(layers):
-            tensors[f"{gname}.{i}.weight"] = layer.weight
-            tensors[f"{gname}.{i}.bias"] = layer.bias
-            manifest[gname].append(f"{gname}.{i}")
-            activations[gname].append(layer.activation)
-    tensors["head.weight"] = model.head.weight
-    tensors["head.bias"] = model.head.bias
+    for gname in ("snn", "mlp_b", "image_encoder"):
+        layers = getattr(model, gname)
+        manifest[gname] = stack_names(gname, len(layers))
+        activations[gname] = add_layers(tensors, manifest[gname], layers)
     manifest["head"] = ["head"]
+    add_layers(tensors, manifest["head"], [model.head])
     tensors["encoder.weight"] = model.encoder.weight
     tensors["encoder.bias"] = model.encoder.bias
-    mlp_a_acts = None
-    if model.mlp_a:
-        mlp_a_acts = [layer.activation for layer in model.mlp_a]
-        for i, layer in enumerate(model.mlp_a):
-            tensors[f"mlp_a.{i}.weight"] = layer.weight
-            tensors[f"mlp_a.{i}.bias"] = layer.bias
+    mlp_a_acts = (add_layers(tensors, stack_names("mlp_a", len(model.mlp_a)), model.mlp_a)
+                  if model.mlp_a else None)
     if model.g2_mean is not None:
         tensors["g2_norm.mean"] = model.g2_mean
         tensors["g2_norm.std"] = model.g2_std
@@ -437,8 +430,7 @@ def load_model(path: str) -> FusionModel:
         acts = meta_typed(path, f"activations.{gname}", groups[gname], list)
         if not acts:
             raise ValidationError(f"{path}: meta 'activations.{gname}' lists no layer")
-        return checkpoint_layers(path, tensors, [f"{gname}.{i}" for i in range(len(acts))],
-                                 acts, in_dim)
+        return checkpoint_layers(path, tensors, stack_names(gname, len(acts)), acts, in_dim)
 
     try:
         groups = meta_typed(path, "activations", meta["activations"], dict)
@@ -452,16 +444,13 @@ def load_model(path: str) -> FusionModel:
         if meta.get("mlp_a_activations"):
             mlp_acts = meta_typed(path, "mlp_a_activations",
                                   meta["mlp_a_activations"], list)
-            mlp_a = checkpoint_layers(path, tensors,
-                                      [f"mlp_a.{i}" for i in range(len(mlp_acts))],
+            mlp_a = checkpoint_layers(path, tensors, stack_names("mlp_a", len(mlp_acts)),
                                       mlp_acts, encoder.embed_dim)
         g2_dim = mlp_a[-1].out_dim if mlp_a else encoder.embed_dim
         snn = stack("snn")
         mlp_b = stack("mlp_b", snn[-1].out_dim + g2_dim)
         image_encoder = stack("image_encoder")
-        gen_dim, img_dim = mlp_b[-1].out_dim, image_encoder[-1].out_dim
-        head_in = (gen_dim + img_dim if mode == "concat"
-                   else (gen_dim + 1) * (img_dim + 1))
+        head_in = head_width(mlp_b[-1].out_dim, image_encoder[-1].out_dim, mode)
         [head] = checkpoint_layers(path, tensors, ["head"], ["identity"], head_in)
         if head.out_dim != 1:
             raise ValidationError(f"{path}: tensor 'head.weight' has {head.out_dim} "

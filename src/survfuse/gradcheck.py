@@ -90,14 +90,7 @@ def check_cox_gradient(seed: int = 0, instances: int = 100,
         batch = _random_batch(rng)
         theta = rng.normal(0.0, 1.5, size=len(batch))
         analytic = cox_gradient(theta, batch)
-        numeric = np.zeros_like(theta)
-        for i in range(theta.size):
-            bumped = theta.copy()
-            bumped[i] += FD_STEP
-            f_plus = cox_loss(bumped, batch)
-            bumped[i] = theta[i] - FD_STEP
-            f_minus = cox_loss(bumped, batch)
-            numeric[i] = (f_plus - f_minus) / (2.0 * FD_STEP)
+        numeric = fd_param_gradient(lambda: cox_loss(theta, batch), theta)
         worst = max(worst, relative_error(analytic, numeric))
     dt = time.perf_counter() - t0
     return CheckResult("cox gradient vs central differences", instances, worst,

@@ -37,17 +37,18 @@ _AGGREGATES = ("mean", "median")
 @dataclass
 class ModulationConfig:
     enabled: bool = True
-    ratio_clamp: tuple[float, float] = (0.1, 10.0)
+    rho_min: float = 0.1    # rho_g is clamped to [rho_min, rho_max] before the factor
+    rho_max: float = 10.0
     epsilon: float = 1e-8
     aggregate: str = "mean"
     exp_numerator: bool = False
     warmup_steps: int = 0
 
     def __post_init__(self):
-        lo, hi = (float(self.ratio_clamp[0]), float(self.ratio_clamp[1]))
-        if not (0.0 < lo < 1.0 < hi):
-            raise ConfigError(f"ratio_clamp must satisfy 0 < lo < 1 < hi, got ({lo}, {hi})")
-        self.ratio_clamp = (lo, hi)
+        self.rho_min, self.rho_max = float(self.rho_min), float(self.rho_max)
+        if not (0.0 < self.rho_min < 1.0 < self.rho_max):
+            raise ConfigError("rho_min and rho_max must satisfy 0 < rho_min < 1 < rho_max, "
+                              f"got ({self.rho_min}, {self.rho_max})")
         if not self.epsilon > 0.0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if self.aggregate not in _AGGREGATES:
@@ -135,8 +136,7 @@ def contribution_ratio(s_g, s_p, batch: CoxBatch, cfg: ModulationConfig) -> Cont
     rho_g = float(_signed_guard(agg(r_g), cfg.epsilon) / _signed_guard(agg(r_p), cfg.epsilon))
     rho_p = 1.0 / rho_g
 
-    lo, hi = cfg.ratio_clamp
-    rho_g_c = min(max(rho_g, lo), hi)
+    rho_g_c = min(max(rho_g, cfg.rho_min), cfg.rho_max)
     return ContributionReport(
         rho_g=rho_g, rho_p=rho_p, rho_g_clamped=rho_g_c,
         factor_g=modulation_factor(rho_g_c),

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (NumericalError, ShapeError, StateError, ValidationError,
-                     open_text)
+                     open_text, write_text)
 
 SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
@@ -366,10 +365,7 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = No
         lines.append(header)
         lines.append(" ".join(repr(float(v)) for v in a.ravel()))
     lines.append("end")
-    tmp = f"{path}.partial"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -412,6 +408,21 @@ def meta_typed(path, key: str, value, kind: type):
         raise ValidationError(f"{path}: meta '{key}' is a {type(value).__name__}, "
                               f"expected a {kind.__name__}")
     return value
+
+
+def stack_names(stack: str, n: int) -> list[str]:
+    """Checkpoint names of an n-layer stack's layers: `<stack>.<i>`."""
+    return [f"{stack}.{i}" for i in range(n)]
+
+
+def add_layers(tensors: dict[str, np.ndarray], names: list[str],
+               layers: list[DenseLayer]) -> list[str]:
+    """Add each layer's `<name>.weight` and `<name>.bias` to tensors, in order;
+    returns the activations. The inverse of checkpoint_layers."""
+    for name, layer in zip(names, layers):
+        tensors[f"{name}.weight"] = layer.weight
+        tensors[f"{name}.bias"] = layer.bias
+    return [layer.activation for layer in layers]
 
 
 def checkpoint_layers(path, tensors: dict[str, np.ndarray], names: list[str],

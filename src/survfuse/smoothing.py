@@ -17,17 +17,17 @@ combination of E at the endpoints.
 from __future__ import annotations
 
 import csv
-import os
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError, open_text
-from .nnet import (DenseLayer, checkpoint_layers, layer_group, load_checkpoint,
-                   make_mlp, meta_typed, mlp_backward, mlp_forward, mse_loss,
-                   save_checkpoint, sgd_step, step_decay_eta)
+from .errors import ShapeError, ValidationError, open_text, write_text
+from .nnet import (DenseLayer, add_layers, checkpoint_layers, layer_group,
+                   load_checkpoint, make_mlp, meta_typed, mlp_backward,
+                   mlp_forward, mse_loss, save_checkpoint, sgd_step,
+                   stack_names, step_decay_eta)
 
-DEFAULT_NUM_TYPES = 17  # cell-type categories
 DEFAULT_GENE_DIM = 64
 
 
@@ -37,11 +37,10 @@ DEFAULT_GENE_DIM = 64
 
 @dataclass(eq=False)
 class CellProfile:
-    """One cell: non-negative expression vector plus its type label."""
+    """One cell: non-negative expression vector plus its type label (>= 0)."""
 
     expression: np.ndarray
     cell_type: int
-    one_hot: np.ndarray
 
     def __post_init__(self):
         self.expression = np.asarray(self.expression, dtype=np.float64).reshape(-1)
@@ -50,19 +49,8 @@ class CellProfile:
             raise ValidationError(f"gene_{bad[0]} = {float(self.expression[bad[0]])!r}: "
                                   "expression must be finite and non-negative")
         self.cell_type = int(self.cell_type)
-        self.one_hot = np.asarray(self.one_hot, dtype=np.float64).reshape(-1)
-        if not (0 <= self.cell_type < self.one_hot.size):
-            raise ValidationError(
-                f"cell_type {self.cell_type} outside [0, {self.one_hot.size})")
-        expected = np.zeros(self.one_hot.size)
-        expected[self.cell_type] = 1.0
-        if not np.array_equal(self.one_hot, expected):
-            raise ValidationError("one_hot must have a single 1 at cell_type")
-
-    @classmethod
-    def make(cls, expression, cell_type: int, num_types: int = DEFAULT_NUM_TYPES):
-        one_hot = (np.arange(num_types) == cell_type).astype(np.float64)
-        return cls(expression=expression, cell_type=cell_type, one_hot=one_hot)
+        if self.cell_type < 0:
+            raise ValidationError(f"cell_type {self.cell_type} is negative")
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +112,8 @@ def default_encoder(gene_dim: int = DEFAULT_GENE_DIM, embed_dim: int = 32,
     """
     if gene_dim <= 0 or embed_dim <= 0:
         raise ValidationError("encoder dims must be positive")
+    if not 0.0 <= scale < np.inf:
+        raise ValidationError(f"encoder scale must be finite and non-negative, got {scale}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xE0C]))
     weight = rng.normal(0.0, scale / np.sqrt(gene_dim), size=(embed_dim, gene_dim))
     bias = rng.normal(0.0, 0.1, size=embed_dim)
@@ -138,7 +128,7 @@ def default_encoder(gene_dim: int = DEFAULT_GENE_DIM, embed_dim: int = 32,
 class CellCorpusSpec:
     n_cells: int = 850
     gene_dim: int = DEFAULT_GENE_DIM
-    num_types: int = DEFAULT_NUM_TYPES
+    num_types: int = 17  # cell-type categories
     cluster_scale: float = 1.0   # spread of per-type mean expression
     noise_scale: float = 0.25    # within-type spread
     seed: int = 0
@@ -166,7 +156,7 @@ def generate_cells(spec: CellCorpusSpec) -> list[CellProfile]:
         t = i % spec.num_types
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xCE12, i]))
         expr = np.maximum(means[t] + rng.normal(0.0, spec.noise_scale, spec.gene_dim), 0.0)
-        cells.append(CellProfile.make(expr, t, spec.num_types))
+        cells.append(CellProfile(expr, t))
     return cells
 
 
@@ -174,16 +164,17 @@ def save_cells(path: str, cells: list[CellProfile]) -> None:
     if not cells:
         raise ValidationError("refusing to write an empty cell corpus")
     gene_dim = cells[0].expression.size
-    tmp = path + ".partial"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"gene_{i}" for i in range(gene_dim)] + ["cell_type"])
-        for c in cells:
-            writer.writerow([repr(float(v)) for v in c.expression] + [c.cell_type])
-    os.replace(tmp, path)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow([f"gene_{i}" for i in range(gene_dim)] + ["cell_type"])
+    for c in cells:
+        writer.writerow([repr(float(v)) for v in c.expression] + [c.cell_type])
+    write_text(path, text.getvalue())
 
 
-def load_cells(path: str, num_types: int = DEFAULT_NUM_TYPES) -> list[CellProfile]:
+def load_cells(path: str) -> list[CellProfile]:
+    """Read a cell corpus. Its cell types must be exactly 0..K-1, every type
+    held by at least one cell; K is then the corpus's number of types."""
     with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -198,12 +189,18 @@ def load_cells(path: str, num_types: int = DEFAULT_NUM_TYPES) -> list[CellProfil
             if len(row) != gene_dim + 1:
                 raise ValidationError(f"{path}: row {row_no}: expected {gene_dim + 1} fields")
             try:
-                cells.append(CellProfile.make([float(v) for v in row[:-1]],
-                                              int(row[-1]), num_types))
+                cells.append(CellProfile([float(v) for v in row[:-1]], int(row[-1])))
             except ValueError as exc:   # a bad literal, or CellProfile's ValidationError
                 raise ValidationError(f"{path}: row {row_no}: {exc}") from exc
     if not cells:
         raise ValidationError(f"{path}: no data rows")
+    labels = [c.cell_type for c in cells]
+    types = np.unique(labels)   # sized by the rows, never by a type's value
+    if types[-1] != types.size - 1:
+        missing = int(np.flatnonzero(types != np.arange(types.size))[0])
+        raise ValidationError(f"{path}: row {2 + labels.index(types[-1])}: cell_type "
+                              f"{types[-1]}, but no cell has type {missing}; "
+                              "types must be 0..K-1")
     return cells
 
 
@@ -231,10 +228,11 @@ class Stage1Config:
     def __post_init__(self):
         if self.epochs < 0 or self.steps_per_epoch <= 0 or self.batch_pairs <= 0:
             raise ValidationError("epochs must be >= 0, steps and batch_pairs positive")
-        if self.eta <= 0:
-            raise ValidationError("eta must be positive")
-        if self.weight_decay < 0:
-            raise ValidationError("weight_decay must be non-negative")
+        if not 0.0 < self.eta < np.inf:
+            raise ValidationError(f"eta must be positive and finite, got {self.eta}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ValidationError(
+                f"weight_decay must be finite and non-negative, got {self.weight_decay}")
 
 
 @dataclass
@@ -262,7 +260,8 @@ def pretrain_mlp_a(cells: list[CellProfile], encoder: FrozenEncoder,
         raise ValidationError("need at least 2 cells to form pairs")
     if len({c.cell_type for c in cells}) < 2:
         raise ValidationError("need at least 2 distinct cell types (mix targets degenerate)")
-    num_types = cells[0].one_hot.size  # classifier width follows the corpus
+    types = np.array([c.cell_type for c in cells])
+    num_types = int(types.max()) + 1  # classifier width follows the corpus
 
     init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA1]))
     mlp_a = make_mlp(encoder.embed_dim, cfg.feature_dim,
@@ -271,7 +270,7 @@ def pretrain_mlp_a(cells: list[CellProfile], encoder: FrozenEncoder,
     groups = [layer_group("mlp_a", mlp_a), layer_group("classifier", [classifier])]
 
     expr = np.stack([c.expression for c in cells])
-    hot = np.stack([c.one_hot for c in cells])
+    hot = (types[:, None] == np.arange(num_types)).astype(np.float64)
     step_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA2]))
     total_steps = cfg.epochs * cfg.steps_per_epoch
     history = []
@@ -331,17 +330,14 @@ def gap_probe_pairs(cells: list[CellProfile], n_pairs: int, seed: int):
 def save_stage1(path: str, result: Stage1Result, encoder: FrozenEncoder) -> None:
     """Persist MLP-A (+ classifier and the encoder it was trained against)."""
     tensors = {}
-    for i, layer in enumerate(result.mlp_a):
-        tensors[f"mlp_a.{i}.weight"] = layer.weight
-        tensors[f"mlp_a.{i}.bias"] = layer.bias
-    tensors["classifier.weight"] = result.classifier.weight
-    tensors["classifier.bias"] = result.classifier.bias
+    mlp_a_acts = add_layers(tensors, stack_names("mlp_a", len(result.mlp_a)), result.mlp_a)
+    [classifier_act] = add_layers(tensors, ["classifier"], [result.classifier])
     tensors["encoder.weight"] = encoder.weight
     tensors["encoder.bias"] = encoder.bias
     meta = {
         "kind": "stage1",
-        "mlp_a_activations": [layer.activation for layer in result.mlp_a],
-        "classifier_activation": result.classifier.activation,
+        "mlp_a_activations": mlp_a_acts,
+        "classifier_activation": classifier_act,
         "encoder_activation": encoder.activation,
         "final_loss": result.loss_history[-1] if result.loss_history else None,
     }
@@ -357,8 +353,7 @@ def load_stage1(path: str) -> tuple[list[DenseLayer], DenseLayer, FrozenEncoder]
                               meta["mlp_a_activations"], list)
         encoder = FrozenEncoder(tensors["encoder.weight"], tensors["encoder.bias"],
                                 meta.get("encoder_activation", "tanh"))
-        mlp_a = checkpoint_layers(path, tensors,
-                                  [f"mlp_a.{i}" for i in range(len(mlp_acts))],
+        mlp_a = checkpoint_layers(path, tensors, stack_names("mlp_a", len(mlp_acts)),
                                   mlp_acts, encoder.embed_dim)
         [classifier] = checkpoint_layers(
             path, tensors, ["classifier"], [meta["classifier_activation"]],

@@ -65,8 +65,7 @@ def contribution_ratio(s_g, s_p, batch, cfg) -> ContributionReport:
         r_p[m] = num_p / denom_p
     agg = np.mean if cfg.aggregate == "mean" else np.median
     rho_g = _signed_guard(float(agg(r_g)), cfg.epsilon) / _signed_guard(float(agg(r_p)), cfg.epsilon)
-    lo, hi = cfg.ratio_clamp
-    rho_g_c = min(max(rho_g, lo), hi)
+    rho_g_c = min(max(rho_g, cfg.rho_min), cfg.rho_max)
     return ContributionReport(
         rho_g=rho_g, rho_p=1.0 / rho_g, rho_g_clamped=rho_g_c,
         factor_g=modulation_factor(rho_g_c), factor_p=modulation_factor(1.0 / rho_g_c))

@@ -260,7 +260,6 @@ seed = 0
 epochs = 2
 batch_size = 16
 hidden_dim = 16
-num_cell_types = 5
 k_folds = 3
 snn_dim = 8
 gen_dim = 8

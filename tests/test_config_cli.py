@@ -35,7 +35,7 @@ def test_ini_values_override_defaults(tmp_path):
     assert cfg.seed == 5 and cfg.eta == 0.02 and cfg.k_folds == 4
     assert cfg.track_rho is True
     assert cfg.modulation.enabled is True
-    assert cfg.modulation.ratio_clamp == (0.2, 8.0)
+    assert (cfg.modulation.rho_min, cfg.modulation.rho_max) == (0.2, 8.0)
     assert cfg.smoothing.enabled is False
     assert cfg.smoothing.stage1_epochs == 3
     assert cfg.paths.out_dir == "elsewhere"
@@ -120,7 +120,7 @@ def test_config_echo_is_json_ready():
     echo = config_echo(load_run_config(None))
     text = json.dumps(echo, sort_keys=True)
     assert json.loads(text) == echo
-    assert echo["modulation"]["ratio_clamp"] == [0.1, 10.0]
+    assert (echo["modulation"]["rho_min"], echo["modulation"]["rho_max"]) == (0.1, 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,6 @@ seed = 0
 epochs = 2
 batch_size = 16
 hidden_dim = 16
-num_cell_types = 5
 k_folds = 3
 snn_dim = 8
 gen_dim = 8
@@ -431,3 +430,80 @@ def test_non_utf8_inputs_are_clean_errors(pipeline, tmp_path, capsys, kind, offs
             "cells": ["pretrain-smooth", *cfg, "--cells", str(bad), *out]}[kind]
     assert main(argv) == 1
     assert f"error: {bad}: byte {offset}: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("pretrain-smooth", "encoder_scale", "-1"),
+    ("pretrain-smooth", "encoder_scale", "nan"),
+    ("train", "encoder_scale", "-1"),
+    ("train", "encoder_scale", "nan"),
+    ("pretrain-smooth", "weight_decay", "nan"),
+    ("pretrain-smooth", "weight_decay", "inf"),
+    ("pretrain-smooth", "stage1_eta", "nan"),
+    ("pretrain-smooth", "stage1_eta", "inf"),
+])
+def test_bad_smoothing_values_are_clean_errors(pipeline, tmp_path, capsys,
+                                               command, key, value):
+    root, _ = pipeline
+    ini = tmp_path / "bad.ini"
+    ini.write_text(TINY_INI.format(dir=root).replace(
+        "[smoothing]\n", f"[smoothing]\n{key} = {value}\n"))
+    out = tmp_path / "out"
+    extra = ["--smoothing", "off"] if command == "train" else []
+    assert main([command, "--config", str(ini), "--out", str(out), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_removed_num_cell_types_key_is_refused(pipeline, tmp_path, capsys):
+    root, _ = pipeline
+    ini = tmp_path / "old.ini"
+    ini.write_text(TINY_INI.format(dir=root).replace("[run]\n", "[run]\nnum_cell_types = 5\n"))
+    with pytest.raises(ConfigError, match=r"\[run\] unknown key 'num_cell_types'"):
+        load_run_config(str(ini))
+    assert main(["pretrain-smooth", "--config", str(ini), "--out", str(tmp_path)]) == 1
+    assert "error: [run] unknown key 'num_cell_types'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("last_type", ["3", str(10 ** 12)])
+def test_cell_type_gap_is_a_clean_cli_error(pipeline, tmp_path, capsys, last_type):
+    root, cfg = pipeline
+    bad = tmp_path / "cells.csv"
+    lines = (root / "cells.csv").read_text().splitlines()
+    header, rows = lines[0], [line.rsplit(",", 1)[0] for line in lines[1:4]]
+    bad.write_text(f"{header}\n{rows[0]},0\n{rows[1]},1\n{rows[2]},{last_type}\n")
+    out = tmp_path / "out"
+    argv = ["pretrain-smooth", *cfg, "--cells", str(bad), "--out", str(out)]
+    assert main(argv) == 1
+    assert (f"error: {bad}: row 4: cell_type {last_type}, but no cell has type 2"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_cli_leaves_no_partial_file_and_writes_strict_json(tmp_path, capsys):
+    ini = tmp_path / "tiny.ini"
+    ini.write_text(TINY_INI.format(dir=tmp_path / "data"))   # data/ does not exist yet
+    cfg = ["--config", str(ini)]
+    model = str(tmp_path / "data" / "run" / "model.ckpt")
+    for argv in (["gen-cells", *cfg], ["gen-cohort", *cfg], ["pretrain-smooth", *cfg],
+                 ["train", *cfg, "--modulation", "on"],
+                 ["eval", *cfg, "--model", model, "--out", str(tmp_path / "eval")],
+                 ["ablate", *cfg, "--out", str(tmp_path / "abl")]):
+        assert main(argv) == 0, argv
+        assert not list(tmp_path.rglob("*.partial")), argv
+    capsys.readouterr()
+    json_files = sorted(tmp_path.rglob("*.json"))
+    jsonl_files = sorted(tmp_path.rglob("*.jsonl"))
+    assert len(json_files) == 4 and len(jsonl_files) == 2
+    for path in json_files:
+        _strict_json(path.read_text())
+    for path in jsonl_files:
+        for line in path.read_text().splitlines():
+            _strict_json(line)

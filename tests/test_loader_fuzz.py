@@ -77,7 +77,8 @@ def _valid_cells(cells):
     assert len({c.expression.size for c in cells}) == 1
     for c in cells:
         assert np.isfinite(c.expression).all() and (c.expression >= 0).all()
-        assert 0 <= c.cell_type < NUM_TYPES
+    types = {c.cell_type for c in cells}   # the corpus sets its own type count
+    assert types == set(range(len(types)))
 
 
 def _seedable(*seeds):
@@ -105,7 +106,7 @@ def _valid_cells_spec(spec):
 
 LOADERS = {
     "cohort.csv": [(load_cohort, _valid_cohort)],
-    "cells.csv": [(lambda path: load_cells(path, num_types=NUM_TYPES), _valid_cells)],
+    "cells.csv": [(load_cells, _valid_cells)],
     "run.ini": [(load_run_config, _valid_run_config),
                 (load_cohort_spec, _valid_cohort_spec),
                 (load_cells_spec, _valid_cells_spec)],

@@ -159,9 +159,9 @@ def test_exp_numerator_reading_is_softmax_share():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        _cfg(ratio_clamp=(1.5, 10.0))   # lower bound must sit below 1
+        _cfg(rho_min=1.5)    # lower bound must sit below 1
     with pytest.raises(ConfigError):
-        _cfg(ratio_clamp=(0.1, 0.9))    # upper bound must sit above 1
+        _cfg(rho_max=0.9)    # upper bound must sit above 1
     with pytest.raises(ConfigError):
         _cfg(epsilon=0.0)
     with pytest.raises(ConfigError):

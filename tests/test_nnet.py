@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from survfuse.cohort import CohortSpec, generate_cohort, load_cohort, save_cohort
 from survfuse.errors import (NumericalError, ShapeError, StateError,
                              ValidationError)
 from survfuse.nnet import (SELU_ALPHA, SELU_LAMBDA, DenseLayer, ParamGroup,
@@ -15,6 +16,8 @@ from survfuse.nnet import (SELU_ALPHA, SELU_LAMBDA, DenseLayer, ParamGroup,
                            load_checkpoint, make_mlp, mlp_backward,
                            mlp_forward, mse_loss, save_checkpoint, sgd_step,
                            step_decay_eta)
+from survfuse.smoothing import (CellCorpusSpec, generate_cells, load_cells,
+                                save_cells)
 
 
 def _layer(weight, bias, activation="identity"):
@@ -398,3 +401,17 @@ def test_checkpoint_leaves_no_partial_file(tmp_path):
     path = tmp_path / "ok.ckpt"
     save_checkpoint(str(path), {"w": np.zeros((1, 1))}, {"kind": "t"})
     assert not (tmp_path / "ok.ckpt.partial").exists()
+
+
+def test_writers_create_missing_directories(tmp_path):
+    deep = tmp_path / "a" / "b"
+    save_checkpoint(deep / "x.ckpt", {"w": np.ones((2, 1))}, {"kind": "t"})
+    save_cohort(str(deep / "cohort.csv"),
+                generate_cohort(CohortSpec(n_patients=6, latent_dim=2, dim_cnv_mut=2,
+                                           dim_rna=2, dim_image=2, seed=0)))
+    save_cells(str(deep / "cells.csv"),
+               generate_cells(CellCorpusSpec(n_cells=4, gene_dim=2, num_types=2)))
+    assert sorted(p.name for p in deep.iterdir()) == ["cells.csv", "cohort.csv", "x.ckpt"]
+    assert load_checkpoint(deep / "x.ckpt")[1]["w"].tolist() == [[1.0], [1.0]]
+    assert len(load_cohort(str(deep / "cohort.csv"))) == 6
+    assert [c.cell_type for c in load_cells(str(deep / "cells.csv"))] == [0, 1, 0, 1]

@@ -1,6 +1,7 @@
 """Mixup construction, the frozen encoder, and stage-1 pretraining."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,12 @@ from survfuse.smoothing import (CellCorpusSpec, CellProfile, FrozenEncoder,
                                 save_stage1)
 
 
-def _profile(expr, ctype, num_types=4):
-    return CellProfile.make(np.asarray(expr, dtype=np.float64), ctype, num_types)
+def _profile(expr, ctype):
+    return CellProfile(np.asarray(expr, dtype=np.float64), ctype)
+
+
+def _hot(*cells, num_types=4):
+    return np.eye(num_types)[[c.cell_type for c in cells]]
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +32,7 @@ def _profile(expr, ctype, num_types=4):
 
 def _mix_one(a, b, lam):
     expr = np.stack([a.expression, b.expression])
-    hot = np.stack([a.one_hot, b.one_hot])
+    hot = _hot(a, b)
     mixed, target = _stack_mixes(expr, hot, np.array([0]), np.array([1]),
                                  np.array([lam], dtype=np.float64))
     return mixed[0], target[0]
@@ -38,10 +43,10 @@ def test_mix_endpoints_recover_inputs():
     b = _profile([5.0, 7.0], 2)
     mixed, target = _mix_one(a, b, 1.0)
     assert np.array_equal(mixed, a.expression)
-    assert np.array_equal(target, a.one_hot)
+    assert np.array_equal(target, _hot(a)[0])
     mixed, target = _mix_one(a, b, 0.0)
     assert np.array_equal(mixed, b.expression)
-    assert np.array_equal(target, b.one_hot)
+    assert np.array_equal(target, _hot(b)[0])
 
 
 def test_mix_arithmetic_oracle():
@@ -70,7 +75,7 @@ def test_stacked_mixes_pair_rows_by_index():
     rng = np.random.default_rng(4)
     cells = [_profile(rng.uniform(0, 3, size=3), t) for t in (0, 1, 2, 3)]
     expr = np.stack([c.expression for c in cells])
-    hot = np.stack([c.one_hot for c in cells])
+    hot = _hot(*cells)
     idx_a, idx_b = np.array([0, 2, 3]), np.array([1, 1, 0])
     lams = np.array([0.5, 0.25, 1.0])
     mixed, target = _stack_mixes(expr, hot, idx_a, idx_b, lams)
@@ -98,9 +103,7 @@ def test_profile_validation():
     with pytest.raises(ValidationError):
         _profile([-1.0], 0)
     with pytest.raises(ValidationError):
-        _profile([1.0], 7, num_types=4)
-    with pytest.raises(ValidationError):
-        CellProfile(expression=np.ones(2), cell_type=0, one_hot=np.array([0.0, 1.0]))
+        _profile([1.0], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +210,7 @@ def test_cells_csv_round_trip(tmp_path):
     cells = generate_cells(spec)
     path = str(tmp_path / "cells.csv")
     save_cells(path, cells)
-    back = load_cells(path, num_types=3)
+    back = load_cells(path)
     assert len(back) == len(cells)
     for a, b in zip(cells, back):
         assert np.array_equal(a.expression, b.expression)  # repr round-trip is exact
@@ -220,17 +223,42 @@ def test_load_cells_reports_offending_row(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("gene_0,gene_1,cell_type\n1.0,2.0,0\n1.0,oops,1\n")
     with pytest.raises(ValidationError, match="row 3"):
-        load_cells(str(path), num_types=3)
+        load_cells(str(path))
     path.write_text("gene_0,gene_1,cell_type\n1.0,2.0,9\n")
     with pytest.raises(ValidationError, match="row 2"):
-        load_cells(str(path), num_types=3)
+        load_cells(str(path))
     path.write_text("gene_0,gene_1,cell_type\n1.0,0\n")
     with pytest.raises(ValidationError, match="row 2"):
-        load_cells(str(path), num_types=3)
+        load_cells(str(path))
     for header in ("wrong,header\n", "cell_type\n", "\n"):
         path.write_text(header + "0\n")
         with pytest.raises(ValidationError, match="header"):
             load_cells(str(path))
+
+
+def test_load_cells_rejects_a_gap_in_cell_types(tmp_path):
+    path = tmp_path / "gap.csv"
+    path.write_text("gene_0,cell_type\n1.0,0\n2.0,2\n3.0,0\n")
+    with pytest.raises(ValidationError, match=rf"{path}: row 3: cell_type 2, "
+                                              "but no cell has type 1"):
+        load_cells(str(path))
+    path.write_text("gene_0,cell_type\n1.0,1\n2.0,-1\n")
+    with pytest.raises(ValidationError, match=rf"{path}: row 3: cell_type -1 is negative"):
+        load_cells(str(path))
+
+
+def test_load_cells_huge_cell_type_is_a_clean_error_in_small_memory(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("gene_0,cell_type\n1.0,0\n2.0,1\n3.0,1000000000000\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=rf"{path}: row 4: cell_type "
+                                                  "1000000000000, but no cell has type 2"):
+            load_cells(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000   # a one-hot row this wide alone would be 8 TB
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
@@ -238,7 +266,7 @@ def test_load_cells_rejects_non_finite_and_negative_values(tmp_path, value):
     path = tmp_path / "bad.csv"
     path.write_text(f"gene_0,gene_1,cell_type\n1.0,2.0,0\n1.0,{value},1\n")
     with pytest.raises(ValidationError, match=rf"{path}: row 3: gene_1 = {value}:"):
-        load_cells(str(path), num_types=3)
+        load_cells(str(path))
 
 
 # ---------------------------------------------------------------------------
