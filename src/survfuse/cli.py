@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import json
 import os
 import sys
@@ -39,18 +40,19 @@ def _refuse_existing(path: str, force: bool) -> None:
         raise ValidationError(f"{path} already exists (pass --force to overwrite)")
 
 
-def _write_text(path: str, text: str, force: bool) -> None:
+def _write_text(path: str, chunks, force: bool) -> None:
     _refuse_existing(path, force)
-    write_text(path, text)
+    write_text(path, chunks)
 
 
 def _write_json(path: str, obj: dict, force: bool) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n", force)
+    # iterencode yields the text json.dumps(obj, indent=2) joins, piece by piece
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    _write_text(path, itertools.chain(encoder.iterencode(obj), ["\n"]), force)
 
 
 def _write_jsonl(path: str, rows: list[dict], force: bool) -> None:
-    lines = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
-    _write_text(path, lines, force)
+    _write_text(path, (json.dumps(row, sort_keys=True) + "\n" for row in rows), force)
 
 
 def _out_path(args, default_name: str, configured: str | None = None) -> str:
@@ -186,7 +188,8 @@ def cmd_ablate(args) -> int:
     table = run_ablation(records, cells, cfg, jobs=args.jobs)
     table["timestamp"] = _timestamp()
     _write_json(json_path, table, args.force)
-    _write_text(csv_path, "\n".join(ablation_csv_lines(table)) + "\n", args.force)
+    _write_text(csv_path, (line + "\n" for line in ablation_csv_lines(table)),
+                args.force)
     for row in table["rows"]:
         smooth = "smooth" if row["smoothing"] else "no-smooth"
         print(f"row {row['row']}: {smooth:10s} {row['fusion']:10s} "

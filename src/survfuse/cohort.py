@@ -27,12 +27,11 @@ signal to recover.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, open_text, write_text
+from .errors import ValidationError, csv_lines, open_text, write_text
 from .survival import SurvivalRecord
 
 _CENSOR_TOL = 0.02      # calibration stops when within this of the target
@@ -255,15 +254,11 @@ def save_cohort(path: str, records: list[SurvivalRecord]) -> None:
               + [f"g{i}" for i in range(dg)]
               + [f"r{i}" for i in range(dr)]
               + [f"p{i}" for i in range(dp)])
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(header)
-    for r in records:
-        writer.writerow([r.id, repr(r.time), int(r.event)]
-                        + [repr(float(v)) for v in r.cnv_mut]
-                        + [repr(float(v)) for v in r.rna]
-                        + [repr(float(v)) for v in r.image])
-    write_text(path, text.getvalue())
+    rows = ([r.id, repr(r.time), int(r.event)]
+            + [repr(float(v)) for v in r.cnv_mut]
+            + [repr(float(v)) for v in r.rna]
+            + [repr(float(v)) for v in r.image] for r in records)
+    write_text(path, csv_lines(header, rows))
 
 
 def _header_dims(header: list[str], path: str) -> tuple[int, int, int]:

@@ -1,9 +1,11 @@
 """Exception types shared across the package, the text-file opener that
-turns undecodable or malformed input into them, and the atomic text writer."""
+turns undecodable or malformed input into them, and the atomic text writer
+with the CSV line formatter that feeds it."""
 
 import csv
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+from typing import Iterable, Iterator
 
 
 class SurvfuseError(Exception):
@@ -58,11 +60,39 @@ def open_text(path, error_type: type = ValidationError):
             raise error_type(f"{path}: {exc}") from exc
 
 
-def write_text(path, text: str) -> None:
-    """Write text to `<path>.partial`, then rename it into place, so `path`
-    never holds a half-written file; the parent directory is created."""
+def write_text(path, chunks: Iterable[str]) -> None:
+    """Write the strings `chunks` yields, in order, to `<path>.partial`, then
+    rename it into place, so `path` never holds a half-written file; the
+    parent directory is created.
+
+    Chunks are written as they come, so a caller can stream a file of any
+    size. If producing or writing a chunk raises, the partial file is
+    deleted and the error propagates.
+    """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.partial"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
     os.replace(tmp, path)
+
+
+class _Echo:
+    """A file-like target whose write returns the text it is given."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def csv_lines(header: list, rows: Iterable[list]) -> Iterator[str]:
+    """The header, then each row, as the line csv.writer writes for it (its
+    quoting, a "\\n" terminator), one line at a time: csv.writer's writerow
+    returns what the target's write returns."""
+    writer = csv.writer(_Echo(), lineterminator="\n")
+    yield writer.writerow(header)
+    for row in rows:
+        yield writer.writerow(row)

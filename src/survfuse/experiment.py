@@ -56,6 +56,17 @@ class Stage1Bundle:
         return self.result.mlp_a if self.result is not None else None
 
 
+def stage1_config(cfg: RunConfig) -> Stage1Config:
+    """The stage-1 training settings of a run; a bad value raises
+    ValidationError."""
+    sm = cfg.smoothing
+    return Stage1Config(epochs=sm.stage1_epochs, steps_per_epoch=sm.steps_per_epoch,
+                        batch_pairs=sm.batch_pairs, eta=sm.stage1_eta,
+                        weight_decay=sm.weight_decay,
+                        hidden_dim=cfg.hidden_dim, feature_dim=sm.feature_dim,
+                        seed=cfg.seed)
+
+
 def run_stage1(cells: list[CellProfile], cfg: RunConfig) -> Stage1Bundle:
     """Build the fixed encoder and, if smoothing is on, pretrain MLP-A.
 
@@ -66,11 +77,7 @@ def run_stage1(cells: list[CellProfile], cfg: RunConfig) -> Stage1Bundle:
     encoder = sm.frozen_encoder(cells[0].expression.size)
     if not sm.enabled:
         return Stage1Bundle(encoder=encoder, result=None, report=None)
-    s1cfg = Stage1Config(epochs=sm.stage1_epochs, steps_per_epoch=sm.steps_per_epoch,
-                         batch_pairs=sm.batch_pairs, eta=sm.stage1_eta,
-                         weight_decay=sm.weight_decay,
-                         hidden_dim=cfg.hidden_dim, feature_dim=sm.feature_dim,
-                         seed=cfg.seed)
+    s1cfg = stage1_config(cfg)
     pairs, lams = gap_probe_pairs(cells, n_pairs=200, seed=cfg.seed)
     zero = dataclasses.replace(s1cfg, epochs=0)
     untrained = pretrain_mlp_a(cells, encoder, zero)
@@ -285,13 +292,15 @@ def run_ablation(records: list[SurvivalRecord], cells: list[CellProfile],
 
     With jobs > 1 the grid runs on one pool: stage 1 trains in a worker
     beside the folds of rows 1-3, which do not need it, and the folds of
-    rows 4-6 are submitted when it returns."""
+    rows 4-6 are submitted when it returns. The stage-1 settings are
+    checked before any fold trains."""
     _check_jobs(jobs)
     plan = split_folds(records, cfg.k_folds, cfg.seed)
     configs = {row_id: _grid_config(cfg, on, label)
                for row_id, on, label in ABLATION_GRID}
     plain = [row_id for row_id, on, _ in ABLATION_GRID if not on]
     smooth = [row_id for row_id, on, _ in ABLATION_GRID if on]
+    stage1_config(configs[smooth[0]])   # fail here, not after rows 1-3 trained
     bundles = {False: run_stage1(cells, configs[plain[0]])}
     if jobs > 1:
         n_tasks = len(ABLATION_GRID) * cfg.k_folds + 1

@@ -95,7 +95,7 @@ class FusionModel:
                              f"{fusion_mode} fusion produces {expected}")
         if head.out_dim != 1:
             raise ShapeError("fusion head must have a single output")
-        # caches for the kronecker backward pass
+        # caches for the kronecker backward pass, set by a training forward
         self._last_G: np.ndarray | None = None
         self._last_P: np.ndarray | None = None
         # per-feature standardization of the frozen rna path, fitted on the
@@ -158,18 +158,21 @@ class FusionModel:
 
     # --- batch forward/backward ---
 
-    def forward_batch(self, x_cnv, g2_feat, x_img):
+    def forward_batch(self, x_cnv, g2_feat, x_img, *, train: bool = False):
         """Score a batch; returns (theta, G, P). g2_feat is the precomputed
-        frozen-path output for these rows."""
-        g1 = mlp_forward(self.snn, x_cnv)
-        G = mlp_forward(self.mlp_b, np.concatenate([g1, g2_feat], axis=1))
-        P = mlp_forward(self.image_encoder, x_img)
+        frozen-path output for these rows. With train=True (backward_batch
+        follows) every trainable layer, and the kronecker head's G and P,
+        are cached for the backward pass; otherwise no cache changes."""
+        g1 = mlp_forward(self.snn, x_cnv, train=train)
+        G = mlp_forward(self.mlp_b, np.concatenate([g1, g2_feat], axis=1), train=train)
+        P = mlp_forward(self.image_encoder, x_img, train=train)
         if self.fusion_mode == "concat":
             fused = np.concatenate([G, P], axis=1)
         else:
             fused = kronecker_features(G, P)
-        self._last_G, self._last_P = G, P
-        theta = self.head.forward(fused)[:, 0]
+        if train:
+            self._last_G, self._last_P = G, P
+        theta = self.head.forward(fused, train=train)[:, 0]
         return theta, G, P
 
     def backward_batch(self, dtheta) -> None:
@@ -343,7 +346,8 @@ def train_survival(model: FusionModel, records: list[SurvivalRecord],
             if sub.degenerate:
                 skipped += 1
                 continue
-            theta, G, P = model.forward_batch(x_cnv[idx], g2_all[idx], x_img[idx])
+            theta, G, P = model.forward_batch(x_cnv[idx], g2_all[idx], x_img[idx],
+                                              train=True)
             loss = cox_loss(theta, sub)
             if not np.isfinite(loss):
                 raise NumericalError(

@@ -117,7 +117,7 @@ def check_dense_layer(seed: int = 0, instances: int = 8,
             probe = rng.normal(size=(3, 4))
             x = rng.normal(size=(3, 5))
             for _ in range(200):
-                layer.forward(x)
+                layer.forward(x, train=True)
                 if _margins_ok([layer]):
                     break
                 x = rng.normal(size=(3, 5))
@@ -127,7 +127,7 @@ def check_dense_layer(seed: int = 0, instances: int = 8,
             def f():
                 return float((probe * layer.forward(x)).sum())
 
-            layer.forward(x)
+            layer.forward(x, train=True)
             dx = layer.backward(probe)
             analytic = np.concatenate([layer.grad_weight.ravel().copy(),
                                        layer.grad_bias.ravel().copy(),
@@ -153,7 +153,7 @@ def check_mlp_stack(seed: int = 0, instances: int = 6,
         probe = rng.normal(size=(3, 2))
         x = rng.normal(size=(3, 4))
         for _ in range(300):
-            mlp_forward(net, x)
+            mlp_forward(net, x, train=True)
             if _margins_ok(net):
                 break
             x = rng.normal(size=(3, 4))
@@ -163,7 +163,7 @@ def check_mlp_stack(seed: int = 0, instances: int = 6,
         def f():
             return float((probe * mlp_forward(net, x)).sum())
 
-        mlp_forward(net, x)
+        mlp_forward(net, x, train=True)
         mlp_backward(net, probe)
         analytic, numeric = [], []
         for layer in net:
@@ -202,7 +202,7 @@ def check_fusion_end_to_end(fusion_mode: str, seed: int = 0, instances: int = 3,
             x_rna = rng.normal(size=(n, 4))
             x_img = rng.normal(size=(n, 3))
             g2 = model.frozen_rna_features(x_rna)
-            model.forward_batch(x_cnv, g2, x_img)
+            model.forward_batch(x_cnv, g2, x_img, train=True)
             kinked = model.snn + model.mlp_b + model.image_encoder
             if _margins_ok(kinked):
                 break
@@ -213,7 +213,7 @@ def check_fusion_end_to_end(fusion_mode: str, seed: int = 0, instances: int = 3,
             theta, _, _ = model.forward_batch(x_cnv, g2, x_img)
             return cox_loss(theta, batch)
 
-        theta, _, _ = model.forward_batch(x_cnv, g2, x_img)
+        theta, _, _ = model.forward_batch(x_cnv, g2, x_img, train=True)
         model.backward_batch(cox_gradient(theta, batch))
         trainable = model.snn + model.mlp_b + model.image_encoder + [model.head]
         analytic = np.concatenate(

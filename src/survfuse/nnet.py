@@ -1,11 +1,12 @@
 """Minimal dense-network core.
 
-Hand-derived forward/backward passes (no autodiff graph): each DenseLayer
-caches its input and pre-activation on forward and fills its gradient
-buffers on backward. Trainable tensors are float64 throughout. Parameters
-are collected into named ParamGroup objects so the optimizer can scale the
-effective learning rate per group, which is how branch-wise gradient
-modulation is applied.
+Hand-derived forward/backward passes (no autodiff graph): a training
+forward (train=True) makes each DenseLayer cache its input and
+pre-activation, and backward fills its gradient buffers from them; an
+inference forward, the default, keeps nothing. Trainable tensors are
+float64 throughout. Parameters are collected into named ParamGroup objects
+so the optimizer can scale the effective learning rate per group, which is
+how branch-wise gradient modulation is applied.
 """
 
 from __future__ import annotations
@@ -99,9 +100,9 @@ def _activation_backward(upstream: np.ndarray, z: np.ndarray, kind: str) -> np.n
 class DenseLayer:
     """Fully-connected layer y = act(x @ W.T + b) with weight shape (out, in).
 
-    forward() caches the input and pre-activation; backward() may only be
-    called afterwards with a matching batch. Gradient buffers are written
-    in place so ParamGroup aliases stay valid.
+    forward(train=True) caches the input and pre-activation; backward() may
+    only be called after one, with a matching batch. Gradient buffers are
+    written in place so ParamGroup aliases stay valid.
     """
 
     def __init__(self, in_dim: int, out_dim: int, activation: str = "identity",
@@ -142,12 +143,14 @@ class DenseLayer:
         state["_cached_input"] = state["_cached_preact"] = None
         return state
 
-    def forward(self, x) -> np.ndarray:
+    def forward(self, x, *, train: bool = False) -> np.ndarray:
         """act(x @ W.T + b); a non-finite output raises NumericalError.
 
-        The input's finiteness is not checked here: mlp_forward checks a
-        stack's input, and the package builds every other layer input from
-        checked layer outputs.
+        With train=True (a backward pass follows) the input and the
+        pre-activation are cached for it; otherwise the caches are left as
+        they were. The input's finiteness is not checked here: mlp_forward
+        checks a stack's input, and the package builds every other layer
+        input from checked layer outputs.
         """
         x = _as_2d(x, "layer input")
         if x.shape[1] != self.in_dim:
@@ -155,8 +158,9 @@ class DenseLayer:
                 f"input has {x.shape[1]} columns, layer expects {self.in_dim}")
         z = x @ self.weight.T
         z += self.bias
-        self._cached_input = x
-        self._cached_preact = z
+        if train:
+            self._cached_input = x
+            self._cached_preact = z
         out = _activate(z, self.activation)
         if not np.isfinite(out).all():
             raise NumericalError("layer forward produced non-finite output")
@@ -164,7 +168,7 @@ class DenseLayer:
 
     def backward(self, upstream) -> np.ndarray:
         if self._cached_input is None or self._cached_preact is None:
-            raise StateError("backward called before forward")
+            raise StateError("backward called before a training forward")
         upstream = as_matrix(upstream, "upstream gradient")
         if upstream.shape != (self._cached_input.shape[0], self.out_dim):
             raise ShapeError(
@@ -193,14 +197,15 @@ def make_mlp(in_dim: int, out_dim: int, *, hidden_dim: int = 128,
     return layers
 
 
-def mlp_forward(net: list[DenseLayer], x) -> np.ndarray:
-    """Run a batch through the stack; caches are populated for backward.
+def mlp_forward(net: list[DenseLayer], x, *, train: bool = False) -> np.ndarray:
+    """Run a batch through the stack; with train=True every layer caches
+    what mlp_backward needs.
 
     An empty stack acts as the identity map.
     """
     out = as_matrix(x, "mlp input")
     for layer in net:
-        out = layer.forward(out)
+        out = layer.forward(out, train=train)
     return out
 
 
@@ -354,18 +359,26 @@ def mse_loss(pred, target) -> tuple[float, np.ndarray]:
 #   ...
 #   end
 
+# values per written piece of a tensor's line: the writer's memory stays
+# bounded whatever the tensor's size
+_VALUES_PER_CHUNK = 256
 
-def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    lines = [CHECKPOINT_MAGIC, "meta " + json.dumps(meta or {}, sort_keys=True)]
+
+def _checkpoint_chunks(tensors: dict[str, np.ndarray], meta: dict | None):
+    yield f"{CHECKPOINT_MAGIC}\nmeta {json.dumps(meta or {}, sort_keys=True)}\n"
     for name, arr in tensors.items():
         a = np.asarray(arr, dtype=np.float64)
-        header = f"tensor {name} {a.ndim}"
-        if a.ndim:
-            header += " " + " ".join(str(d) for d in a.shape)
-        lines.append(header)
-        lines.append(" ".join(repr(float(v)) for v in a.ravel()))
-    lines.append("end")
-    write_text(path, "\n".join(lines) + "\n")
+        yield " ".join(["tensor", name, str(a.ndim), *map(str, a.shape)]) + "\n"
+        flat = a.reshape(-1)
+        for start in range(0, flat.size, _VALUES_PER_CHUNK):
+            piece = " ".join(map(repr, flat[start:start + _VALUES_PER_CHUNK].tolist()))
+            yield f" {piece}" if start else piece
+        yield "\n"
+    yield "end\n"
+
+
+def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
+    write_text(path, _checkpoint_chunks(tensors, meta))
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:

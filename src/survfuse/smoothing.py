@@ -17,12 +17,11 @@ combination of E at the endpoints.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError, open_text, write_text
+from .errors import ShapeError, ValidationError, csv_lines, open_text, write_text
 from .nnet import (DenseLayer, add_layers, checkpoint_layers, layer_group,
                    load_checkpoint, make_mlp, meta_typed, mlp_backward,
                    mlp_forward, mse_loss, save_checkpoint, sgd_step,
@@ -164,12 +163,9 @@ def save_cells(path: str, cells: list[CellProfile]) -> None:
     if not cells:
         raise ValidationError("refusing to write an empty cell corpus")
     gene_dim = cells[0].expression.size
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow([f"gene_{i}" for i in range(gene_dim)] + ["cell_type"])
-    for c in cells:
-        writer.writerow([repr(float(v)) for v in c.expression] + [c.cell_type])
-    write_text(path, text.getvalue())
+    header = [f"gene_{i}" for i in range(gene_dim)] + ["cell_type"]
+    rows = ([repr(float(v)) for v in c.expression] + [c.cell_type] for c in cells)
+    write_text(path, csv_lines(header, rows))
 
 
 def load_cells(path: str) -> list[CellProfile]:
@@ -279,8 +275,8 @@ def pretrain_mlp_a(cells: list[CellProfile], encoder: FrozenEncoder,
         idx_b = step_rng.integers(0, len(cells), size=cfg.batch_pairs)
         lams = step_rng.uniform(0.0, 1.0, size=cfg.batch_pairs)
         mixed, target = _stack_mixes(expr, hot, idx_a, idx_b, lams)
-        feat = mlp_forward(mlp_a, encoder.apply(mixed))
-        pred = classifier.forward(feat)
+        feat = mlp_forward(mlp_a, encoder.apply(mixed), train=True)
+        pred = classifier.forward(feat, train=True)
         loss, grad = mse_loss(pred, target)
         mlp_backward(mlp_a, classifier.backward(grad))
         if cfg.weight_decay > 0.0:

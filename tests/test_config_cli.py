@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from survfuse.cli import main
+from survfuse.cli import _write_json, main
 from survfuse.cohort import default_hazard_coef
 from survfuse.config import (RunConfig, config_echo, load_cells_spec,
                              load_cohort_spec, load_run_config)
@@ -507,3 +507,11 @@ def test_cli_leaves_no_partial_file_and_writes_strict_json(tmp_path, capsys):
     for path in jsonl_files:
         for line in path.read_text().splitlines():
             _strict_json(line)
+
+
+def test_json_report_streams_the_text_json_dumps_gives(tmp_path):
+    obj = {"b": [1.5, float("nan"), None, {"z": True, "a": "\u00e9"}], "a": {}, "c": [],
+           "d": -0.0}
+    path = tmp_path / "report.json"
+    _write_json(str(path), obj, force=False)
+    assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()

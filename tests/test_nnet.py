@@ -1,5 +1,7 @@
 """Dense layers, MLP stacks, optimizer, losses, checkpoint format."""
 
+import csv
+import io
 import pickle
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from survfuse.cohort import CohortSpec, generate_cohort, load_cohort, save_cohort
 from survfuse.errors import (NumericalError, ShapeError, StateError,
-                             ValidationError)
+                             ValidationError, csv_lines, write_text)
 from survfuse.nnet import (SELU_ALPHA, SELU_LAMBDA, DenseLayer, ParamGroup,
                            _activate, _activation_backward, layer_group,
                            load_checkpoint, make_mlp, mlp_backward,
@@ -120,7 +122,7 @@ def test_activation_kernels_match_where_formulas_bit_for_bit(z, up_seed, kind):
 def test_backward_gradients_match_hand_calc():
     # y = W x + b with W=[[2, -1]], b=[0.5]; x=[1, 3]; upstream dL/dy = [2]
     layer = _layer([[2.0, -1.0]], [0.5])
-    layer.forward(np.array([[1.0, 3.0]]))
+    layer.forward(np.array([[1.0, 3.0]]), train=True)
     dx = layer.backward(np.array([[2.0]]))
     assert layer.grad_weight.tolist() == [[2.0, 6.0]]   # dL/dW = dy^T x
     assert layer.grad_bias.tolist() == [2.0]
@@ -129,7 +131,7 @@ def test_backward_gradients_match_hand_calc():
 
 def test_backward_accumulates_over_batch_rows():
     layer = _layer([[1.0]], [0.0])
-    layer.forward(np.array([[1.0], [2.0]]))
+    layer.forward(np.array([[1.0], [2.0]]), train=True)
     layer.backward(np.array([[1.0], [1.0]]))
     assert layer.grad_weight.tolist() == [[3.0]]
     assert layer.grad_bias.tolist() == [2.0]
@@ -144,7 +146,7 @@ def test_backward_before_forward_is_an_error():
 def test_pickled_layer_keeps_weights_and_drops_forward_cache():
     layer = DenseLayer(3, 4, "relu", rng=np.random.default_rng(0))
     layer.bias[:] = [0.1, -0.2, 0.3, 0.0]
-    layer.forward(np.ones((200, 3)))
+    layer.forward(np.ones((200, 3)), train=True)
     back = pickle.loads(pickle.dumps(layer))
     assert np.array_equal(back.weight, layer.weight)
     assert np.array_equal(back.bias, layer.bias)
@@ -154,9 +156,27 @@ def test_pickled_layer_keeps_weights_and_drops_forward_cache():
         back.backward(np.ones((200, 4)))
 
 
+@pytest.mark.parametrize("activation", ["identity", "relu", "selu", "tanh"])
+def test_inference_forward_keeps_no_cache(activation):
+    layer = DenseLayer(3, 4, activation, rng=np.random.default_rng(0))
+    net = [layer, DenseLayer(4, 2, activation, rng=np.random.default_rng(1))]
+    x = np.random.default_rng(2).normal(size=(5, 3))
+    inferred = mlp_forward(net, x)
+    assert all(l._cached_input is None and l._cached_preact is None for l in net)
+    with pytest.raises(StateError):
+        mlp_backward(net, np.ones((5, 2)))
+    trained = mlp_forward(net, x, train=True)
+    assert trained.tobytes() == inferred.tobytes()
+    cached = [(l._cached_input, l._cached_preact) for l in net]
+    mlp_forward(net, np.zeros((7, 3)))
+    assert [(l._cached_input, l._cached_preact) for l in net] == cached
+    assert net[1]._cached_preact.shape == (5, 2)   # still the training batch
+    assert mlp_backward(net, np.ones((5, 2))).shape == (5, 3)
+
+
 def test_relu_backward_masks_dead_units():
     layer = _layer([[1.0], [1.0]], [0.0, -5.0], "relu")  # second unit dead
-    layer.forward(np.array([[1.0]]))
+    layer.forward(np.array([[1.0]]), train=True)
     layer.backward(np.array([[1.0, 1.0]]))
     assert layer.grad_weight[1, 0] == 0.0
     assert layer.grad_weight[0, 0] == 1.0
@@ -168,7 +188,7 @@ def test_relu_backward_masks_dead_units():
 
 def test_sgd_step_arithmetic():
     layer = _layer([[1.0]], [0.0])
-    layer.forward(np.array([[1.0]]))
+    layer.forward(np.array([[1.0]]), train=True)
     layer.backward(np.array([[1.0]]))    # grad_weight = 1
     sgd_step([layer_group("g", [layer])], eta=0.05)
     assert layer.weight[0, 0] == pytest.approx(0.95, abs=1e-15)
@@ -176,7 +196,7 @@ def test_sgd_step_arithmetic():
 
 def test_sgd_step_zeroes_gradients():
     layer = _layer([[1.0]], [0.0])
-    layer.forward(np.array([[1.0]]))
+    layer.forward(np.array([[1.0]]), train=True)
     layer.backward(np.array([[1.0]]))
     sgd_step([layer_group("g", [layer])], eta=0.1)
     assert layer.grad_weight[0, 0] == 0.0
@@ -187,7 +207,7 @@ def test_sgd_lr_scale_halves_the_step():
     layer = _layer([[1.0]], [0.0])
     group = layer_group("g", [layer])
     group.set_lr_scale(0.5)
-    layer.forward(np.array([[1.0]]))
+    layer.forward(np.array([[1.0]]), train=True)
     layer.backward(np.array([[1.0]]))
     sgd_step([group], eta=0.1)
     assert layer.weight[0, 0] == pytest.approx(0.95, abs=1e-15)
@@ -203,7 +223,7 @@ def test_lr_scale_must_be_in_unit_interval():
 
 def test_sgd_rejects_non_finite_gradients():
     layer = _layer([[1.0]], [0.0])
-    layer.forward(np.array([[1.0]]))
+    layer.forward(np.array([[1.0]]), train=True)
     layer.backward(np.array([[1.0]]))
     layer.grad_weight[0, 0] = np.nan
     with pytest.raises(NumericalError):
@@ -266,7 +286,7 @@ def test_layer_group_aliases_layer_tensors_through_one_buffer():
         assert np.array_equal(layer.weight, w)     # values kept by the move
         assert layer.weight.base is first.flat_params
         assert layer.grad_bias.base is first.flat_grads
-    layers[1].forward(np.ones((2, 4)))
+    layers[1].forward(np.ones((2, 4)), train=True)
     layers[1].backward(np.ones((2, 2)))          # written into the shared buffer
     sgd_step([again], eta=0.5)
     assert np.array_equal(layers[1].bias, -1.0 * np.ones(2))
@@ -339,7 +359,7 @@ def test_mlp_forward_backward_round_trip_shapes():
     rng = np.random.default_rng(1)
     mlp = make_mlp(4, 2, hidden_dim=6, n_hidden=1, rng=rng)
     x = rng.normal(size=(3, 4))
-    out = mlp_forward(mlp, x)
+    out = mlp_forward(mlp, x, train=True)
     assert out.shape == (3, 2)
     dx = mlp_backward(mlp, np.ones((3, 2)))
     assert dx.shape == (3, 4)
@@ -395,6 +415,46 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_text("not a checkpoint\n")
     with pytest.raises(ValidationError):
         load_checkpoint(str(path))
+
+
+def test_checkpoint_text_keeps_one_line_per_tensor_across_pieces(tmp_path):
+    rng = np.random.default_rng(3)
+    tensors = {"long": rng.normal(size=1000), "rows": rng.normal(size=(3, 300)),
+               "scalar": np.array(2.5), "empty": np.zeros((0, 4))}
+    path = tmp_path / "pieces.ckpt"
+    save_checkpoint(str(path), tensors, {"kind": "t"})
+    lines = path.read_text().split("\n")
+    assert lines[:2] == ["survfuse-checkpoint v1", 'meta {"kind": "t"}']
+    assert lines[2::2][:4] == ["tensor long 1 1000", "tensor rows 2 3 300",
+                               "tensor scalar 0", "tensor empty 2 0 4"]
+    for line, a in zip(lines[3::2], tensors.values()):
+        assert line == " ".join(repr(float(v)) for v in a.ravel())
+    assert lines[-2:] == ["end", ""]
+
+
+def test_failed_write_leaves_neither_file_nor_partial(tmp_path):
+    def chunks():
+        yield "first line\n"
+        raise RuntimeError("source failed")
+
+    path = tmp_path / "out.txt"
+    with pytest.raises(RuntimeError, match="source failed"):
+        write_text(str(path), chunks())
+    assert list(tmp_path.iterdir()) == []
+    # a tensor that is not numeric fails after the first one was written
+    with pytest.raises(ValueError):
+        save_checkpoint(str(path), {"w": np.ones((300, 2)), "bad": ["x"]}, {"kind": "t"})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_csv_lines_quote_as_csv_writer_does():
+    header = ["id", "value"]
+    rows = [["a,b", "1.5"], ['say "hi"', ""], ["two\nlines", "-0.0"], [" pad ", 3]]
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert "".join(csv_lines(header, rows)) == expected.getvalue()
 
 
 def test_checkpoint_leaves_no_partial_file(tmp_path):

@@ -210,6 +210,34 @@ def test_worker_error_is_a_clean_cli_error_without_running_the_rest(
     assert len(list(started.iterdir())) < 6 * 2 - 1
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("setting, message", [
+    ("weight_decay = nan", "weight_decay must be finite"),
+    ("stage1_eta = inf", "eta must be positive and finite"),
+    ("steps_per_epoch = 0", "steps and batch_pairs positive")])
+def test_bad_stage1_setting_stops_ablate_before_any_fold(
+        setting, message, jobs, tiny_run, tmp_path, monkeypatch, capsys):
+    records, _, _, cells = tiny_run
+    folds = []
+    monkeypatch.setattr(experiment, "run_single_fold",
+                        lambda *args: folds.append(args) or {})
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    RecordingPool.reset()
+    save_cohort(str(tmp_path / "cohort.csv"), records)
+    save_cells(str(tmp_path / "cells.csv"), cells)
+    (tmp_path / "grid.ini").write_text("[run]\nk_folds = 2\nepochs = 1\n"
+                                       f"[smoothing]\n{setting}\n")
+    argv = ["ablate", "--config", str(tmp_path / "grid.ini"),
+            "--cohort", str(tmp_path / "cohort.csv"),
+            "--cells", str(tmp_path / "cells.csv"),
+            "--out", str(tmp_path / "ablation"), "--jobs", str(jobs)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert folds == []
+    assert RecordingPool.submissions == []
+
+
 # ---------------------------------------------------------------------------
 # --jobs on the command line
 
