@@ -1,11 +1,17 @@
 """INI configuration loading and the command-line surface."""
 
 import json
+import os
+import platform
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import survfuse
 from survfuse.cli import _write_json, main
 from survfuse.cohort import default_hazard_coef
 from survfuse.config import (RunConfig, config_echo, load_cells_spec,
@@ -515,3 +521,35 @@ def test_json_report_streams_the_text_json_dumps_gives(tmp_path):
     path = tmp_path / "report.json"
     _write_json(str(path), obj, force=False)
     assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+# Twenty inference forwards of a 600-patient cohort after the CLI's allocator
+# setting; prints the minor page faults they took.
+_FAULT_PROBE = """
+import resource
+from survfuse.cli import _keep_freed_memory
+from survfuse.cohort import CohortSpec, generate_cohort
+from survfuse.fusion import FusionSpec, build_model, predict_theta
+from survfuse.smoothing import default_encoder
+_keep_freed_memory()
+records = generate_cohort(CohortSpec(n_patients=600, seed=0))
+model = build_model(FusionSpec(dim_cnv_mut=32, dim_rna=64, dim_image=32),
+                    default_encoder(seed=0), seed=0)
+predict_theta(model, records)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    predict_theta(model, records)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc")
+def test_cli_process_reuses_the_memory_inference_forwards_free():
+    src = str(Path(survfuse.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    # one forward's n x 128 activations span ~150 pages each; glibc's default
+    # thresholds faulted them in afresh on every forward
+    assert int(out) < 20 * 50
