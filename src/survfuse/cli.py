@@ -95,7 +95,7 @@ def _out_path(args, default_name: str, configured: str | None = None) -> str:
 def cmd_gen_cohort(args) -> int:
     spec = load_cohort_spec(args.config, seed=args.seed, n_patients=args.n_patients,
                             noise_g=args.noise_g, noise_p=args.noise_p,
-                            censor_fraction_target=args.censor_target)
+                            censor_fraction=args.censor_target)
     cfg = load_run_config(args.config)
     path = _out_path(args, "cohort.csv", cfg.paths.cohort)
     _refuse_existing(path, args.force)

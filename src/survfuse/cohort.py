@@ -72,7 +72,7 @@ class CohortSpec:
     dim_image: int = 32
     noise_g: float = 0.3
     noise_p: float = 1.2
-    censor_fraction_target: float = 0.3
+    censor_fraction: float = 0.3
     hazard_coef: np.ndarray | None = None   # default: window-weighted, see default_hazard_coef
     seed: int = 0
     share_maps: bool = False  # image reuses the cnv_mut map/window (symmetry probe)
@@ -85,9 +85,9 @@ class CohortSpec:
             raise ValidationError("noise scales must be finite and non-negative")
         if self.seed < 0:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
-        if not 0.0 <= self.censor_fraction_target < 1.0:
+        if not 0.0 <= self.censor_fraction < 1.0:
             raise ValidationError(
-                f"censor target must lie in [0, 1), got {self.censor_fraction_target}")
+                f"censor_fraction must lie in [0, 1), got {self.censor_fraction}")
         if self.hazard_coef is None:
             self.hazard_coef = default_hazard_coef(self.latent_dim)
         else:
@@ -136,7 +136,7 @@ def generate_cohort(spec: CohortSpec) -> list[SurvivalRecord]:
         x_img = a_img @ z[sp_p] + spec.noise_p * rng.normal(size=spec.dim_image)
         features.append((x_cnv, x_rna, x_img))
 
-    c_scale = _calibrate_censor_scale(survival, censor_u, spec.censor_fraction_target)
+    c_scale = _calibrate_censor_scale(survival, censor_u, spec.censor_fraction)
     width = len(str(n - 1))
     records = []
     for i in range(n):

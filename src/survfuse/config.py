@@ -87,18 +87,12 @@ class RunConfig:
                                   "(contribution ratios split the concat head)")
 
 
-_BOOL_TRUE = ("1", "true", "yes", "on")
-_BOOL_FALSE = ("0", "false", "no", "off")
-
-
 def _coerce(raw: str, like, key: str):
     if isinstance(like, bool):
-        low = raw.strip().lower()
-        if low in _BOOL_TRUE:
-            return True
-        if low in _BOOL_FALSE:
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got '{raw}'")
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+        except KeyError:
+            raise ConfigError(f"{key}: expected a boolean, got '{raw}'") from None
     try:
         if isinstance(like, int):
             return int(raw)
@@ -114,16 +108,14 @@ def _defaults(obj, drop=()) -> dict:
             if f.name not in drop}
 
 
-def _section(parser: configparser.ConfigParser, section: str, defaults: dict,
-             renames: dict[str, str] | None = None) -> dict:
+def _section(parser: configparser.ConfigParser, section: str, defaults: dict) -> dict:
     """Field updates from one INI section, typed like the defaults."""
     updates = {}
     if parser.has_section(section):
         for key, raw in parser.items(section):
-            name = (renames or {}).get(key, key)
-            if name not in defaults:
+            if key not in defaults:
                 raise ConfigError(f"[{section}] unknown key '{key}'")
-            updates[name] = _coerce(raw, defaults[name], f"[{section}] {key}")
+            updates[key] = _coerce(raw, defaults[key], f"[{section}] {key}")
     return updates
 
 
@@ -185,8 +177,7 @@ def load_cohort_spec(path: str | None = None, **overrides) -> CohortSpec:
     # built from a raw field dict (not dataclasses.replace) so that an
     # unspecified hazard_coef re-derives its default from the final latent_dim
     defaults = _defaults(CohortSpec())
-    updates = _section(_read_ini(path), "cohort", defaults,
-                       renames={"censor_fraction": "censor_fraction_target"})
+    updates = _section(_read_ini(path), "cohort", defaults)
     if "hazard_coef" in updates:   # floats, comma or space separated
         try:
             updates["hazard_coef"] = [

@@ -290,10 +290,11 @@ def run_ablation(records: list[SurvivalRecord], cells: list[CellProfile],
     smoothing rows. Row order is fixed: rows 1-3 without smoothing, 4-6
     with, each block ordered concat, kronecker, modulation.
 
-    With jobs > 1 the grid runs on one pool: stage 1 trains in a worker
-    beside the folds of rows 1-3, which do not need it, and the folds of
-    rows 4-6 are submitted when it returns. The stage-1 settings are
-    checked before any fold trains."""
+    With jobs = 1 stage 1 trains first, then every row's folds in grid order.
+    With jobs > 1 the grid runs on one pool: stage 1 trains in a worker beside
+    the folds of rows 1-3, which do not need it, and the folds of rows 4-6 are
+    submitted when it returns. The stage-1 settings are checked before any
+    fold trains."""
     _check_jobs(jobs)
     plan = split_folds(records, cfg.k_folds, cfg.seed)
     configs = {row_id: _grid_config(cfg, on, label)
@@ -313,13 +314,10 @@ def run_ablation(records: list[SurvivalRecord], cells: list[CellProfile],
                             for r in smooth})
             fold_rows = {r: _results(pool, futures[r]) for r in configs}
     else:
-        fold_rows = {}
-        for row_id, on, _ in ABLATION_GRID:
-            if on not in bundles:
-                bundles[on] = run_stage1(cells, configs[row_id])
-            fold_rows[row_id] = [run_single_fold(records, plan, f, configs[row_id],
-                                                 bundles[on])
-                                 for f in range(cfg.k_folds)]
+        bundles[True] = run_stage1(cells, configs[smooth[0]])
+        fold_rows = {r: [run_single_fold(records, plan, f, configs[r], bundles[on])
+                         for f in range(cfg.k_folds)]
+                     for r, on, _ in ABLATION_GRID}
     rows = []
     for row_id, smoothing_on, fusion_label in ABLATION_GRID:
         outputs = _run_outputs(fold_rows[row_id], configs[row_id],

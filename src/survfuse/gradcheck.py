@@ -3,7 +3,7 @@
 Central differences with step h compare against the analytic backward
 passes. Relative error is norm-based over all compared entries. relu/selu
 introduce kinks: inputs are resampled until every kinked pre-activation
-sits at least `margin` away from zero, so an h-sized perturbation cannot
+sits at least KINK_MARGIN away from zero, so an h-sized perturbation cannot
 cross a kink and the comparison is on smooth ground. The Cox loss itself
 is smooth in theta, no margin needed there.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -54,9 +55,7 @@ def relative_error(analytic, numeric) -> float:
 def fd_param_gradient(f, param: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     """Central differences of the scalar f() w.r.t. an array f reads live."""
     grad = np.zeros_like(param)
-    it = np.nditer(param, flags=["multi_index"])
-    for _ in it:
-        ix = it.multi_index
+    for ix in np.ndindex(param.shape):
         orig = param[ix]
         param[ix] = orig + h
         f_plus = f()
@@ -65,6 +64,40 @@ def fd_param_gradient(f, param: np.ndarray, h: float = FD_STEP) -> np.ndarray:
         param[ix] = orig
         grad[ix] = (f_plus - f_minus) / (2.0 * h)
     return grad
+
+
+def _timed(name: str, tol: float, errors) -> CheckResult:
+    """Time a check that yields one relative error per instance; the worst
+    is reported, and a NaN fails the check."""
+    t0 = time.perf_counter()
+    errors = list(errors)
+    worst = float(np.max(errors))
+    return CheckResult(name, len(errors), worst, tol, worst <= tol, time.perf_counter() - t0)
+
+
+def _placed(draw, forward, layers: list[DenseLayer], tries: int):
+    """Inputs from draw() whose training forward leaves every relu/selu
+    pre-activation of `layers` at least KINK_MARGIN from zero, with that
+    forward's output. The layers' caches hold that forward for a backward."""
+    for _ in range(tries):
+        inputs = draw()
+        out = forward(*inputs, train=True)
+        if all(np.abs(layer._cached_preact).min() > KINK_MARGIN
+               for layer in layers if layer.activation in _KINKED):
+            return inputs, out
+    raise NumericalError(f"could not place inputs away from relu/selu kinks in {tries} draws")
+
+
+def _fd_error(f, layers: list[DenseLayer], extra=()) -> float:
+    """Relative error of the layers' gradient buffers (weight, then bias, each),
+    then of the (gradient, array) pairs in `extra`, against central differences."""
+    pairs = [pair for layer in layers for pair in
+             ((layer.grad_weight, layer.weight), (layer.grad_bias, layer.bias))]
+    pairs += extra
+    analytic = np.concatenate([np.ravel(grad) for grad, _ in pairs])
+    numeric = np.concatenate([fd_param_gradient(f, array).ravel()
+                              for _, array in pairs])
+    return relative_error(analytic, numeric)
 
 
 # ---------------------------------------------------------------------------
@@ -83,108 +116,58 @@ def _random_batch(rng, n_max: int = 32) -> CoxBatch:
 
 def check_cox_gradient(seed: int = 0, instances: int = 100,
                        tol: float = 1e-6) -> CheckResult:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6C0]))
-    worst = 0.0
-    for _ in range(instances):
+
+    def error() -> float:
         batch = _random_batch(rng)
         theta = rng.normal(0.0, 1.5, size=len(batch))
-        analytic = cox_gradient(theta, batch)
-        numeric = fd_param_gradient(lambda: cox_loss(theta, batch), theta)
-        worst = max(worst, relative_error(analytic, numeric))
-    dt = time.perf_counter() - t0
-    return CheckResult("cox gradient vs central differences", instances, worst,
-                       tol, worst <= tol, dt)
+        return _fd_error(lambda: cox_loss(theta, batch), [],
+                         [(cox_gradient(theta, batch), theta)])
+
+    return _timed("cox gradient vs central differences", tol,
+                  (error() for _ in range(instances)))
 
 
-def _margins_ok(layers: list[DenseLayer], margin: float = KINK_MARGIN) -> bool:
-    for layer in layers:
-        if layer.activation in _KINKED and layer._cached_preact is not None:
-            if np.abs(layer._cached_preact).min() <= margin:
-                return False
-    return True
+def _check_stacks(name: str, rng, stacks, tol: float, tries: int, input_grad: bool):
+    """Each stack's gradients of sum(probe * output) on 3 random rows: its
+    parameters', and with input_grad its input's too."""
+    def error(net: list[DenseLayer]) -> float:
+        probe = rng.normal(size=(3, net[-1].out_dim))
+        (x,), _ = _placed(lambda: (rng.normal(size=(3, net[0].in_dim)),),
+                          partial(mlp_forward, net), net, tries)
+        dx = mlp_backward(net, probe)
+        return _fd_error(lambda: float((probe * mlp_forward(net, x)).sum()), net,
+                         [(dx, x)] if input_grad else [])
+
+    return _timed(name, tol, map(error, stacks))
 
 
 def check_dense_layer(seed: int = 0, instances: int = 8,
                       tol: float = 1e-6) -> CheckResult:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6C1]))
-    worst = 0.0
-    count = 0
-    for activation in ("identity", "relu", "selu", "tanh"):
-        for _ in range(instances):
-            layer = DenseLayer(5, 4, activation, rng=rng)
-            probe = rng.normal(size=(3, 4))
-            x = rng.normal(size=(3, 5))
-            for _ in range(200):
-                layer.forward(x, train=True)
-                if _margins_ok([layer]):
-                    break
-                x = rng.normal(size=(3, 5))
-            else:
-                raise NumericalError("could not place layer inputs away from kinks")
-
-            def f():
-                return float((probe * layer.forward(x)).sum())
-
-            layer.forward(x, train=True)
-            dx = layer.backward(probe)
-            analytic = np.concatenate([layer.grad_weight.ravel().copy(),
-                                       layer.grad_bias.ravel().copy(),
-                                       dx.ravel()])
-            fd_w = fd_param_gradient(f, layer.weight)
-            fd_b = fd_param_gradient(f, layer.bias)
-            fd_x = fd_param_gradient(f, x)
-            numeric = np.concatenate([fd_w.ravel(), fd_b.ravel(), fd_x.ravel()])
-            worst = max(worst, relative_error(analytic, numeric))
-            count += 1
-    dt = time.perf_counter() - t0
-    return CheckResult("dense layer grads (all activations)", count, worst, tol,
-                       worst <= tol, dt)
+    stacks = ([DenseLayer(5, 4, activation, rng=rng)]
+              for activation in ("identity", "relu", "selu", "tanh")
+              for _ in range(instances))
+    return _check_stacks("dense layer grads (all activations)", rng, stacks, tol, 200, True)
 
 
 def check_mlp_stack(seed: int = 0, instances: int = 6,
                     tol: float = 1e-6) -> CheckResult:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6C2]))
-    worst = 0.0
-    for _ in range(instances):
-        net = make_mlp(4, 2, hidden_dim=5, n_hidden=2, activation="relu", rng=rng)
-        probe = rng.normal(size=(3, 2))
-        x = rng.normal(size=(3, 4))
-        for _ in range(300):
-            mlp_forward(net, x, train=True)
-            if _margins_ok(net):
-                break
-            x = rng.normal(size=(3, 4))
-        else:
-            raise NumericalError("could not place mlp inputs away from kinks")
-
-        def f():
-            return float((probe * mlp_forward(net, x)).sum())
-
-        mlp_forward(net, x, train=True)
-        mlp_backward(net, probe)
-        analytic, numeric = [], []
-        for layer in net:
-            analytic.extend([layer.grad_weight.ravel().copy(),
-                             layer.grad_bias.ravel().copy()])
-        for layer in net:
-            numeric.extend([fd_param_gradient(f, layer.weight).ravel(),
-                            fd_param_gradient(f, layer.bias).ravel()])
-        worst = max(worst, relative_error(np.concatenate(analytic),
-                                          np.concatenate(numeric)))
-    dt = time.perf_counter() - t0
-    return CheckResult("mlp stack grads", instances, worst, tol, worst <= tol, dt)
+    stacks = (make_mlp(4, 2, hidden_dim=5, n_hidden=2, activation="relu", rng=rng)
+              for _ in range(instances))
+    return _check_stacks("mlp stack grads", rng, stacks, tol, 300, False)
 
 
 def check_fusion_end_to_end(fusion_mode: str, seed: int = 0, instances: int = 3,
                             tol: float = 1e-4) -> CheckResult:
     """Full-model parameter gradients of the Cox loss on tiny shapes."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6C3]))
-    worst = 0.0
-    for inst in range(instances):
+    n = 6
+    batch = CoxBatch(np.linspace(1.0, 2.0, n),
+                     np.array([True, False, True, True, False, True]))
+
+    def error(inst: int) -> float:
         spec = FusionSpec(dim_cnv_mut=3, dim_rna=4, dim_image=3,
                           snn_dim=3, gen_dim=2, img_dim=2, hidden_dim=4,
                           snn_hidden=1, mlp_b_hidden=1, image_hidden=1,
@@ -192,41 +175,19 @@ def check_fusion_end_to_end(fusion_mode: str, seed: int = 0, instances: int = 3,
         encoder = default_encoder(4, 3, seed=seed * 100 + inst)
         mlp_a = make_mlp(3, 2, hidden_dim=4, n_hidden=1, activation="relu", rng=rng)
         model = build_model(spec, encoder, mlp_a, seed=seed * 100 + inst)
-
-        n = 6
-        times = np.linspace(1.0, 2.0, n)
-        events = np.array([True, False, True, True, False, True])
-        batch = CoxBatch(times, events)
-        for _ in range(300):
-            x_cnv = rng.normal(size=(n, 3))
-            x_rna = rng.normal(size=(n, 4))
-            x_img = rng.normal(size=(n, 3))
-            g2 = model.frozen_rna_features(x_rna)
-            model.forward_batch(x_cnv, g2, x_img, train=True)
-            kinked = model.snn + model.mlp_b + model.image_encoder
-            if _margins_ok(kinked):
-                break
-        else:
-            raise NumericalError("could not place fusion inputs away from kinks")
-
-        def f():
-            theta, _, _ = model.forward_batch(x_cnv, g2, x_img)
-            return cox_loss(theta, batch)
-
-        theta, _, _ = model.forward_batch(x_cnv, g2, x_img, train=True)
-        model.backward_batch(cox_gradient(theta, batch))
         trainable = model.snn + model.mlp_b + model.image_encoder + [model.head]
-        analytic = np.concatenate(
-            [np.concatenate([l.grad_weight.ravel(), l.grad_bias.ravel()])
-             for l in trainable])
-        numeric = np.concatenate(
-            [np.concatenate([fd_param_gradient(f, l.weight).ravel(),
-                             fd_param_gradient(f, l.bias).ravel()])
-             for l in trainable])
-        worst = max(worst, relative_error(analytic, numeric))
-    dt = time.perf_counter() - t0
-    return CheckResult(f"fusion end-to-end grads ({fusion_mode})", instances,
-                       worst, tol, worst <= tol, dt)
+
+        def draw():
+            x_cnv, x_rna, x_img = (rng.normal(size=(n, d)) for d in (3, 4, 3))
+            return x_cnv, model.frozen_rna_features(x_rna), x_img
+
+        inputs, (theta, _, _) = _placed(draw, model.forward_batch, trainable, 300)
+        model.backward_batch(cox_gradient(theta, batch))
+        return _fd_error(lambda: cox_loss(model.forward_batch(*inputs)[0], batch),
+                         trainable)
+
+    return _timed(f"fusion end-to-end grads ({fusion_mode})", tol,
+                  map(error, range(instances)))
 
 
 def run_all(seed: int = 0) -> list[CheckResult]:

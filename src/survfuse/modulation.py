@@ -49,6 +49,11 @@ class ModulationConfig:
         if not (0.0 < self.rho_min < 1.0 < self.rho_max):
             raise ConfigError("rho_min and rho_max must satisfy 0 < rho_min < 1 < rho_max, "
                               f"got ({self.rho_min}, {self.rho_max})")
+        # 1 - tanh(rho - 1) rounds to 0 in float64 for rho above about 19.99
+        for key, rho in (("rho_max", self.rho_max), ("rho_min", 1.0 / self.rho_min)):
+            if not modulation_factor(rho) > 0.0:
+                raise ConfigError(f"{key} = {getattr(self, key)} gives a learning-rate "
+                                  "factor of 0; keep rho_max and 1 / rho_min below 19.99")
         if not self.epsilon > 0.0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if self.aggregate not in _AGGREGATES:

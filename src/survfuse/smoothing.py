@@ -224,6 +224,9 @@ class Stage1Config:
     def __post_init__(self):
         if self.epochs < 0 or self.steps_per_epoch <= 0 or self.batch_pairs <= 0:
             raise ValidationError("epochs must be >= 0, steps and batch_pairs positive")
+        for key in ("hidden_dim", "feature_dim"):
+            if getattr(self, key) <= 0:
+                raise ValidationError(f"{key} must be positive, got {getattr(self, key)}")
         if not 0.0 < self.eta < np.inf:
             raise ValidationError(f"eta must be positive and finite, got {self.eta}")
         if not 0.0 <= self.weight_decay < np.inf:

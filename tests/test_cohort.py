@@ -68,7 +68,7 @@ def test_spec_validation():
     with pytest.raises(ValidationError):
         CohortSpec(noise_g=-1.0)
     with pytest.raises(ValidationError):
-        CohortSpec(censor_fraction_target=1.0)
+        CohortSpec(censor_fraction=1.0)
     with pytest.raises(ValidationError):
         CohortSpec(hazard_coef=np.ones(3))  # latent_dim is 8
     with pytest.raises(ValidationError):
@@ -97,7 +97,7 @@ def test_per_patient_streams_are_order_free():
 def test_censoring_lands_near_target():
     for target in (0.2, 0.3, 0.5):
         recs = generate_cohort(CohortSpec(n_patients=500, seed=1,
-                                          censor_fraction_target=target))
+                                          censor_fraction=target))
         censored = np.mean([not r.event for r in recs])
         assert abs(censored - target) < 0.1
 

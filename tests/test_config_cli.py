@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import survfuse
+from survfuse import experiment
 from survfuse.cli import _write_json, main
 from survfuse.cohort import default_hazard_coef
 from survfuse.config import (RunConfig, config_echo, load_cells_spec,
@@ -103,7 +104,7 @@ def test_cohort_spec_hazard_parsing(tmp_path):
                     "censor_fraction = 0.25\n")
     spec = load_cohort_spec(str(path))
     assert spec.hazard_coef.tolist() == [0.1, 0.2, 0.3, 0.4]
-    assert spec.censor_fraction_target == 0.25
+    assert spec.censor_fraction == 0.25
 
 
 def test_cohort_spec_rederives_default_hazard(tmp_path):
@@ -403,6 +404,24 @@ def test_kronecker_track_rho_train_is_refused(pipeline, capsys):
     argv = ["train", *cfg, "--out", str(out), "--fusion-mode", "kronecker", "--track-rho"]
     assert main(argv) == 1
     assert "error: track_rho requires fusion_mode = concat" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("rho_max", "1000"), ("rho_min", "0.001")])
+def test_clamp_with_zero_factor_stops_train_before_any_fold(
+        pipeline, tmp_path, monkeypatch, capsys, key, value):
+    root, _ = pipeline
+    folds = []
+    monkeypatch.setattr(experiment, "run_single_fold",
+                        lambda *args: folds.append(args) or {})
+    ini = tmp_path / "clamp.ini"
+    ini.write_text(TINY_INI.format(dir=root) + f"\n[modulation]\n{key} = {value}\n")
+    out = tmp_path / "run"
+    argv = ["train", "--config", str(ini), "--out", str(out),
+            "--smoothing", "off", "--modulation", "on"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} = ")
+    assert folds == []
     assert not out.exists()
 
 

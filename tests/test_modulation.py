@@ -168,6 +168,22 @@ def test_config_validation():
         _cfg(aggregate="mode")
 
 
+@pytest.mark.parametrize("key, rho_min, rho_max", [
+    ("rho_max", 0.1, 1000.0), ("rho_max", 0.1, 20.0),
+    ("rho_min", 0.001, 10.0), ("rho_min", 0.05, 10.0)])
+def test_clamp_whose_factor_rounds_to_zero_is_refused(key, rho_min, rho_max):
+    # 1 - tanh(rho - 1) is an exact float64 zero past rho ~ 19.99, which
+    # would stop training later with a zero learning-rate scale
+    with pytest.raises(ConfigError, match=f"^{key} = "):
+        _cfg(rho_min=rho_min, rho_max=rho_max)
+
+
+@pytest.mark.parametrize("rho_min, rho_max", [(0.1, 10.0), (0.2, 8.0)])
+def test_usable_clamps_are_accepted(rho_min, rho_max):
+    cfg = _cfg(rho_min=rho_min, rho_max=rho_max)
+    assert (cfg.rho_min, cfg.rho_max) == (rho_min, rho_max)
+
+
 # ---------------------------------------------------------------------------
 # factors
 

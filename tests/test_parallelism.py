@@ -214,7 +214,8 @@ def test_worker_error_is_a_clean_cli_error_without_running_the_rest(
 @pytest.mark.parametrize("setting, message", [
     ("weight_decay = nan", "weight_decay must be finite"),
     ("stage1_eta = inf", "eta must be positive and finite"),
-    ("steps_per_epoch = 0", "steps and batch_pairs positive")])
+    ("steps_per_epoch = 0", "steps and batch_pairs positive"),
+    ("feature_dim = 0", "feature_dim")])
 def test_bad_stage1_setting_stops_ablate_before_any_fold(
         setting, message, jobs, tiny_run, tmp_path, monkeypatch, capsys):
     records, _, _, cells = tiny_run
@@ -236,6 +237,30 @@ def test_bad_stage1_setting_stops_ablate_before_any_fold(
     assert err.startswith("error: ") and message in err
     assert folds == []
     assert RecordingPool.submissions == []
+
+
+def test_stage1_failure_stops_serial_ablate_before_any_fold(
+        tiny_run, tmp_path, monkeypatch, capsys):
+    records, _, _, cells = tiny_run
+    folds = []
+
+    def diverged(*args):
+        raise NumericalError("stage 1 diverged")
+
+    monkeypatch.setattr(experiment, "pretrain_mlp_a", diverged)
+    monkeypatch.setattr(experiment, "run_single_fold",
+                        lambda *args: folds.append(args) or {})
+    save_cohort(str(tmp_path / "cohort.csv"), records)
+    save_cells(str(tmp_path / "cells.csv"), cells)
+    (tmp_path / "grid.ini").write_text(SMALL_GRID_INI)
+    argv = ["ablate", "--config", str(tmp_path / "grid.ini"),
+            "--cohort", str(tmp_path / "cohort.csv"),
+            "--cells", str(tmp_path / "cells.csv"),
+            "--out", str(tmp_path / "ablation"), "--jobs", "1"]
+    assert main(argv) == 1
+    assert "error: stage 1 diverged" in capsys.readouterr().err
+    # stage 1 trains first, so no fold of rows 1-3 ran before it failed
+    assert folds == []
 
 
 # ---------------------------------------------------------------------------
