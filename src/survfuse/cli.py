@@ -247,7 +247,7 @@ def _add_common(sp) -> None:
 
 def _add_jobs(sp) -> None:
     sp.add_argument("--jobs", type=int, default=1,
-                    help="parallel worker processes (default 1)")
+                    help="processes that train folds, this one included (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,14 +2,15 @@
 
 A run = split the cohort into k folds, train one independent model per
 held-out fold, evaluate on the held-out fold, aggregate C-index as
-mean +/- sample standard deviation. Folds share nothing mutable, so they
-can execute in worker processes. All randomness derives from (seed, fold),
-making reports reproducible byte-for-byte regardless of --jobs.
+mean +/- sample standard deviation. Folds share nothing mutable, so any
+of the --jobs processes can train any fold. All randomness derives from
+(seed, fold), making reports reproducible byte-for-byte regardless of --jobs.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -193,29 +194,61 @@ def _run_outputs(rows: list[dict], cfg: RunConfig, bundle: Stage1Bundle) -> RunO
 
 
 # ---------------------------------------------------------------------------
-# worker pool
+# fold tasks
 #
-# One pool serves a whole command. The cohort and the cell corpus reach each
-# worker once, through the pool initializer (inherited, not pickled, under
-# fork); a task carries only what differs between tasks. Tasks call
-# run_single_fold and run_stage1 through this module's globals, so a wrapper
-# installed on those names before the pool starts runs in the workers too.
+# A command's folds run on `jobs` processes: this one and a pool of jobs - 1
+# forked workers. Every fold task is submitted to the pool in grid order and
+# the workers take tasks from the front of the queue, while this process
+# takes them from the back. One shared flag per task, created before the
+# fork, decides which process runs it: the first to set it. A failed task
+# sets every flag, so no fold starts after a failure. The cohort reaches
+# each worker once, through the pool initializer (inherited, not pickled,
+# under fork); a task carries only what differs between tasks. Tasks call
+# run_single_fold through this module's globals, so a wrapper installed on
+# that name before the pool starts runs in the workers too.
 
 _worker_inputs: dict = {}
 
 
-def _init_worker(records: list[SurvivalRecord],
-                 cells: list[CellProfile] | None) -> None:
+def _init_worker(records: list[SurvivalRecord], claims) -> None:
     _worker_inputs["records"] = records
-    _worker_inputs["cells"] = cells
+    _worker_inputs["claims"] = claims
 
 
-def _fold_task(plan, fold: int, cfg: RunConfig, bundle: Stage1Bundle) -> dict:
-    return run_single_fold(_worker_inputs["records"], plan, fold, cfg, bundle)
+def _claim(claims, index: int) -> bool:
+    """Set task `index`'s flag; False if another process set it first. With
+    no flags (no pool) every task belongs to this process."""
+    if claims is None:
+        return True
+    with claims.get_lock():
+        if claims[index]:
+            return False
+        claims[index] = 1
+    return True
 
 
-def _stage1_task(cfg: RunConfig) -> Stage1Bundle:
-    return run_stage1(_worker_inputs["cells"], cfg)
+def _claim_all(claims) -> None:
+    if claims is not None:
+        claims[:] = [1] * len(claims)
+
+
+def _run_claimed(claims, index: int, records: list[SurvivalRecord], plan, fold: int,
+                 cfg: RunConfig, bundle: Stage1Bundle) -> dict | None:
+    """Task `index`'s fold row if this process claims it, else None. If the
+    fold fails, every task left is claimed before the error propagates."""
+    if not _claim(claims, index):
+        return None
+    try:
+        return run_single_fold(records, plan, fold, cfg, bundle)
+    except BaseException:
+        _claim_all(claims)
+        raise
+
+
+def _fold_task(index: int, plan, fold: int, cfg: RunConfig,
+               bundle: Stage1Bundle) -> dict | None:
+    return _run_claimed(_worker_inputs["claims"], index, _worker_inputs["records"],
+                        plan, fold, cfg, bundle)
 
 
 def _check_jobs(jobs: int) -> None:
@@ -223,38 +256,76 @@ def _check_jobs(jobs: int) -> None:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
 
 
-def _open_pool(jobs: int, n_tasks: int, records: list[SurvivalRecord],
-               cells: list[CellProfile] | None = None) -> ProcessPoolExecutor:
-    # a fork pool starts all its workers at once: no more than one per task
-    return ProcessPoolExecutor(max_workers=min(jobs, n_tasks),
-                               initializer=_init_worker, initargs=(records, cells))
+class _FoldTasks:
+    """The fold tasks of one command, run on `jobs` processes, this one
+    included, and never on more processes than tasks. With one process there
+    is no pool and `run` runs every task here, in grid order."""
 
+    def __init__(self, records: list[SurvivalRecord], plan, jobs: int, n_tasks: int):
+        self.records = records
+        self.plan = plan
+        self.tasks: list[tuple] = []   # (fold, cfg, bundle), in grid order
+        self.futures: list = []
+        workers = min(jobs, n_tasks) - 1
+        self.claims = multiprocessing.Array("b", n_tasks) if workers else None
+        self.pool = (ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                         initargs=(records, self.claims))
+                     if workers else None)
 
-def _submit_folds(pool, plan, cfg: RunConfig, bundle: Stage1Bundle) -> list:
-    return [pool.submit(_fold_task, plan, fold, cfg, bundle)
-            for fold in range(cfg.k_folds)]
+    def __enter__(self) -> "_FoldTasks":
+        return self
 
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self.pool is not None:
+            # on an error, no fold that has not started yet starts
+            if exc_type is not None:
+                _claim_all(self.claims)
+            self.pool.shutdown(cancel_futures=exc_type is not None)
 
-def _results(pool, futures: list) -> list:
-    """Every future's result in order. On the first error, pending tasks are
-    cancelled so the error surfaces without running the rest."""
-    try:
-        return [fut.result() for fut in futures]
-    except BaseException:
-        pool.shutdown(cancel_futures=True)
-        raise
+    def submit(self, cfg: RunConfig, bundle: Stage1Bundle) -> None:
+        """Queue the k folds of one cross-validation run."""
+        for fold in range(cfg.k_folds):
+            if self.pool is not None:
+                self.futures.append(self.pool.submit(
+                    _fold_task, len(self.tasks), self.plan, fold, cfg, bundle))
+            self.tasks.append((fold, cfg, bundle))
+
+    def run(self) -> list[dict]:
+        """Every task's fold row, in grid order.
+
+        This process claims tasks from the back of the queue until none is
+        left, then reads the workers' rows. The error of the first failed
+        task in grid order propagates, as it would at --jobs 1."""
+        n = len(self.tasks)
+        order = range(n) if self.pool is None else range(n - 1, -1, -1)
+        outcomes: dict[int, object] = {}
+        for index in order:
+            fold, cfg, bundle = self.tasks[index]
+            try:
+                row = _run_claimed(self.claims, index, self.records, self.plan,
+                                   fold, cfg, bundle)
+            except Exception as exc:
+                outcomes[index] = exc
+                break
+            if row is not None:
+                outcomes[index] = row
+        rows = []
+        for index in range(n):
+            outcome = outcomes[index] if index in outcomes else self.futures[index].result()
+            if isinstance(outcome, Exception):
+                raise outcome
+            if outcome is not None:   # None: not run, because a task failed
+                rows.append(outcome)
+        return rows
 
 
 def run_cross_validation(records: list[SurvivalRecord], cfg: RunConfig,
                          bundle: Stage1Bundle, jobs: int = 1) -> RunOutputs:
     _check_jobs(jobs)
     plan = split_folds(records, cfg.k_folds, cfg.seed)
-    if jobs > 1:
-        with _open_pool(jobs, cfg.k_folds, records) as pool:
-            rows = _results(pool, _submit_folds(pool, plan, cfg, bundle))
-    else:
-        rows = [run_single_fold(records, plan, f, cfg, bundle)
-                for f in range(cfg.k_folds)]
+    with _FoldTasks(records, plan, jobs, cfg.k_folds) as tasks:
+        tasks.submit(cfg, bundle)
+        rows = tasks.run()
     return _run_outputs(rows, cfg, bundle)
 
 
@@ -290,11 +361,12 @@ def run_ablation(records: list[SurvivalRecord], cells: list[CellProfile],
     smoothing rows. Row order is fixed: rows 1-3 without smoothing, 4-6
     with, each block ordered concat, kronecker, modulation.
 
-    With jobs = 1 stage 1 trains first, then every row's folds in grid order.
-    With jobs > 1 the grid runs on one pool: stage 1 trains in a worker beside
-    the folds of rows 1-3, which do not need it, and the folds of rows 4-6 are
-    submitted when it returns. The stage-1 settings are checked before any
-    fold trains."""
+    The stage-1 settings are checked before any fold trains. The folds of
+    rows 1-3, which do not need stage 1, are queued first; this process then
+    trains stage 1 while the pool's workers, if any, start on them; then the
+    folds of rows 4-6 are queued and every fold runs as `_FoldTasks.run`
+    says. With jobs = 1 that is stage 1 first, then every fold in grid
+    order."""
     _check_jobs(jobs)
     plan = split_folds(records, cfg.k_folds, cfg.seed)
     configs = {row_id: _grid_config(cfg, on, label)
@@ -303,21 +375,15 @@ def run_ablation(records: list[SurvivalRecord], cells: list[CellProfile],
     smooth = [row_id for row_id, on, _ in ABLATION_GRID if on]
     stage1_config(configs[smooth[0]])   # fail here, not after rows 1-3 trained
     bundles = {False: run_stage1(cells, configs[plain[0]])}
-    if jobs > 1:
-        n_tasks = len(ABLATION_GRID) * cfg.k_folds + 1
-        with _open_pool(jobs, n_tasks, records, cells) as pool:
-            stage1 = pool.submit(_stage1_task, configs[smooth[0]])
-            futures = {r: _submit_folds(pool, plan, configs[r], bundles[False])
-                       for r in plain}
-            [bundles[True]] = _results(pool, [stage1])
-            futures.update({r: _submit_folds(pool, plan, configs[r], bundles[True])
-                            for r in smooth})
-            fold_rows = {r: _results(pool, futures[r]) for r in configs}
-    else:
+    with _FoldTasks(records, plan, jobs, len(ABLATION_GRID) * cfg.k_folds) as tasks:
+        for row_id in plain:
+            tasks.submit(configs[row_id], bundles[False])
         bundles[True] = run_stage1(cells, configs[smooth[0]])
-        fold_rows = {r: [run_single_fold(records, plan, f, configs[r], bundles[on])
-                         for f in range(cfg.k_folds)]
-                     for r, on, _ in ABLATION_GRID}
+        for row_id in smooth:
+            tasks.submit(configs[row_id], bundles[True])
+        done = tasks.run()
+    k = cfg.k_folds
+    fold_rows = {row_id: done[i * k:(i + 1) * k] for i, row_id in enumerate(plain + smooth)}
     rows = []
     for row_id, smoothing_on, fusion_label in ABLATION_GRID:
         outputs = _run_outputs(fold_rows[row_id], configs[row_id],

@@ -186,9 +186,11 @@ class FusionModel:
             if self._last_G is None or self._last_P is None:
                 raise StateError("backward_batch called before forward_batch")
             dG, dP = _kronecker_backward(up, self._last_G, self._last_P)
-        d_gin = mlp_backward(self.mlp_b, dG)
-        mlp_backward(self.snn, d_gin[:, :self.snn[-1].out_dim])
-        mlp_backward(self.image_encoder, dP)
+        # only the SNN's columns of MLP-B's input gradient are used, and no
+        # input gradient of the SNN or the image encoder
+        d_g1 = mlp_backward(self.mlp_b, dG, input_cols=self.snn[-1].out_dim)
+        mlp_backward(self.snn, d_g1, input_cols=0)
+        mlp_backward(self.image_encoder, dP, input_cols=0)
 
 
 def build_model(spec: FusionSpec, encoder: FrozenEncoder,
@@ -348,11 +350,12 @@ def train_survival(model: FusionModel, records: list[SurvivalRecord],
                 continue
             theta, G, P = model.forward_batch(x_cnv[idx], g2_all[idx], x_img[idx],
                                               train=True)
-            loss = cox_loss(theta, sub)
+            lse = sub.log_risk_denominators(theta)
+            loss = cox_loss(theta, sub, lse)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, step {step_index}")
-            model.backward_batch(cox_gradient(theta, sub))
+            model.backward_batch(cox_gradient(theta, sub, lse))
             if want_reports:
                 s_g, s_p = branch_scores(model.head_Wg, G, model.head_Wp, P,
                                          model.head_b)

@@ -166,7 +166,10 @@ class DenseLayer:
             raise NumericalError("layer forward produced non-finite output")
         return out
 
-    def backward(self, upstream) -> np.ndarray:
+    def backward(self, upstream, input_cols: int | None = None) -> np.ndarray:
+        """Fill the gradient buffers from the last training forward; returns
+        the gradient w.r.t. the input's first `input_cols` columns (all of
+        them by default; 0 skips the product and returns an (n, 0) array)."""
         if self._cached_input is None or self._cached_preact is None:
             raise StateError("backward called before a training forward")
         upstream = as_matrix(upstream, "upstream gradient")
@@ -177,7 +180,7 @@ class DenseLayer:
         dz = _activation_backward(upstream, self._cached_preact, self.activation)
         np.matmul(dz.T, self._cached_input, out=self.grad_weight)
         np.add.reduce(dz, axis=0, out=self.grad_bias)
-        return dz @ self.weight
+        return dz @ self.weight[:, :input_cols]
 
 
 def make_mlp(in_dim: int, out_dim: int, *, hidden_dim: int = 128,
@@ -209,15 +212,17 @@ def mlp_forward(net: list[DenseLayer], x, *, train: bool = False) -> np.ndarray:
     return out
 
 
-def mlp_backward(net: list[DenseLayer], upstream) -> np.ndarray:
+def mlp_backward(net: list[DenseLayer], upstream,
+                 input_cols: int | None = None) -> np.ndarray:
     """Backpropagate, filling every layer's gradient buffers.
 
-    Returns the gradient w.r.t. the stack's input. Each layer checks the
-    gradient it receives.
+    Returns the gradient w.r.t. the stack's input, or its first `input_cols`
+    columns (see DenseLayer.backward). Each layer checks the gradient it
+    receives.
     """
     grad = _as_2d(upstream, "upstream gradient")
-    for layer in reversed(net):
-        grad = layer.backward(grad)
+    for depth in range(len(net) - 1, -1, -1):
+        grad = net[depth].backward(grad, input_cols if depth == 0 else None)
     return grad
 
 
@@ -381,38 +386,64 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = No
     write_text(path, _checkpoint_chunks(tensors, meta))
 
 
-def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint; malformed content raises ValidationError naming the line."""
-    with open_text(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
+def _lines(fh):
+    """The file's lines, one at a time, as str.splitlines() splits the whole
+    text: the file object ends a line at LF, CR or CRLF, and splitlines()
+    also at the other line boundaries it knows."""
+    for piece in fh:
+        yield from piece.splitlines()
+
+
+def _parse_checkpoint(path, lines) -> tuple[dict, dict[str, np.ndarray]]:
+    first = next(lines, None)
+    if first != CHECKPOINT_MAGIC:
         raise ValidationError(f"{path}: not a survfuse checkpoint")
-    if len(lines) < 2 or not lines[1].startswith("meta "):
+    meta_line = next(lines, None)
+    if meta_line is None or not meta_line.startswith("meta "):
         raise ValidationError(f"{path}: missing meta line")
     try:
-        meta = json.loads(lines[1][len("meta "):])
+        meta = json.loads(meta_line[len("meta "):])
     except ValueError as exc:
         raise ValidationError(f"{path}: line 2: bad meta JSON ({exc})") from exc
     if not isinstance(meta, dict):
         raise ValidationError(f"{path}: line 2: meta must be a JSON object")
     tensors: dict[str, np.ndarray] = {}
-    i = 2
-    while i + 1 < len(lines) and lines[i] != "end":
+    i = 2   # 0-based number of the next line
+    header = next(lines, None)
+    while header is not None and header != "end":
+        value_line = next(lines, None)
+        if value_line is None:
+            break
         try:
-            tag, name, ndim, *dims = lines[i].split()
+            tag, name, ndim, *dims = header.split()
             shape = tuple(int(d) for d in dims)
             if tag != "tensor" or int(ndim) != len(shape) or min(shape, default=0) < 0:
                 raise ValueError("expected 'tensor <name> <ndim> <dim>...'")
-            values = np.array([float(tok) for tok in lines[i + 1].split()])
+            values = np.array([float(tok) for tok in value_line.split()])
             if values.size != math.prod(shape) or not np.isfinite(values).all():
                 raise ValueError(f"tensor '{name}' needs {math.prod(shape)} finite values")
         except ValueError as exc:
             raise ValidationError(f"{path}: line {i + 1}: {exc}") from exc
         tensors[name] = values.reshape(shape)
         i += 2
-    if i >= len(lines) or lines[i] != "end":
+        header = next(lines, None)
+    if header != "end":
         raise ValidationError(f"{path}: line {i + 1}: missing end marker")
     return meta, tensors
+
+
+def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a checkpoint one line at a time; malformed content raises
+    ValidationError naming the line."""
+    with open_text(path) as fh:
+        lines = _lines(fh)
+        try:
+            return _parse_checkpoint(path, lines)
+        finally:
+            # a byte that is not UTF-8 anywhere in the file, even past a
+            # malformed line or the end marker, is the error reported
+            for _ in lines:
+                pass
 
 
 def meta_typed(path, key: str, value, kind: type):

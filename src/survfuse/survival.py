@@ -126,31 +126,38 @@ def _scores(theta, batch: CoxBatch) -> np.ndarray:
     return theta
 
 
-def cox_loss(theta, batch: CoxBatch) -> float:
+def cox_loss(theta, batch: CoxBatch, lse: np.ndarray | None = None) -> float:
     """Negative Cox partial log-likelihood (see module docstring).
 
     Degenerate batches (no uncensored event) contribute 0; check
     `batch.degenerate` to count them. Non-finite theta raises NumericalError.
+    `lse` is `batch.log_risk_denominators(theta)` if the caller already has
+    it (a training step passes the same one to cox_gradient).
     """
     theta = _scores(theta, batch)
     if not np.isfinite(theta).all():
         raise NumericalError("theta contains non-finite entries")
+    if lse is None:
+        lse = batch.log_risk_denominators(theta)
     k = batch.event_indices
-    return float((batch.log_risk_denominators(theta)[k] - theta[k]).sum())
+    return float((lse[k] - theta[k]).sum())
 
 
-def cox_gradient(theta, batch: CoxBatch) -> np.ndarray:
+def cox_gradient(theta, batch: CoxBatch, lse: np.ndarray | None = None) -> np.ndarray:
     """Exact gradient of cox_loss w.r.t. theta.
 
     Row i collects exp(theta_i - lse_k) over the events k at or after its tie
     block in sorted order: a suffix log-sum-exp of -lse_k, so nothing overflows.
+    `lse` is `batch.log_risk_denominators(theta)`, computed here if not given.
     theta's finiteness is checked once, by cox_loss; a non-finite theta gives
     a non-finite gradient here, which sgd_step rejects before any update.
     """
     theta = _scores(theta, batch)
+    if lse is None:
+        lse = batch.log_risk_denominators(theta)
     order = batch.order
     ev = batch.events[order]
-    neg_lse = np.where(ev, -batch.log_risk_denominators(theta)[order], -np.inf)
+    neg_lse = np.where(ev, -lse[order], -np.inf)
     log_suffix = np.logaddexp.accumulate(neg_lse[::-1])[::-1]
     grad = np.empty(len(batch))
     grad[order] = np.exp(theta[order] + log_suffix[batch.block_start]) - ev

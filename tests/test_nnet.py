@@ -129,6 +129,25 @@ def test_backward_gradients_match_hand_calc():
     assert dx.tolist() == [[4.0, -2.0]]                 # dL/dx = dy W
 
 
+@pytest.mark.parametrize("input_cols", [0, 32, 60])
+def test_backward_can_return_only_the_leading_input_columns(input_cols):
+    rng = np.random.default_rng(4)
+    layer = DenseLayer(60, 128, "relu", rng=rng)
+    x, up = rng.normal(size=(32, 60)), rng.normal(size=(32, 128))
+    layer.forward(x, train=True)
+    full = layer.backward(up)
+    grads = layer.grad_weight.copy(), layer.grad_bias.copy()
+    part = layer.backward(up, input_cols=input_cols)
+    assert part.shape == (32, input_cols)   # one row per sample, even with none
+    assert _same_bits(part, np.ascontiguousarray(full[:, :input_cols]))
+    assert _same_bits(layer.grad_weight, grads[0]) and _same_bits(layer.grad_bias, grads[1])
+    net = [DenseLayer(60, 8, "selu", rng=rng), DenseLayer(8, 3, rng=rng)]
+    mlp_forward(net, x, train=True)
+    upstream = rng.normal(size=(32, 3))
+    assert _same_bits(mlp_backward(net, upstream, input_cols=input_cols),
+                      np.ascontiguousarray(mlp_backward(net, upstream)[:, :input_cols]))
+
+
 def test_backward_accumulates_over_batch_rows():
     layer = _layer([[1.0]], [0.0])
     layer.forward(np.array([[1.0], [2.0]]), train=True)
@@ -415,6 +434,20 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_text("not a checkpoint\n")
     with pytest.raises(ValidationError):
         load_checkpoint(str(path))
+
+
+def test_checkpoint_lines_and_error_precedence_match_a_whole_file_read(tmp_path):
+    path = tmp_path / "odd.ckpt"
+    # str.splitlines() also ends a line at a form feed, so "2.0" is line 5
+    path.write_bytes(b"survfuse-checkpoint v1\r\nmeta {}\ntensor w 1 2\n1.0\x0c2.0\nend\n")
+    with pytest.raises(ValidationError, match="line 3: tensor 'w' needs 2 finite"):
+        load_checkpoint(str(path))
+    # a byte that is not UTF-8 past a malformed line, or past the end
+    # marker, is what the error names
+    for text in (b"survfuse-checkpoint v1\nmeta [\n", b"survfuse-checkpoint v1\nmeta {}\nend\n"):
+        path.write_bytes(text + b"x" * 20000 + b"\xff\n")
+        with pytest.raises(ValidationError, match=f"byte {len(text) + 20000}: not UTF-8"):
+            load_checkpoint(str(path))
 
 
 def test_checkpoint_text_keeps_one_line_per_tensor_across_pieces(tmp_path):

@@ -1,6 +1,7 @@
 """Where survfuse's parallelism comes from: one BLAS thread per process by
-default, and one worker pool per command, sized to the tasks it has to run,
-whose workers receive the cohort and cell corpus once."""
+default, and `--jobs N` processes per command, the command's own included:
+a pool of N - 1 workers, never more processes than tasks, whose workers
+receive the cohort once. Each fold runs in exactly one of them."""
 
 import dataclasses
 import json
@@ -141,9 +142,9 @@ def test_fold_pool_has_no_more_workers_than_folds(tiny_run, monkeypatch):
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
     RecordingPool.reset()
     pooled = run_cross_validation(records, cfg, bundle, jobs=50)
-    assert RecordingPool.sizes == [2]
+    assert RecordingPool.sizes == [1]   # with this process: one per fold
     serial = run_cross_validation(records, cfg, bundle, jobs=1)
-    assert RecordingPool.sizes == [2]
+    assert RecordingPool.sizes == [1]
     assert pooled == serial
     assert len(RecordingPool.submissions) == 2
     assert not _carries(RecordingPool.submissions, SurvivalRecord)
@@ -156,8 +157,8 @@ def test_ablate_runs_on_one_pool_and_sends_inputs_once(tiny_run, monkeypatch, jo
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
     RecordingPool.reset()
     pooled = run_ablation(records, cells, cfg, jobs=jobs)
-    n_tasks = 6 * cfg.k_folds + 1   # every fold of the grid, plus stage 1
-    assert RecordingPool.sizes == [min(jobs, n_tasks)]
+    n_tasks = 6 * cfg.k_folds   # every fold of the grid; stage 1 trains here
+    assert RecordingPool.sizes == [min(jobs, n_tasks) - 1]
     assert len(RecordingPool.submissions) == n_tasks
     assert not _carries(RecordingPool.submissions, (SurvivalRecord, CellProfile))
     assert pooled == serial
@@ -263,6 +264,103 @@ def test_stage1_failure_stops_serial_ablate_before_any_fold(
     assert folds == []
 
 
+def _wait_for(path: Path, timeout_s: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not path.exists():
+        assert time.monotonic() < deadline, f"{path.name} never appeared"
+        time.sleep(0.01)
+
+
+def _runs(marks: Path) -> dict[str, list[int]]:
+    """The pids that started each fold, from the `<fold>@<pid>` marks."""
+    runs: dict[str, list[int]] = {}
+    for mark in marks.iterdir():
+        fold, pid = mark.name.split("@")
+        runs.setdefault(fold, []).append(int(pid))
+    return runs
+
+
+def test_every_fold_runs_once_in_this_process_or_a_worker(tiny_run, tmp_path,
+                                                          monkeypatch):
+    records, cfg, _, cells = tiny_run
+    real_fold = experiment.run_single_fold
+
+    def marked(records, plan, fold, cfg, bundle):
+        row = (cfg.smoothing.enabled, cfg.fusion_mode, cfg.modulation.enabled)
+        (tmp_path / f"{row}-{fold}@{os.getpid()}").touch()
+        time.sleep(0.2)   # long enough for both processes to take folds
+        return real_fold(records, plan, fold, cfg, bundle)
+
+    # forked workers inherit the substitute
+    monkeypatch.setattr(experiment, "run_single_fold", marked)
+    run_ablation(records, cells, cfg, jobs=2)
+    runs = _runs(tmp_path)
+    assert len(runs) == 6 * cfg.k_folds
+    assert all(len(pids) == 1 for pids in runs.values())
+    pids = {pid for [pid] in runs.values()}
+    assert os.getpid() in pids and len(pids) == 2
+
+
+def test_earlier_worker_error_outranks_this_process_error_and_stops_the_rest(
+        tiny_run, tmp_path, monkeypatch, capsys):
+    records, _, _, _ = tiny_run
+    marks = tmp_path / "marks"
+    marks.mkdir()
+
+    def fold(records, plan, fold, cfg, bundle):
+        (marks / f"{fold}@{os.getpid()}").touch()
+        if fold == 3:   # this process's first task: the back of the queue
+            _wait_for(tmp_path / "0-started")
+            (tmp_path / "3-failed").touch()
+            raise NumericalError("fold 3 diverged")
+        if fold == 0:   # a worker's first task: the front of the queue
+            (tmp_path / "0-started").touch()
+            _wait_for(tmp_path / "3-failed")
+            time.sleep(0.2)
+            raise NumericalError("fold 0 diverged")
+        return {}
+
+    monkeypatch.setattr(experiment, "run_single_fold", fold)
+    cohort = str(tmp_path / "cohort.csv")
+    save_cohort(cohort, records)
+    argv = ["train", "--cohort", cohort, "--smoothing", "off", "--k-folds", "4",
+            "--epochs", "1", "--out", str(tmp_path / "run"), "--jobs", "2"]
+    assert main(argv) == 1
+    assert "error: fold 0 diverged" in capsys.readouterr().err
+    runs = _runs(marks)
+    assert sorted(runs) == ["0", "3"]   # folds 1 and 2 never started
+    assert runs["3"] == [os.getpid()] and runs["0"] != [os.getpid()]
+
+
+def test_stage1_error_outranks_a_fold_error_at_jobs_2(tiny_run, tmp_path,
+                                                      monkeypatch, capsys):
+    records, _, _, cells = tiny_run
+    marks = tmp_path / "marks"
+    marks.mkdir()
+
+    def fold(records, plan, fold, cfg, bundle):
+        (marks / f"{cfg.smoothing.enabled}-{fold}@{os.getpid()}").touch()
+        (tmp_path / "fold-failed").touch()
+        raise NumericalError("row 1 fold 0 diverged")
+
+    def stage1(*args):
+        _wait_for(tmp_path / "fold-failed")
+        raise NumericalError("stage 1 diverged")
+
+    monkeypatch.setattr(experiment, "run_single_fold", fold)
+    monkeypatch.setattr(experiment, "pretrain_mlp_a", stage1)
+    save_cohort(str(tmp_path / "cohort.csv"), records)
+    save_cells(str(tmp_path / "cells.csv"), cells)
+    (tmp_path / "grid.ini").write_text(SMALL_GRID_INI)
+    argv = ["ablate", "--config", str(tmp_path / "grid.ini"),
+            "--cohort", str(tmp_path / "cohort.csv"),
+            "--cells", str(tmp_path / "cells.csv"),
+            "--out", str(tmp_path / "ablation"), "--jobs", "2"]
+    assert main(argv) == 1
+    assert "error: stage 1 diverged" in capsys.readouterr().err
+    assert sorted(_runs(marks)) == ["False-0"]   # no fold after the failed one
+
+
 # ---------------------------------------------------------------------------
 # --jobs on the command line
 
@@ -284,7 +382,31 @@ def test_ablate_is_byte_identical_across_jobs(tmp_path):
     save_cells(str(tmp_path / "cells.csv"),
                generate_cells(CellCorpusSpec(n_cells=40, seed=3)))
     (tmp_path / "grid.ini").write_text(SMALL_GRID_INI)
-    assert _ablate_outputs(tmp_path, 1) == _ablate_outputs(tmp_path, 2)
+    serial = _ablate_outputs(tmp_path, 1)
+    assert _ablate_outputs(tmp_path, 2) == serial
+    assert _ablate_outputs(tmp_path, 3) == serial
+
+
+def _train_jobs_outputs(root: Path, jobs: int) -> tuple:
+    cwd = root / f"jobs_{jobs}"
+    cwd.mkdir()
+    _run(["-m", "survfuse.cli", "train", "--cohort", "../cohort.csv",
+          "--smoothing", "off", "--modulation", "on", "--track-rho",
+          "--k-folds", "3", "--epochs", "2", "--out", "run", "--jobs", str(jobs)],
+         _env(), cwd=cwd)
+    out = cwd / "run"
+    report = json.loads((out / "report.json").read_text())
+    report.pop("timestamp")
+    return (report, *((out / name).read_bytes()
+                      for name in ("metrics.jsonl", "contributions.jsonl", "model.ckpt")))
+
+
+def test_train_is_byte_identical_across_jobs(tmp_path):
+    save_cohort(str(tmp_path / "cohort.csv"),
+                generate_cohort(CohortSpec(n_patients=120, seed=3)))
+    serial = _train_jobs_outputs(tmp_path, 1)
+    assert _train_jobs_outputs(tmp_path, 2) == serial
+    assert _train_jobs_outputs(tmp_path, 3) == serial
 
 
 @pytest.mark.parametrize("command", [

@@ -189,6 +189,10 @@ def test_kernel_matches_reference_loops(seed, n, times_kind, censoring, scale):
 
     _close(cox_loss(theta, batch), ref.cox_loss(theta, batch))
     _close(cox_gradient(theta, batch), ref.cox_gradient(theta, batch))
+    # a training step hands both the log-denominators it computed once
+    lse = batch.log_risk_denominators(theta)
+    assert cox_loss(theta, batch, lse) == cox_loss(theta, batch)
+    assert cox_gradient(theta, batch, lse).tobytes() == cox_gradient(theta, batch).tobytes()
     for cfg in _KERNEL_CONFIGS:
         new = contribution_ratio(s_g, s_p, batch, cfg)
         old = ref.contribution_ratio(s_g, s_p, batch, cfg)
