@@ -27,9 +27,8 @@ from .errors import (ConcordanceUndefinedError, ConfigError, NumericalError,
 from .nnet import (DenseLayer, ParamGroup, layer_group, load_checkpoint,
                    make_mlp, mlp_backward, mlp_forward, mse_loss,
                    save_checkpoint, sgd_step, step_decay_eta)
-from .survival import (CoxBatch, SurvivalRecord, build_risk_sets,
-                       concordance_index, cox_gradient, cox_loss,
-                       fit_linear_cox, probe_c_index)
+from .survival import (CoxBatch, build_risk_sets, concordance_index,
+                       cox_gradient, cox_loss, fit_linear_cox, probe_c_index)
 from .modulation import (ContributionReport, ModulationConfig, apply_modulation,
                          branch_scores, contribution_ratio, modulation_factor)
 from .smoothing import (CellCorpusSpec, CellProfile, FrozenEncoder,
@@ -39,9 +38,9 @@ from .smoothing import (CellCorpusSpec, CellProfile, FrozenEncoder,
 from .fusion import (FusionModel, FusionSpec, TrainConfig, build_model,
                      evaluate, load_model, predict_theta, save_model,
                      train_survival)
-from .cohort import (CohortSpec, FoldPlan, default_hazard_coef, fold_split,
-                     generate_cohort, load_cohort, modality_spans, save_cohort,
-                     split_folds)
+from .cohort import (Cohort, CohortSpec, FoldPlan, default_hazard_coef,
+                     fold_split, generate_cohort, load_cohort, modality_spans,
+                     save_cohort, split_folds)
 
 __all__ = [
     "__version__",
@@ -50,7 +49,7 @@ __all__ = [
     "DenseLayer", "ParamGroup", "layer_group", "make_mlp", "mlp_forward",
     "mlp_backward", "sgd_step", "step_decay_eta", "mse_loss",
     "save_checkpoint", "load_checkpoint",
-    "SurvivalRecord", "CoxBatch", "build_risk_sets", "cox_loss",
+    "CoxBatch", "build_risk_sets", "cox_loss",
     "cox_gradient", "concordance_index", "fit_linear_cox", "probe_c_index",
     "ModulationConfig", "ContributionReport", "branch_scores",
     "contribution_ratio", "modulation_factor", "apply_modulation",
@@ -60,6 +59,7 @@ __all__ = [
     "interpolation_gap", "save_stage1", "load_stage1",
     "FusionSpec", "FusionModel", "build_model", "TrainConfig",
     "train_survival", "evaluate", "predict_theta", "save_model", "load_model",
-    "CohortSpec", "generate_cohort", "FoldPlan", "split_folds", "fold_split",
-    "save_cohort", "load_cohort", "modality_spans", "default_hazard_coef",
+    "Cohort", "CohortSpec", "generate_cohort", "FoldPlan", "split_folds",
+    "fold_split", "save_cohort", "load_cohort", "modality_spans",
+    "default_hazard_coef",
 ]

@@ -19,14 +19,14 @@ import json
 import os
 import sys
 
-from .cohort import generate_cohort, load_cohort, save_cohort
+from .cohort import Cohort, generate_cohort, load_cohort, save_cohort
 from .config import (RunConfig, config_echo, load_cells_spec, load_cohort_spec,
                      load_run_config)
 from .errors import SurvfuseError, ValidationError, write_text
 from .experiment import (Stage1Bundle, ablation_csv_lines, run_ablation,
                          run_cross_validation, run_final_fit, run_stage1,
                          tool_version)
-from .fusion import evaluate, load_model, save_model
+from .fusion import FusionModel, evaluate, load_model, save_model
 from .gradcheck import run_all
 from .smoothing import (Stage1Result, generate_cells, load_cells, load_stage1,
                         save_cells, save_stage1)
@@ -99,11 +99,11 @@ def cmd_gen_cohort(args) -> int:
     cfg = load_run_config(args.config)
     path = _out_path(args, "cohort.csv", cfg.paths.cohort)
     _refuse_existing(path, args.force)
-    records = generate_cohort(spec)
-    save_cohort(path, records)
-    n_events = sum(r.event for r in records)
-    print(f"wrote {len(records)} records ({n_events} events, "
-          f"{len(records) - n_events} censored) to {path}")
+    cohort = generate_cohort(spec)
+    save_cohort(path, cohort)
+    n_events = int(cohort.events.sum())
+    print(f"wrote {len(cohort)} records ({n_events} events, "
+          f"{len(cohort) - n_events} censored) to {path}")
     return 0
 
 
@@ -141,13 +141,13 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _load_bundle_for_train(cfg: RunConfig, records) -> Stage1Bundle:
+def _load_bundle_for_train(cfg: RunConfig, cohort: Cohort) -> Stage1Bundle:
     if cfg.smoothing.enabled:
         mlp_a, classifier, encoder = load_stage1(cfg.paths.stage1)
         return Stage1Bundle(encoder=encoder,
                             result=Stage1Result(mlp_a=mlp_a, classifier=classifier),
                             report=None)
-    return Stage1Bundle(encoder=cfg.smoothing.frozen_encoder(records[0].rna.size),
+    return Stage1Bundle(encoder=cfg.smoothing.frozen_encoder(cohort.x_rna.shape[1]),
                         result=None, report=None)
 
 
@@ -167,9 +167,9 @@ def cmd_train(args) -> int:
     out_dir = cfg.paths.out_dir
     report_path = os.path.join(out_dir, "report.json")
     _refuse_existing(report_path, args.force)
-    records = load_cohort(cfg.paths.cohort)
-    bundle = _load_bundle_for_train(cfg, records)
-    outputs = run_cross_validation(records, cfg, bundle, jobs=args.jobs)
+    cohort = load_cohort(cfg.paths.cohort)
+    bundle = _load_bundle_for_train(cfg, cohort)
+    outputs = run_cross_validation(cohort, cfg, bundle, jobs=args.jobs)
     report = dict(outputs.report)
     report["timestamp"] = _timestamp()
     _write_json(report_path, report, args.force)
@@ -177,26 +177,36 @@ def cmd_train(args) -> int:
                  True)
     _write_jsonl(os.path.join(out_dir, "contributions.jsonl"),
                  outputs.contribution_stream, True)
-    model = run_final_fit(records, cfg, bundle)   # full-cohort fit for `eval`
+    model = run_final_fit(cohort, cfg, bundle)   # full-cohort fit for `eval`
     save_model(os.path.join(out_dir, "model.ckpt"), model)
     print(f"C-index {report['c_index_mean']:.4f} +/- {report['c_index_std']:.4f} "
           f"over {cfg.k_folds} folds; report: {report_path}")
     return 0
 
 
+def _check_widths(path: str, cohort: Cohort, model: FusionModel) -> None:
+    """Each column block of the cohort is as wide as the model's input for it."""
+    wants = (model.snn[0].in_dim, model.encoder.gene_dim, model.image_encoder[0].in_dim)
+    for letter, x, want in zip("grp", (cohort.x_cnv, cohort.x_rna, cohort.x_img), wants):
+        if x.shape[1] != want:
+            raise ValidationError(f"{path}: the cohort has {x.shape[1]} '{letter}' "
+                                  f"columns, the model expects {want}")
+
+
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config, seed=args.seed, cohort=args.cohort)
     model = load_model(args.model)
-    records = load_cohort(cfg.paths.cohort)
-    metrics = evaluate(model, records)
+    cohort = load_cohort(cfg.paths.cohort)
+    _check_widths(cfg.paths.cohort, cohort, model)
+    metrics = evaluate(model, cohort)
     result = {"kind": "eval_report", "tool_version": tool_version(),
               "model": args.model, "cohort": cfg.paths.cohort,
               "c_index": metrics["c_index"], "mean_loss": metrics["mean_loss"],
-              "n_records": len(records), "timestamp": _timestamp()}
+              "n_records": len(cohort), "timestamp": _timestamp()}
     if args.out:
         _write_json(os.path.join(args.out, "eval.json"), result, args.force)
     print(f"c_index {metrics['c_index']:.4f}  mean_loss {metrics['mean_loss']:.4f} "
-          f"({len(records)} records)")
+          f"({len(cohort)} records)")
     return 0
 
 
@@ -208,9 +218,9 @@ def cmd_ablate(args) -> int:
     csv_path = os.path.join(out_dir, "ablation.csv")
     _refuse_existing(json_path, args.force)
     _refuse_existing(csv_path, args.force)
-    records = load_cohort(cfg.paths.cohort)
+    cohort = load_cohort(cfg.paths.cohort)
     cells = load_cells(cfg.paths.cells)
-    table = run_ablation(records, cells, cfg, jobs=args.jobs)
+    table = run_ablation(cohort, cells, cfg, jobs=args.jobs)
     table["timestamp"] = _timestamp()
     _write_json(json_path, table, args.force)
     _write_text(csv_path, (line + "\n" for line in ablation_csv_lines(table)),

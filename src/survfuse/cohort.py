@@ -26,16 +26,56 @@ signal to recover.
 
 from __future__ import annotations
 
+import array
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, csv_lines, open_text, write_text
-from .survival import SurvivalRecord
+from .errors import ShapeError, ValidationError, csv_lines, open_text, write_text
 
 _CENSOR_TOL = 0.02      # calibration stops when within this of the target
 _CENSOR_MAX_SCALE = 1e12
+
+
+@dataclass(eq=False)
+class Cohort:
+    """One row per patient, in file order: ids, observed times, event flags,
+    and the cnv/mutation, rna and image feature blocks (rows x columns,
+    C-contiguous float64)."""
+
+    ids: np.ndarray
+    times: np.ndarray
+    events: np.ndarray
+    x_cnv: np.ndarray
+    x_rna: np.ndarray
+    x_img: np.ndarray
+
+    def __post_init__(self):
+        self.ids = np.asarray(self.ids, dtype=object).reshape(-1)
+        self.times = np.asarray(self.times, dtype=np.float64).reshape(-1)
+        self.events = np.asarray(self.events, dtype=bool).reshape(-1)
+        n = self.ids.size
+        if not self.times.size == self.events.size == n:
+            raise ShapeError(f"{n} ids, {self.times.size} times, {self.events.size} events")
+        for name in ("x_cnv", "x_rna", "x_img"):
+            block = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            if block.ndim != 2 or block.shape[0] != n:
+                raise ShapeError(f"{name} has shape {block.shape}, expected {n} rows")
+            setattr(self, name, block)
+        bad = np.flatnonzero(~(np.isfinite(self.times) & (self.times > 0.0)))
+        if bad.size:
+            raise ValidationError(f"record '{self.ids[bad[0]]}': time must be positive, "
+                                  f"got {self.times[bad[0]]}")
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def take(self, rows) -> "Cohort":
+        """The cohort of these rows, in the order given."""
+        return Cohort(self.ids[rows], self.times[rows], self.events[rows],
+                      self.x_cnv[rows], self.x_rna[rows], self.x_img[rows])
 
 
 def modality_spans(latent_dim: int) -> tuple[range, range, range]:
@@ -114,7 +154,7 @@ def _modality_maps(spec: CohortSpec):
     return (a_cnv, span_g), (a_rna, span_r), (a_img, span_p)
 
 
-def generate_cohort(spec: CohortSpec) -> list[SurvivalRecord]:
+def generate_cohort(spec: CohortSpec) -> Cohort:
     """Draw the cohort; a pure function of the spec (seed included).
 
     Every patient consumes an independent RNG stream keyed by
@@ -124,30 +164,26 @@ def generate_cohort(spec: CohortSpec) -> list[SurvivalRecord]:
     n = spec.n_patients
     survival = np.empty(n)
     censor_u = np.empty(n)
-    features = []
+    x_cnv = np.empty((n, spec.dim_cnv_mut))
+    x_rna = np.empty((n, spec.dim_rna))
+    x_img = np.empty((n, spec.dim_image))
     for i in range(n):
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xC1, i]))
         z = rng.normal(size=spec.latent_dim)
         h = float(spec.hazard_coef @ z)
         survival[i] = rng.exponential(scale=np.exp(-h))
         censor_u[i] = max(rng.uniform(), 1e-12)
-        x_cnv = a_cnv @ z[sp_g] + spec.noise_g * rng.normal(size=spec.dim_cnv_mut)
-        x_rna = a_rna @ z[sp_r] + spec.noise_g * rng.normal(size=spec.dim_rna)
-        x_img = a_img @ z[sp_p] + spec.noise_p * rng.normal(size=spec.dim_image)
-        features.append((x_cnv, x_rna, x_img))
+        x_cnv[i] = a_cnv @ z[sp_g] + spec.noise_g * rng.normal(size=spec.dim_cnv_mut)
+        x_rna[i] = a_rna @ z[sp_r] + spec.noise_g * rng.normal(size=spec.dim_rna)
+        x_img[i] = a_img @ z[sp_p] + spec.noise_p * rng.normal(size=spec.dim_image)
 
-    c_scale = _calibrate_censor_scale(survival, censor_u, spec.censor_fraction)
+    censor_time = censor_u * _calibrate_censor_scale(survival, censor_u,
+                                                     spec.censor_fraction)
     width = len(str(n - 1))
-    records = []
-    for i in range(n):
-        censor_time = censor_u[i] * c_scale
-        event = survival[i] <= censor_time
-        observed = min(survival[i], censor_time)
-        x_cnv, x_rna, x_img = features[i]
-        records.append(SurvivalRecord(
-            id=f"p{i:0{width}d}", time=observed, event=bool(event),
-            cnv_mut=x_cnv, rna=x_rna, image=x_img))
-    return records
+    return Cohort(ids=[f"p{i:0{width}d}" for i in range(n)],
+                  times=np.minimum(survival, censor_time),
+                  events=survival <= censor_time,
+                  x_cnv=x_cnv, x_rna=x_rna, x_img=x_img)
 
 
 def _calibrate_censor_scale(survival, censor_u, target: float) -> float:
@@ -182,82 +218,67 @@ def _calibrate_censor_scale(survival, censor_u, target: float) -> float:
 
 @dataclass
 class FoldPlan:
-    """k folds and each record id's held-out fold."""
+    """k folds and each cohort row's held-out fold."""
 
     k: int
-    assignments: dict[str, int] = field(default_factory=dict)
+    fold_of: np.ndarray
 
 
-def split_folds(records: list[SurvivalRecord], k: int, seed: int) -> FoldPlan:
+def split_folds(cohort: Cohort, k: int, seed: int) -> FoldPlan:
     """Seeded shuffle + round robin, then swap repairs until every fold's
-    test split holds at least one uncensored record."""
-    n = len(records)
+    test split holds at least one uncensored row."""
+    n = len(cohort)
     if k < 2:
         raise ValidationError("k must be at least 2")
     if n < k:
         raise ValidationError(f"cannot split {n} records into {k} folds")
-    n_events = sum(r.event for r in records)
+    n_events = int(cohort.events.sum())
     if n_events < k:
         raise ValidationError(
             f"only {n_events} uncensored records for {k} folds; "
             "every fold needs at least one")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xF01D]))
-    order = rng.permutation(n)
-    fold_of_pos = {int(order[i]): i % k for i in range(n)}
-
-    members = [[] for _ in range(k)]
-    for pos, fold in fold_of_pos.items():
-        members[fold].append(pos)
-    event_count = [sum(records[p].event for p in ms) for ms in members]
-    # repair: move one uncensored record from the richest fold into each
-    # empty fold, swapping a censored one back to keep sizes intact
+    fold_of = np.empty(n, dtype=np.intp)
+    fold_of[rng.permutation(n)] = np.arange(n) % k
+    event_count = np.bincount(fold_of[cohort.events], minlength=k)
+    # repair: move the first uncensored row of the richest fold into each
+    # empty fold, swapping that fold's first censored row back to keep sizes
     for fold in range(k):
-        while event_count[fold] == 0:
-            donor = max(range(k), key=lambda f: event_count[f])
+        if event_count[fold] == 0:
+            donor = int(np.argmax(event_count))
             if event_count[donor] < 2:
                 raise ValidationError("fold repair failed: events too scarce")
-            take = next(p for p in sorted(members[donor]) if records[p].event)
-            give = next(p for p in sorted(members[fold]) if not records[p].event)
-            members[donor].remove(take)
-            members[fold].remove(give)
-            members[donor].append(give)
-            members[fold].append(take)
+            take = np.flatnonzero((fold_of == donor) & cohort.events)[0]
+            give = np.flatnonzero((fold_of == fold) & ~cohort.events)[0]
+            fold_of[take], fold_of[give] = fold, donor
             event_count[donor] -= 1
             event_count[fold] += 1
-    assignments = {}
-    for fold, ms in enumerate(members):
-        for p in ms:
-            assignments[records[p].id] = fold
-    return FoldPlan(k=k, assignments=assignments)
+    return FoldPlan(k=k, fold_of=fold_of)
 
 
-def fold_split(records: list[SurvivalRecord], plan: FoldPlan, fold: int):
-    """(train, test) record lists for one held-out fold."""
+def fold_split(cohort: Cohort, plan: FoldPlan, fold: int) -> tuple[Cohort, Cohort]:
+    """(train, test) cohorts for one held-out fold, rows in cohort order."""
     if not 0 <= fold < plan.k:
         raise ValidationError(f"fold {fold} outside [0, {plan.k})")
-    train = [r for r in records if plan.assignments[r.id] != fold]
-    test = [r for r in records if plan.assignments[r.id] == fold]
-    return train, test
+    if plan.fold_of.size != len(cohort):
+        raise ValidationError(f"the fold plan labels {plan.fold_of.size} rows, "
+                              f"the cohort has {len(cohort)}")
+    held_out = plan.fold_of == fold
+    return cohort.take(np.flatnonzero(~held_out)), cohort.take(np.flatnonzero(held_out))
 
 
 # ---------------------------------------------------------------------------
 # CSV round trip
 
 
-def save_cohort(path: str, records: list[SurvivalRecord]) -> None:
-    if not records:
+def save_cohort(path: str, cohort: Cohort) -> None:
+    if not len(cohort):
         raise ValidationError("refusing to write an empty cohort")
-    dg = records[0].cnv_mut.size
-    dr = records[0].rna.size
-    dp = records[0].image.size
-    header = (["id", "time", "event"]
-              + [f"g{i}" for i in range(dg)]
-              + [f"r{i}" for i in range(dr)]
-              + [f"p{i}" for i in range(dp)])
-    rows = ([r.id, repr(r.time), int(r.event)]
-            + [repr(float(v)) for v in r.cnv_mut]
-            + [repr(float(v)) for v in r.rna]
-            + [repr(float(v)) for v in r.image] for r in records)
+    blocks = (cohort.x_cnv, cohort.x_rna, cohort.x_img)
+    header = ["id", "time", "event"] + [f"{letter}{i}" for letter, x in zip("grp", blocks)
+                                        for i in range(x.shape[1])]
+    rows = ([cohort.ids[i], repr(float(cohort.times[i])), int(cohort.events[i])]
+            + [repr(v) for x in blocks for v in x[i].tolist()] for i in range(len(cohort)))
     write_text(path, csv_lines(header, rows))
 
 
@@ -275,23 +296,26 @@ def _header_dims(header: list[str], path: str) -> tuple[int, int, int]:
     return counts["g"], counts["r"], counts["p"]
 
 
-def load_cohort(path: str) -> list[SurvivalRecord]:
+def load_cohort(path: str) -> Cohort:
+    """The cohort in a CSV file, rows in file order; the first bad row raises."""
     with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValidationError(f"{path}: empty file")
         dg, dr, dp = _header_dims(header, path)
-        records = []
-        ids = set()
+        ids, times, events = [], [], []
+        spans = (slice(0, dg), slice(dg, dg + dr), slice(dg + dr, None))
+        blocks = [array.array("d") for _ in spans]   # g, r, p values, row by row
+        seen = set()
         for row_no, row in enumerate(reader, start=2):
             if len(row) != 3 + dg + dr + dp:
                 raise ValidationError(
                     f"{path}: row {row_no}: expected {3 + dg + dr + dp} fields, "
                     f"got {len(row)}")
-            if row[0] in ids:   # folds are assigned by id
+            if row[0] in seen:
                 raise ValidationError(f"{path}: row {row_no}: duplicate id '{row[0]}'")
-            ids.add(row[0])
+            seen.add(row[0])
             try:
                 time = float(row[1])
             except ValueError as exc:
@@ -300,18 +324,22 @@ def load_cohort(path: str) -> list[SurvivalRecord]:
                 raise ValidationError(
                     f"{path}: row {row_no}: event must be 0 or 1, got '{row[2]}'")
             try:
-                vals = np.array([float(v) for v in row[3:]])
+                vals = [float(v) for v in row[3:]]
             except ValueError as exc:
                 raise ValidationError(f"{path}: row {row_no}: {exc}") from exc
-            if not np.isfinite(vals).all():
-                col = header[3 + int(np.argmin(np.isfinite(vals)))]
+            finite = list(map(math.isfinite, vals))
+            if not all(finite):
+                col = header[3 + finite.index(False)]
                 raise ValidationError(f"{path}: row {row_no}: column '{col}' is not finite")
-            try:
-                records.append(SurvivalRecord(
-                    id=row[0], time=time, event=row[2] == "1",
-                    cnv_mut=vals[:dg], rna=vals[dg:dg + dr], image=vals[dg + dr:]))
-            except ValidationError as exc:   # time not positive
-                raise ValidationError(f"{path}: row {row_no}: {exc}") from exc
-    if not records:
+            if not (math.isfinite(time) and time > 0.0):
+                raise ValidationError(f"{path}: row {row_no}: record '{row[0]}': "
+                                      f"time must be positive, got {time}")
+            ids.append(row[0])
+            times.append(time)
+            events.append(row[2] == "1")
+            for block, span in zip(blocks, spans):
+                block.extend(vals[span])
+    if not ids:
         raise ValidationError(f"{path}: no data rows")
-    return records
+    return Cohort(ids, times, events,
+                  *(np.frombuffer(block).reshape(len(ids), -1) for block in blocks))

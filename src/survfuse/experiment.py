@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import fold_split, split_folds
+from .cohort import Cohort, fold_split, split_folds
 from .config import RunConfig, config_echo
 from .errors import ConfigError
 from .fusion import (FusionModel, FusionSpec, TrainConfig, build_model,
@@ -24,7 +24,7 @@ from .fusion import (FusionModel, FusionSpec, TrainConfig, build_model,
 from .nnet import DenseLayer
 from .smoothing import (CellProfile, FrozenEncoder, Stage1Config, Stage1Result,
                         gap_probe_pairs, interpolation_gap, pretrain_mlp_a)
-from .survival import SurvivalRecord, probe_c_index
+from .survival import probe_c_index
 
 
 def tool_version() -> str:
@@ -98,12 +98,12 @@ def run_stage1(cells: list[CellProfile], cfg: RunConfig) -> Stage1Bundle:
 # one fold
 
 
-def _new_model(records: list[SurvivalRecord], cfg: RunConfig, bundle: Stage1Bundle,
+def _new_model(cohort: Cohort, cfg: RunConfig, bundle: Stage1Bundle,
                seed: int, track_rho: bool = False) -> tuple[FusionModel, TrainConfig]:
     """A fresh model sized to the cohort, and its training config, from one seed."""
     fspec = FusionSpec(
-        dim_cnv_mut=records[0].cnv_mut.size, dim_rna=records[0].rna.size,
-        dim_image=records[0].image.size, snn_dim=cfg.snn_dim,
+        dim_cnv_mut=cohort.x_cnv.shape[1], dim_rna=cohort.x_rna.shape[1],
+        dim_image=cohort.x_img.shape[1], snn_dim=cfg.snn_dim,
         gen_dim=cfg.gen_dim, img_dim=cfg.img_dim, hidden_dim=cfg.hidden_dim,
         fusion_mode=cfg.fusion_mode)
     model = build_model(fspec, bundle.encoder, bundle.mlp_a, seed=seed)
@@ -112,13 +112,13 @@ def _new_model(records: list[SurvivalRecord], cfg: RunConfig, bundle: Stage1Bund
     return model, tcfg
 
 
-def run_single_fold(records: list[SurvivalRecord], plan, fold: int,
+def run_single_fold(cohort: Cohort, plan, fold: int,
                     cfg: RunConfig, bundle: Stage1Bundle) -> dict:
-    train_recs, test_recs = fold_split(records, plan, fold)
-    model, tcfg = _new_model(records, cfg, bundle, derive_seed(cfg.seed, 0xFD, fold),
+    train, test = fold_split(cohort, plan, fold)
+    model, tcfg = _new_model(cohort, cfg, bundle, derive_seed(cfg.seed, 0xFD, fold),
                              track_rho=cfg.track_rho)
-    tres = train_survival(model, train_recs, tcfg)
-    test_metrics = evaluate(model, test_recs)
+    tres = train_survival(model, train, tcfg)
+    test_metrics = evaluate(model, test)
     row = {
         "fold": fold,
         "c_index": test_metrics["c_index"],
@@ -129,14 +129,9 @@ def run_single_fold(records: list[SurvivalRecord], plan, fold: int,
         "contribution_stream": [dict(r, fold=fold) for r in tres.step_reports],
     }
     if cfg.image_probe:
-        p_train = image_branch_features(model, train_recs)
-        p_test = image_branch_features(model, test_recs)
-        t_train = np.array([r.time for r in train_recs])
-        e_train = np.array([r.event for r in train_recs])
-        t_test = np.array([r.time for r in test_recs])
-        e_test = np.array([r.event for r in test_recs])
-        row["image_probe_c"] = probe_c_index(p_train, t_train, e_train,
-                                             p_test, t_test, e_test)
+        row["image_probe_c"] = probe_c_index(
+            image_branch_features(model, train), train.times, train.events,
+            image_branch_features(model, test), test.times, test.events)
     return row
 
 
@@ -144,15 +139,14 @@ def run_single_fold(records: list[SurvivalRecord], plan, fold: int,
 # full run
 
 
-def run_final_fit(records: list[SurvivalRecord], cfg: RunConfig,
-                  bundle: Stage1Bundle):
+def run_final_fit(cohort: Cohort, cfg: RunConfig, bundle: Stage1Bundle):
     """One model trained on the whole cohort (what `eval` consumes later).
 
     Its contribution reports are not kept, so it does not compute them unless
     modulation needs them.
     """
-    model, tcfg = _new_model(records, cfg, bundle, cfg.seed)
-    train_survival(model, records, tcfg)
+    model, tcfg = _new_model(cohort, cfg, bundle, cfg.seed)
+    train_survival(model, cohort, tcfg)
     return model
 
 
@@ -210,8 +204,8 @@ def _run_outputs(rows: list[dict], cfg: RunConfig, bundle: Stage1Bundle) -> RunO
 _worker_inputs: dict = {}
 
 
-def _init_worker(records: list[SurvivalRecord], claims) -> None:
-    _worker_inputs["records"] = records
+def _init_worker(cohort: Cohort, claims) -> None:
+    _worker_inputs["cohort"] = cohort
     _worker_inputs["claims"] = claims
 
 
@@ -232,14 +226,14 @@ def _claim_all(claims) -> None:
         claims[:] = [1] * len(claims)
 
 
-def _run_claimed(claims, index: int, records: list[SurvivalRecord], plan, fold: int,
+def _run_claimed(claims, index: int, cohort: Cohort, plan, fold: int,
                  cfg: RunConfig, bundle: Stage1Bundle) -> dict | None:
     """Task `index`'s fold row if this process claims it, else None. If the
     fold fails, every task left is claimed before the error propagates."""
     if not _claim(claims, index):
         return None
     try:
-        return run_single_fold(records, plan, fold, cfg, bundle)
+        return run_single_fold(cohort, plan, fold, cfg, bundle)
     except BaseException:
         _claim_all(claims)
         raise
@@ -247,7 +241,7 @@ def _run_claimed(claims, index: int, records: list[SurvivalRecord], plan, fold: 
 
 def _fold_task(index: int, plan, fold: int, cfg: RunConfig,
                bundle: Stage1Bundle) -> dict | None:
-    return _run_claimed(_worker_inputs["claims"], index, _worker_inputs["records"],
+    return _run_claimed(_worker_inputs["claims"], index, _worker_inputs["cohort"],
                         plan, fold, cfg, bundle)
 
 
@@ -261,15 +255,15 @@ class _FoldTasks:
     included, and never on more processes than tasks. With one process there
     is no pool and `run` runs every task here, in grid order."""
 
-    def __init__(self, records: list[SurvivalRecord], plan, jobs: int, n_tasks: int):
-        self.records = records
+    def __init__(self, cohort: Cohort, plan, jobs: int, n_tasks: int):
+        self.cohort = cohort
         self.plan = plan
         self.tasks: list[tuple] = []   # (fold, cfg, bundle), in grid order
         self.futures: list = []
         workers = min(jobs, n_tasks) - 1
         self.claims = multiprocessing.Array("b", n_tasks) if workers else None
         self.pool = (ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                         initargs=(records, self.claims))
+                                         initargs=(cohort, self.claims))
                      if workers else None)
 
     def __enter__(self) -> "_FoldTasks":
@@ -302,7 +296,7 @@ class _FoldTasks:
         for index in order:
             fold, cfg, bundle = self.tasks[index]
             try:
-                row = _run_claimed(self.claims, index, self.records, self.plan,
+                row = _run_claimed(self.claims, index, self.cohort, self.plan,
                                    fold, cfg, bundle)
             except Exception as exc:
                 outcomes[index] = exc
@@ -319,11 +313,11 @@ class _FoldTasks:
         return rows
 
 
-def run_cross_validation(records: list[SurvivalRecord], cfg: RunConfig,
+def run_cross_validation(cohort: Cohort, cfg: RunConfig,
                          bundle: Stage1Bundle, jobs: int = 1) -> RunOutputs:
     _check_jobs(jobs)
-    plan = split_folds(records, cfg.k_folds, cfg.seed)
-    with _FoldTasks(records, plan, jobs, cfg.k_folds) as tasks:
+    plan = split_folds(cohort, cfg.k_folds, cfg.seed)
+    with _FoldTasks(cohort, plan, jobs, cfg.k_folds) as tasks:
         tasks.submit(cfg, bundle)
         rows = tasks.run()
     return _run_outputs(rows, cfg, bundle)
@@ -355,7 +349,7 @@ def _grid_config(cfg: RunConfig, smoothing_on: bool, fusion_label: str) -> RunCo
                                modulation=modulation, smoothing=smoothing)
 
 
-def run_ablation(records: list[SurvivalRecord], cells: list[CellProfile],
+def run_ablation(cohort: Cohort, cells: list[CellProfile],
                  cfg: RunConfig, jobs: int = 1) -> dict:
     """All six grid cells, sharing one stage-1 pretraining across the
     smoothing rows. Row order is fixed: rows 1-3 without smoothing, 4-6
@@ -368,14 +362,14 @@ def run_ablation(records: list[SurvivalRecord], cells: list[CellProfile],
     says. With jobs = 1 that is stage 1 first, then every fold in grid
     order."""
     _check_jobs(jobs)
-    plan = split_folds(records, cfg.k_folds, cfg.seed)
+    plan = split_folds(cohort, cfg.k_folds, cfg.seed)
     configs = {row_id: _grid_config(cfg, on, label)
                for row_id, on, label in ABLATION_GRID}
     plain = [row_id for row_id, on, _ in ABLATION_GRID if not on]
     smooth = [row_id for row_id, on, _ in ABLATION_GRID if on]
     stage1_config(configs[smooth[0]])   # fail here, not after rows 1-3 trained
     bundles = {False: run_stage1(cells, configs[plain[0]])}
-    with _FoldTasks(records, plan, jobs, len(ABLATION_GRID) * cfg.k_folds) as tasks:
+    with _FoldTasks(cohort, plan, jobs, len(ABLATION_GRID) * cfg.k_folds) as tasks:
         for row_id in plain:
             tasks.submit(configs[row_id], bundles[False])
         bundles[True] = run_stage1(cells, configs[smooth[0]])

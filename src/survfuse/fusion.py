@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cohort import Cohort
 from .errors import (ConfigError, NumericalError, ShapeError, StateError,
                      ValidationError)
 from .modulation import (ModulationConfig, apply_modulation, branch_scores,
@@ -31,8 +32,8 @@ from .nnet import (DenseLayer, ParamGroup, add_layers, checkpoint_layers,
                    mlp_backward, mlp_forward, save_checkpoint, sgd_step,
                    stack_names, step_decay_eta)
 from .smoothing import FrozenEncoder
-from .survival import (CoxBatch, SurvivalRecord, build_risk_sets,
-                       concordance_index, cox_gradient, cox_loss)
+from .survival import (CoxBatch, build_risk_sets, concordance_index,
+                       cox_gradient, cox_loss)
 
 FUSION_MODES = ("concat", "kronecker")
 
@@ -287,27 +288,18 @@ class TrainResult:
     skipped_batches: int
 
 
-def _feature_matrices(records: list[SurvivalRecord]):
-    x_cnv = np.stack([r.cnv_mut for r in records])
-    x_rna = np.stack([r.rna for r in records])
-    x_img = np.stack([r.image for r in records])
-    return x_cnv, x_rna, x_img
-
-
-def predict_theta(model: FusionModel, records: list[SurvivalRecord]) -> np.ndarray:
-    x_cnv, x_rna, x_img = _feature_matrices(records)
-    theta, _, _ = model.forward_batch(x_cnv, model.frozen_rna_features(x_rna), x_img)
+def predict_theta(model: FusionModel, cohort: Cohort) -> np.ndarray:
+    theta, _, _ = model.forward_batch(cohort.x_cnv, model.frozen_rna_features(cohort.x_rna),
+                                      cohort.x_img)
     return theta
 
 
-def image_branch_features(model: FusionModel, records: list[SurvivalRecord]) -> np.ndarray:
+def image_branch_features(model: FusionModel, cohort: Cohort) -> np.ndarray:
     """Post-training P features, e.g. for a standalone linear Cox probe."""
-    _, _, x_img = _feature_matrices(records)
-    return mlp_forward(model.image_encoder, x_img)
+    return mlp_forward(model.image_encoder, cohort.x_img)
 
 
-def train_survival(model: FusionModel, records: list[SurvivalRecord],
-                   cfg: TrainConfig) -> TrainResult:
+def train_survival(model: FusionModel, cohort: Cohort, cfg: TrainConfig) -> TrainResult:
     """Mini-batch SGD on the negative Cox partial log-likelihood.
 
     Per step: forward the batch, backpropagate the Cox gradient, optionally
@@ -317,11 +309,10 @@ def train_survival(model: FusionModel, records: list[SurvivalRecord],
     all-censored batch contributes nothing and is skipped (counted). The
     eta schedule is a function of the step position, skipped or not.
     """
-    full = build_risk_sets(records)
-    n = len(records)
-    x_cnv, x_rna, x_img = _feature_matrices(records)
+    full = build_risk_sets(cohort)
+    n = len(cohort)
     # training rows only — no fold leakage; the frozen path never changes mid-run
-    g2_all = model.fit_g2_normalization(x_rna)
+    g2_all = model.fit_g2_normalization(cohort.x_rna)
 
     groups = model.param_groups()
     group_list = list(groups.values())
@@ -348,8 +339,8 @@ def train_survival(model: FusionModel, records: list[SurvivalRecord],
             if sub.degenerate:
                 skipped += 1
                 continue
-            theta, G, P = model.forward_batch(x_cnv[idx], g2_all[idx], x_img[idx],
-                                              train=True)
+            theta, G, P = model.forward_batch(cohort.x_cnv[idx], g2_all[idx],
+                                              cohort.x_img[idx], train=True)
             lse = sub.log_risk_denominators(theta)
             loss = cox_loss(theta, sub, lse)
             if not np.isfinite(loss):
@@ -374,7 +365,7 @@ def train_survival(model: FusionModel, records: list[SurvivalRecord],
             sgd_step(group_list, step_decay_eta(cfg.eta, step_index, total_steps))
             epoch_loss_sum += loss
             epoch_event_count += sub.n_events
-        theta_all, _, _ = model.forward_batch(x_cnv, g2_all, x_img)
+        theta_all, _, _ = model.forward_batch(cohort.x_cnv, g2_all, cohort.x_img)
         c_index = concordance_index(theta_all, full.times, full.events)
         mean_loss = epoch_loss_sum / epoch_event_count if epoch_event_count else 0.0
         epoch_rows.append(EpochMetrics(
@@ -386,13 +377,13 @@ def train_survival(model: FusionModel, records: list[SurvivalRecord],
                        skipped_batches=skipped)
 
 
-def evaluate(model: FusionModel, records: list[SurvivalRecord]) -> dict:
+def evaluate(model: FusionModel, cohort: Cohort) -> dict:
     """C-index and per-event mean Cox loss over one risk-set structure.
 
     Raises ConcordanceUndefinedError when the set has no comparable pair.
     """
-    batch = build_risk_sets(records)
-    theta = predict_theta(model, records)
+    batch = build_risk_sets(cohort)
+    theta = predict_theta(model, cohort)
     c = concordance_index(theta, batch.times, batch.events)
     loss = cox_loss(theta, batch)
     mean_loss = loss / batch.n_events if batch.n_events else 0.0

@@ -137,11 +137,20 @@ class DenseLayer:
         return layer
 
     def __getstate__(self) -> dict:
-        # the forward caches belong to the batch that filled them; a copy of
-        # the layer (pickled to a worker, say) starts without one
+        # a copy (pickled to a worker, say) gets no forward cache, which belongs
+        # to the batch that filled it, and zero gradients, as after a sgd_step
         state = dict(self.__dict__)
         state["_cached_input"] = state["_cached_preact"] = None
+        del state["grad_weight"], state["grad_bias"]
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        # own the parameters (not the pickle's bytes), so the copy can join a group
+        self.weight = np.require(self.weight, requirements="O")
+        self.bias = np.require(self.bias, requirements="O")
+        self.grad_weight = np.zeros_like(self.weight)
+        self.grad_bias = np.zeros_like(self.bias)
 
     def forward(self, x, *, train: bool = False) -> np.ndarray:
         """act(x @ W.T + b); a non-finite output raises NumericalError.
@@ -231,7 +240,7 @@ def _tiled_buffer(arrays: list[np.ndarray]) -> np.ndarray | None:
     if not arrays:
         return np.empty(0)
     buffer = arrays[0].base
-    if buffer is None or buffer.ndim != 1 or not buffer.flags.c_contiguous:
+    if not isinstance(buffer, np.ndarray) or buffer.ndim != 1 or not buffer.flags.c_contiguous:
         return None
     start = address = buffer.__array_interface__["data"][0]
     for a in arrays:

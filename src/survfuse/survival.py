@@ -21,42 +21,11 @@ The loss, the gradient and the modulation ratios are computed from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .cohort import Cohort
 from .errors import (ConcordanceUndefinedError, NumericalError, ShapeError,
                      ValidationError)
-
-
-@dataclass(eq=False)
-class SurvivalRecord:
-    """One patient: observed time, event indicator, per-modality features."""
-
-    id: str
-    time: float
-    event: bool
-    cnv_mut: np.ndarray
-    rna: np.ndarray
-    image: np.ndarray
-
-    def __post_init__(self):
-        self.time = float(self.time)
-        self.event = bool(self.event)
-        if not (np.isfinite(self.time) and self.time > 0.0):
-            raise ValidationError(f"record '{self.id}': time must be positive, got {self.time}")
-        self.cnv_mut = np.asarray(self.cnv_mut, dtype=np.float64).reshape(-1)
-        self.rna = np.asarray(self.rna, dtype=np.float64).reshape(-1)
-        self.image = np.asarray(self.image, dtype=np.float64).reshape(-1)
-
-    def __eq__(self, other):
-        if not isinstance(other, SurvivalRecord):
-            return NotImplemented
-        return (self.id == other.id and self.time == other.time
-                and self.event == other.event
-                and np.array_equal(self.cnv_mut, other.cnv_mut)
-                and np.array_equal(self.rna, other.rna)
-                and np.array_equal(self.image, other.image))
 
 
 class CoxBatch:
@@ -68,8 +37,8 @@ class CoxBatch:
     is in the risk set of every event at sorted position >= block_start[p].
 
     Times must be positive and finite. They are checked where they enter:
-    SurvivalRecord checks each record's time and fit_linear_cox the times it
-    is given, so a batch of another batch's rows is not checked again.
+    Cohort checks its times and fit_linear_cox the times it is given, so a
+    batch of another batch's rows is not checked again.
     """
 
     def __init__(self, times, events):
@@ -110,13 +79,9 @@ class CoxBatch:
         return lse
 
 
-def build_risk_sets(records: list[SurvivalRecord]) -> CoxBatch:
-    """Assemble a CoxBatch from the records' times and event flags."""
-    if not records:
-        raise ValidationError("empty record list")
-    times = np.array([r.time for r in records])
-    events = np.array([r.event for r in records])
-    return CoxBatch(times, events)
+def build_risk_sets(cohort: Cohort) -> CoxBatch:
+    """The CoxBatch of a cohort's times and event flags."""
+    return CoxBatch(cohort.times, cohort.events)
 
 
 def _scores(theta, batch: CoxBatch) -> np.ndarray:

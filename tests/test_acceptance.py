@@ -14,15 +14,14 @@ import numpy as np
 import pytest
 
 from survfuse.cli import main
-from survfuse.cohort import CohortSpec, generate_cohort, save_cohort
+from survfuse.cohort import Cohort, CohortSpec, generate_cohort, save_cohort
 from survfuse.config import load_run_config
 from survfuse.errors import ConcordanceUndefinedError
 from survfuse.experiment import run_cross_validation, run_stage1
 from survfuse.gradcheck import run_all
 from survfuse.modulation import ModulationConfig, contribution_ratio, modulation_factor
 from survfuse.smoothing import CellCorpusSpec, generate_cells
-from survfuse.survival import (CoxBatch, SurvivalRecord, concordance_index,
-                               cox_gradient, cox_loss)
+from survfuse.survival import CoxBatch, concordance_index, cox_gradient, cox_loss
 
 N_SEEDS = 5
 
@@ -333,10 +332,9 @@ def test_a9_degenerate_handling(cli_workspace, capsys):
     from survfuse.fusion import FusionSpec, TrainConfig, build_model, train_survival
     from survfuse.smoothing import default_encoder
     rng = np.random.default_rng(9)
-    recs = [SurvivalRecord(id=f"p{i}", time=float(i + 1), event=(i == 0),
-                           cnv_mut=rng.normal(size=4), rna=rng.normal(size=6),
-                           image=rng.normal(size=4))
-            for i in range(6)]
+    rows = [(rng.normal(size=4), rng.normal(size=6), rng.normal(size=4)) for _ in range(6)]
+    recs = Cohort([f"p{i}" for i in range(6)], np.arange(1.0, 7.0), np.arange(6) == 0,
+                  *zip(*rows))
     model = build_model(FusionSpec(dim_cnv_mut=4, dim_rna=6, dim_image=4,
                                    snn_dim=4, gen_dim=4, img_dim=4, hidden_dim=8),
                         default_encoder(gene_dim=6, embed_dim=4, seed=0), seed=0)
@@ -345,11 +343,10 @@ def test_a9_degenerate_handling(cli_workspace, capsys):
     skip_counted = result.skipped_batches == 1
 
     # no comparable pairs at evaluation: explicit error, nonzero exit
-    degenerate = [SurvivalRecord(id=f"d{i}", time=float(i + 1), event=False,
-                                 cnv_mut=rng.normal(size=8),
-                                 rna=rng.normal(size=16),
-                                 image=rng.normal(size=8))
-                  for i in range(10)]
+    rows = [(rng.normal(size=8), rng.normal(size=16), rng.normal(size=8))
+            for _ in range(10)]
+    degenerate = Cohort([f"d{i}" for i in range(10)], np.arange(1.0, 11.0),
+                        np.zeros(10, dtype=bool), *zip(*rows))
     degen_path = root / "degenerate.csv"
     save_cohort(str(degen_path), degenerate)
     code = main(["eval", *cfg, "--model", str(root / "run" / "model.ckpt"),

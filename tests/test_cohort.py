@@ -5,30 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survfuse.cohort import (CohortSpec, default_hazard_coef,
+from survfuse.cohort import (Cohort, CohortSpec, default_hazard_coef,
                              fold_split, generate_cohort, load_cohort,
                              modality_spans, save_cohort, split_folds)
-from survfuse.errors import ValidationError
+from survfuse.errors import ShapeError, ValidationError
 from survfuse.survival import probe_c_index
 
-
-def _block(records, name):
-    return np.stack([getattr(r, name) for r in records])
+COLUMNS = ("ids", "times", "events", "x_cnv", "x_rna", "x_img")
 
 
-def _survival_arrays(records):
-    times = np.array([r.time for r in records])
-    events = np.array([r.event for r in records])
-    return times, events
+def _same(a, b):
+    """Equal cohorts: every column equal, row for row."""
+    return all(np.array_equal(getattr(a, c), getattr(b, c)) for c in COLUMNS)
 
 
-def _probe(records, block, seed=0):
+def _probe(cohort, block, seed=0):
     """Held-out linear Cox C-index on one feature block (50/50 split)."""
-    times, events = _survival_arrays(records)
-    x = _block(records, block)
-    half = len(records) // 2
-    return probe_c_index(x[:half], times[:half], events[:half],
-                         x[half:], times[half:], events[half:])
+    x = getattr(cohort, block)
+    half = len(cohort) // 2
+    return probe_c_index(x[:half], cohort.times[:half], cohort.events[:half],
+                         x[half:], cohort.times[half:], cohort.events[half:])
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +74,9 @@ def test_spec_validation():
 def test_generation_is_deterministic():
     a = generate_cohort(CohortSpec(n_patients=20, seed=11))
     b = generate_cohort(CohortSpec(n_patients=20, seed=11))
-    assert a == b
+    assert _same(a, b)
     c = generate_cohort(CohortSpec(n_patients=20, seed=12))
-    assert a != c
+    assert not _same(a, c)
 
 
 def test_per_patient_streams_are_order_free():
@@ -88,23 +84,19 @@ def test_per_patient_streams_are_order_free():
     # (calibrated over the whole cohort) may shift observed times
     short = generate_cohort(CohortSpec(n_patients=10, seed=4))
     longer = generate_cohort(CohortSpec(n_patients=25, seed=4))
-    for a, b in zip(short, longer):
-        assert np.array_equal(a.cnv_mut, b.cnv_mut)
-        assert np.array_equal(a.rna, b.rna)
-        assert np.array_equal(a.image, b.image)
+    for block in ("x_cnv", "x_rna", "x_img"):
+        assert np.array_equal(getattr(short, block), getattr(longer, block)[:10])
 
 
 def test_censoring_lands_near_target():
     for target in (0.2, 0.3, 0.5):
-        recs = generate_cohort(CohortSpec(n_patients=500, seed=1,
-                                          censor_fraction=target))
-        censored = np.mean([not r.event for r in recs])
-        assert abs(censored - target) < 0.1
+        cohort = generate_cohort(CohortSpec(n_patients=500, seed=1,
+                                            censor_fraction=target))
+        assert abs(np.mean(~cohort.events) - target) < 0.1
 
 
 def test_ids_are_unique_and_zero_padded():
-    recs = generate_cohort(CohortSpec(n_patients=12, seed=0))
-    ids = [r.id for r in recs]
+    ids = generate_cohort(CohortSpec(n_patients=12, seed=0)).ids.tolist()
     assert len(set(ids)) == 12
     assert ids[0] == "p00" and ids[11] == "p11"
 
@@ -112,26 +104,64 @@ def test_ids_are_unique_and_zero_padded():
 def test_more_image_noise_weakens_image_probe():
     quiet = generate_cohort(CohortSpec(n_patients=400, seed=2, noise_p=0.3))
     loud = generate_cohort(CohortSpec(n_patients=400, seed=2, noise_p=3.0))
-    assert _probe(loud, "image") < _probe(quiet, "image")
+    assert _probe(loud, "x_img") < _probe(quiet, "x_img")
 
 
 def test_extreme_image_noise_gives_chance_probe():
-    recs = generate_cohort(CohortSpec(n_patients=400, seed=3, noise_p=1e6))
-    assert abs(_probe(recs, "image") - 0.5) < 0.05
+    cohort = generate_cohort(CohortSpec(n_patients=400, seed=3, noise_p=1e6))
+    assert abs(_probe(cohort, "x_img") - 0.5) < 0.05
 
 
 def test_shared_maps_equalize_the_branches():
     # image clone of the cnv channel (same map, window, and noise) must
     # probe within a few points of it
-    recs = generate_cohort(CohortSpec(n_patients=500, seed=5, share_maps=True,
-                                      noise_p=0.3))
-    gap = abs(_probe(recs, "image") - _probe(recs, "cnv_mut"))
+    cohort = generate_cohort(CohortSpec(n_patients=500, seed=5, share_maps=True,
+                                        noise_p=0.3))
+    gap = abs(_probe(cohort, "x_img") - _probe(cohort, "x_cnv"))
     assert gap < 0.03
 
 
 def test_default_cohort_favors_genomic_channels():
-    recs = generate_cohort(CohortSpec(n_patients=500, seed=0))
-    assert _probe(recs, "rna") > _probe(recs, "image")
+    cohort = generate_cohort(CohortSpec(n_patients=500, seed=0))
+    assert _probe(cohort, "x_rna") > _probe(cohort, "x_img")
+
+
+# ---------------------------------------------------------------------------
+# the column table
+
+
+def test_cohort_columns_are_row_aligned_arrays():
+    cohort = generate_cohort(CohortSpec(n_patients=9, seed=1))
+    assert len(cohort) == 9
+    assert cohort.times.dtype == np.float64 and cohort.events.dtype == bool
+    for block, width in (("x_cnv", 32), ("x_rna", 64), ("x_img", 32)):
+        x = getattr(cohort, block)
+        assert x.shape == (9, width) and x.dtype == np.float64
+        assert x.flags.c_contiguous
+
+
+def test_take_keeps_the_rows_in_the_order_given():
+    cohort = generate_cohort(CohortSpec(n_patients=9, seed=1))
+    rows = np.array([7, 2, 5])
+    sub = cohort.take(rows)
+    assert sub.ids.tolist() == ["p7", "p2", "p5"]
+    for column in COLUMNS:
+        assert np.array_equal(getattr(sub, column), getattr(cohort, column)[rows])
+    assert sub.x_rna.flags.c_contiguous
+
+
+def test_cohort_checks_times_and_row_counts():
+    cohort = generate_cohort(CohortSpec(n_patients=3, seed=0))
+    columns = {c: getattr(cohort, c) for c in COLUMNS}
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        times = cohort.times.copy()
+        times[1] = bad
+        with pytest.raises(ValidationError, match="record 'p1': time must be positive"):
+            Cohort(**dict(columns, times=times))
+    with pytest.raises(ShapeError):
+        Cohort(**dict(columns, x_img=cohort.x_img[:2]))
+    with pytest.raises(ShapeError):
+        Cohort(**dict(columns, events=cohort.events[:2]))
 
 
 # ---------------------------------------------------------------------------
@@ -142,57 +172,84 @@ def _cohort(n=30, seed=0):
     return generate_cohort(CohortSpec(n_patients=n, seed=seed))
 
 
-def _test_ids(plan, fold):
-    return [rid for rid, f in plan.assignments.items() if f == fold]
+def _test_rows(plan, fold):
+    return np.flatnonzero(plan.fold_of == fold)
 
 
 def test_fold_sizes_and_partition():
-    recs = _cohort(30)
-    plan = split_folds(recs, k=15, seed=0)
+    cohort = _cohort(30)
+    plan = split_folds(cohort, k=15, seed=0)
     assert plan.k == 15
-    sizes = [len(_test_ids(plan, f)) for f in range(15)]
-    assert sizes == [2] * 15
-    seen = [rid for f in range(15) for rid in _test_ids(plan, f)]
-    assert sorted(seen) == sorted(r.id for r in recs)
+    assert plan.fold_of.shape == (30,)
+    assert [len(_test_rows(plan, f)) for f in range(15)] == [2] * 15
+    seen = np.concatenate([_test_rows(plan, f) for f in range(15)])
+    assert sorted(seen.tolist()) == list(range(30))
 
 
 def test_every_fold_gets_an_event():
-    recs = _cohort(45, seed=7)
-    plan = split_folds(recs, k=15, seed=7)
-    by_id = {r.id: r for r in recs}
+    cohort = _cohort(45, seed=7)
+    plan = split_folds(cohort, k=15, seed=7)
     for f in range(15):
-        assert any(by_id[rid].event for rid in _test_ids(plan, f))
+        assert cohort.events[_test_rows(plan, f)].any()
 
 
 def test_split_is_seed_deterministic():
-    recs = _cohort(30)
-    assert split_folds(recs, 5, seed=3).assignments == \
-        split_folds(recs, 5, seed=3).assignments
-    assert split_folds(recs, 5, seed=3).assignments != \
-        split_folds(recs, 5, seed=4).assignments
+    cohort = _cohort(30)
+    assert np.array_equal(split_folds(cohort, 5, seed=3).fold_of,
+                          split_folds(cohort, 5, seed=3).fold_of)
+    assert not np.array_equal(split_folds(cohort, 5, seed=3).fold_of,
+                              split_folds(cohort, 5, seed=4).fold_of)
+
+
+def _event_free_before_repair(cohort, k, seed):
+    """Folds with no uncensored row after the shuffle and round robin alone."""
+    labels = np.empty(len(cohort), dtype=int)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF01D]))
+    labels[rng.permutation(len(cohort))] = np.arange(len(cohort)) % k
+    return int((np.bincount(labels[cohort.events], minlength=k) == 0).sum())
+
+
+# Literal labels pin the seeded shuffle, the round robin and the repair order:
+# changing any of them moves some row to another fold, and with it every
+# cross-validated result.
+def test_fold_labels_after_repairing_four_event_free_folds():
+    cohort = generate_cohort(CohortSpec(n_patients=30, seed=0, censor_fraction=0.6))
+    assert _event_free_before_repair(cohort, 12, seed=0) == 4
+    assert split_folds(cohort, 12, seed=0).fold_of.tolist() == [
+        11, 2, 1, 9, 3, 3, 8, 0, 5, 5, 0, 2, 1, 10, 6, 7, 11, 4, 5, 4, 7, 4, 9, 3, 6,
+        10, 1, 0, 8, 2]
+
+
+def test_fold_labels_without_repair():
+    cohort = _cohort(30, seed=3)
+    assert _event_free_before_repair(cohort, 5, seed=3) == 0
+    assert split_folds(cohort, 5, seed=3).fold_of.tolist() == [
+        2, 3, 4, 1, 3, 1, 3, 1, 4, 4, 3, 4, 4, 0, 2, 2, 0, 4, 0, 0, 1, 3, 2, 2, 0, 1, 3,
+        0, 2, 1]
 
 
 def test_split_errors():
-    recs = _cohort(10)
+    cohort = _cohort(10)
     with pytest.raises(ValidationError):
-        split_folds(recs, k=1, seed=0)
+        split_folds(cohort, k=1, seed=0)
     with pytest.raises(ValidationError):
-        split_folds(recs, k=11, seed=0)
-    all_censored = [type(r)(id=r.id, time=r.time, event=False, cnv_mut=r.cnv_mut,
-                            rna=r.rna, image=r.image) for r in recs]
+        split_folds(cohort, k=11, seed=0)
+    cohort.events[:] = False
     with pytest.raises(ValidationError):
-        split_folds(all_censored, k=2, seed=0)
+        split_folds(cohort, k=2, seed=0)
 
 
 def test_fold_split_partitions_records():
-    recs = _cohort(20)
-    plan = split_folds(recs, k=4, seed=0)
-    train, test = fold_split(recs, plan, 2)
+    cohort = _cohort(20)
+    plan = split_folds(cohort, k=4, seed=0)
+    train, test = fold_split(cohort, plan, 2)
     assert len(train) + len(test) == 20
-    assert {r.id for r in test} == set(_test_ids(plan, 2))
-    assert not ({r.id for r in train} & {r.id for r in test})
+    assert _same(test, cohort.take(_test_rows(plan, 2)))
+    assert _same(train, cohort.take(np.flatnonzero(plan.fold_of != 2)))
     with pytest.raises(ValidationError):
-        fold_split(recs, plan, 4)
+        fold_split(cohort, plan, 4)
+    with pytest.raises(ValidationError, match="labels 20 rows, the cohort has 10"):
+        fold_split(cohort.take(np.arange(10)), plan, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +257,12 @@ def test_fold_split_partitions_records():
 
 
 def test_cohort_csv_round_trip(tmp_path):
-    recs = _cohort(15, seed=6)
+    cohort = _cohort(15, seed=6)
     path = str(tmp_path / "cohort.csv")
-    save_cohort(path, recs)
+    save_cohort(path, cohort)
     back = load_cohort(path)
-    assert back == recs   # repr() serialization is lossless
+    assert _same(back, cohort)   # repr() serialization is lossless
+    assert back.x_cnv.flags.c_contiguous and back.x_img.flags.c_contiguous
     save_cohort(str(tmp_path / "cohort2.csv"), back)
     assert (tmp_path / "cohort.csv").read_bytes() == \
         (tmp_path / "cohort2.csv").read_bytes()
@@ -212,7 +270,7 @@ def test_cohort_csv_round_trip(tmp_path):
 
 def test_save_cohort_rejects_empty(tmp_path):
     with pytest.raises(ValidationError):
-        save_cohort(str(tmp_path / "x.csv"), [])
+        save_cohort(str(tmp_path / "x.csv"), _cohort(4).take([]))
 
 
 def test_load_cohort_row_addressed_errors(tmp_path):

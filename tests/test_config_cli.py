@@ -14,7 +14,8 @@ import pytest
 import survfuse
 from survfuse import experiment
 from survfuse.cli import _write_json, main
-from survfuse.cohort import default_hazard_coef
+from survfuse.cohort import (CohortSpec, default_hazard_coef, generate_cohort,
+                             save_cohort)
 from survfuse.config import (RunConfig, config_echo, load_cells_spec,
                              load_cohort_spec, load_run_config)
 from survfuse.errors import ConfigError, ValidationError
@@ -245,6 +246,22 @@ def test_eval_rejects_wrong_checkpoint_kind(pipeline, capsys):
     bad = str(root / "stage1.ckpt")
     assert main(["eval", *cfg, "--model", bad]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("letter, width, expected", [("g", "dim_cnv_mut", 8),
+                                                      ("r", "dim_rna", 16),
+                                                      ("p", "dim_image", 8)])
+def test_eval_names_the_file_and_columns_of_a_width_mismatch(pipeline, tmp_path, capsys,
+                                                             letter, width, expected):
+    # the model was trained on 8 g, 16 r and 8 p columns
+    root, cfg = pipeline
+    dims = dict(dim_cnv_mut=8, dim_rna=16, dim_image=8) | {width: 10}
+    path = str(tmp_path / "cohort.csv")
+    save_cohort(path, generate_cohort(CohortSpec(n_patients=12, **dims)))
+    argv = ["eval", *cfg, "--model", str(root / "run" / "model.ckpt"), "--cohort", path]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (f"error: {path}: the cohort has 10 '{letter}' "
+                                       f"columns, the model expects {expected}\n")
 
 
 def _damage_checkpoint(lines, kind):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from survfuse.cohort import CohortSpec, generate_cohort
+from survfuse.cohort import Cohort, CohortSpec, generate_cohort
 from survfuse.errors import (ConfigError, ShapeError, StateError,
                              ValidationError)
 from survfuse.fusion import (FusionSpec, TrainConfig, build_model, evaluate,
@@ -17,7 +17,7 @@ from survfuse.modulation import ModulationConfig
 from survfuse.nnet import layer_group, make_mlp, save_checkpoint, sgd_step
 from survfuse.smoothing import (CellCorpusSpec, Stage1Config, default_encoder,
                                 generate_cells, pretrain_mlp_a)
-from survfuse.survival import SurvivalRecord, concordance_index
+from survfuse.survival import concordance_index
 
 DIMS = dict(dim_cnv_mut=6, dim_rna=8, dim_image=6)
 
@@ -33,18 +33,12 @@ def _small_model(seed=0, **kw):
     return build_model(_small_spec(**kw), enc, seed=seed)
 
 
-def _records(n=24, seed=0):
+def _cohort(n=24, seed=0):
     rng = np.random.default_rng(seed)
-    recs = []
-    for i in range(n):
-        recs.append(SurvivalRecord(
-            id=f"p{i:03d}",
-            time=float(rng.uniform(0.5, 5.0)),
-            event=bool(rng.uniform() < 0.7) or i == 0,
-            cnv_mut=rng.normal(size=DIMS["dim_cnv_mut"]),
-            rna=rng.normal(size=DIMS["dim_rna"]),
-            image=rng.normal(size=DIMS["dim_image"])))
-    return recs
+    rows = [(rng.uniform(0.5, 5.0), rng.uniform() < 0.7 or i == 0,
+             rng.normal(size=DIMS["dim_cnv_mut"]), rng.normal(size=DIMS["dim_rna"]),
+             rng.normal(size=DIMS["dim_image"])) for i in range(n)]
+    return Cohort([f"p{i:03d}" for i in range(n)], *zip(*rows))
 
 
 def _zero_stack(layers):
@@ -136,7 +130,7 @@ def test_param_groups_alias_layers_across_calls_pickling_and_stage1():
     assert layer_group("mlp_a", stage1.mlp_a).flat_params is stage1.mlp_a[0].weight.base
     frozen = [layer.weight.copy() for layer in stage1.mlp_a]
     smoothed = build_model(_small_spec(), enc, stage1.mlp_a, seed=1)
-    train_survival(smoothed, _records(), TrainConfig(epochs=1, batch_size=8))
+    train_survival(smoothed, _cohort(), TrainConfig(epochs=1, batch_size=8))
     _assert_groups_alias_layers(smoothed, smoothed.param_groups())
     assert all(np.array_equal(layer.weight, w) for layer, w in zip(stage1.mlp_a, frozen))
 
@@ -254,7 +248,7 @@ def _assert_kronecker_refuses(cfg):
     layers = m.snn + m.mlp_b + m.image_encoder + [m.head]
     before = [layer.weight.copy() for layer in layers]
     with pytest.raises(StateError, match="concat"):
-        train_survival(m, _records(), cfg)
+        train_survival(m, _cohort(), cfg)
     # raised on the first step, before any parameter moved
     assert all(np.array_equal(layer.weight, w) for layer, w in zip(layers, before))
 
@@ -276,7 +270,7 @@ def test_track_rho_rejects_kronecker_mode():
 def test_training_leaves_frozen_path_untouched():
     m = _small_model()
     w_before = m.encoder.weight.copy()
-    train_survival(m, _records(), TrainConfig(epochs=2, batch_size=8, seed=0))
+    train_survival(m, _cohort(), TrainConfig(epochs=2, batch_size=8, seed=0))
     assert np.array_equal(m.encoder.weight, w_before)
 
 
@@ -294,11 +288,11 @@ def test_zeroed_head_image_block_blocks_image_gradients():
 
 
 def test_rho_tracking_does_not_perturb_training():
-    recs = _records()
+    cohort = _cohort()
     plain = _small_model(seed=5)
     tracked = _small_model(seed=5)
-    train_survival(plain, recs, TrainConfig(epochs=2, batch_size=8, seed=5))
-    result = train_survival(tracked, recs,
+    train_survival(plain, cohort, TrainConfig(epochs=2, batch_size=8, seed=5))
+    result = train_survival(tracked, cohort,
                             TrainConfig(epochs=2, batch_size=8, seed=5, track_rho=True))
     assert np.array_equal(plain.head.weight, tracked.head.weight)
     assert np.array_equal(plain.image_encoder[0].weight, tracked.image_encoder[0].weight)
@@ -308,11 +302,11 @@ def test_rho_tracking_does_not_perturb_training():
 
 
 def test_modulation_within_warmup_is_inert():
-    recs = _records()
+    cohort = _cohort()
     plain = _small_model(seed=6)
     warm = _small_model(seed=6)
-    train_survival(plain, recs, TrainConfig(epochs=1, batch_size=8, seed=6))
-    train_survival(warm, recs, TrainConfig(
+    train_survival(plain, cohort, TrainConfig(epochs=1, batch_size=8, seed=6))
+    train_survival(warm, cohort, TrainConfig(
         epochs=1, batch_size=8, seed=6,
         modulation=ModulationConfig(enabled=True, warmup_steps=10**6)))
     assert np.array_equal(plain.head.weight, warm.head.weight)
@@ -320,11 +314,11 @@ def test_modulation_within_warmup_is_inert():
 
 
 def test_modulation_changes_the_fit_after_warmup():
-    recs = _records()
+    cohort = _cohort()
     plain = _small_model(seed=6)
     mod = _small_model(seed=6)
-    train_survival(plain, recs, TrainConfig(epochs=1, batch_size=8, seed=6))
-    train_survival(mod, recs, TrainConfig(
+    train_survival(plain, cohort, TrainConfig(epochs=1, batch_size=8, seed=6))
+    train_survival(mod, cohort, TrainConfig(
         epochs=1, batch_size=8, seed=6,
         modulation=ModulationConfig(enabled=True, warmup_steps=0)))
     assert not np.array_equal(plain.snn[0].weight, mod.snn[0].weight)
@@ -332,27 +326,23 @@ def test_modulation_changes_the_fit_after_warmup():
 
 def test_all_censored_batches_are_skipped_not_fatal():
     rng = np.random.default_rng(7)
-    recs = []
-    for i in range(6):
-        recs.append(SurvivalRecord(
-            id=f"p{i}", time=float(i + 1), event=(i == 0),
-            cnv_mut=rng.normal(size=6), rna=rng.normal(size=8),
-            image=rng.normal(size=6)))
+    cohort = Cohort([f"p{i}" for i in range(6)], times=np.arange(1.0, 7.0),
+                  events=np.arange(6) == 0, x_cnv=rng.normal(size=(6, 6)),
+                  x_rna=rng.normal(size=(6, 8)), x_img=rng.normal(size=(6, 6)))
     m = _small_model()
     # batch_size 5 over 6 rows: one batch holds the event, the other cannot
-    result = train_survival(m, recs, TrainConfig(epochs=1, batch_size=5, seed=0))
+    result = train_survival(m, cohort, TrainConfig(epochs=1, batch_size=5, seed=0))
     assert result.skipped_batches == 1
     assert len(result.epochs) == 1
 
 
 def test_g2_standardization_fitted_during_training():
     m = _small_model()
-    recs = _records()
+    cohort = _cohort()
     assert m.g2_mean is None
-    train_survival(m, recs, TrainConfig(epochs=1, batch_size=8, seed=0))
+    train_survival(m, cohort, TrainConfig(epochs=1, batch_size=8, seed=0))
     assert m.g2_mean is not None
-    x_rna = np.stack([r.rna for r in recs])
-    feats = m.frozen_rna_features(x_rna)
+    feats = m.frozen_rna_features(cohort.x_rna)
     assert np.abs(feats.mean(axis=0)).max() < 1e-9
     spread = feats.std(axis=0)
     assert np.allclose(spread[spread > 1e-6], 1.0, atol=1e-9)
@@ -395,7 +385,7 @@ def test_backward_after_only_inference_forwards_is_an_error(mode):
     m = _small_model(fusion_mode=mode)
     rng = np.random.default_rng(1)
     theta, _, _ = m.forward_batch(*_batch(rng, 5))
-    predict_theta(m, _records(6))
+    predict_theta(m, _cohort(6))
     assert _caches(m) == ([(None, None)] * 9, None, None)
     with pytest.raises(StateError):
         m.backward_batch(np.ones_like(theta))
@@ -411,13 +401,13 @@ def test_training_and_inference_forwards_agree_bit_for_bit(mode):
         assert a.tobytes() == b.tobytes()
 
 
-def _default_width_model(records):
+def _default_width_model(cohort):
     """A model at the default widths (hidden 128), MLP-A on the frozen path."""
-    rna_dim = records[0].rna.size
+    rna_dim = cohort.x_rna.shape[1]
     mlp_a = make_mlp(32, 32, hidden_dim=128, n_hidden=2, activation="relu",
                      rng=np.random.default_rng(0))
-    spec = FusionSpec(dim_cnv_mut=records[0].cnv_mut.size, dim_rna=rna_dim,
-                      dim_image=records[0].image.size)
+    spec = FusionSpec(dim_cnv_mut=cohort.x_cnv.shape[1], dim_rna=rna_dim,
+                      dim_image=cohort.x_img.shape[1])
     return build_model(spec, default_encoder(rna_dim, 32, seed=0), mlp_a, seed=0)
 
 
@@ -432,17 +422,17 @@ def _peak_bytes(fn, *args):
 
 
 def test_evaluate_memory_is_a_few_hidden_activations():
-    records = generate_cohort(CohortSpec(n_patients=4000, seed=0))
-    model = _default_width_model(records)
-    activation_bytes = len(records) * 128 * 8
+    cohort = generate_cohort(CohortSpec(n_patients=4000, seed=0))
+    model = _default_width_model(cohort)
+    activation_bytes = len(cohort) * 128 * 8
     # keeping every layer's input and pre-activation measured 11.7x
-    assert _peak_bytes(evaluate, model, records) < 6 * activation_bytes
+    assert _peak_bytes(evaluate, model, cohort) < 6 * activation_bytes
 
 
 def test_save_model_memory_does_not_grow_with_the_file(tmp_path):
-    records = generate_cohort(CohortSpec(n_patients=100, seed=0))
-    model = _default_width_model(records)
-    model.fit_g2_normalization(np.stack([r.rna for r in records]))
+    cohort = generate_cohort(CohortSpec(n_patients=100, seed=0))
+    model = _default_width_model(cohort)
+    model.fit_g2_normalization(cohort.x_rna)
     path = tmp_path / "model.ckpt"
     peak = _peak_bytes(save_model, str(path), model)
     assert path.stat().st_size > 1_500_000
@@ -455,16 +445,16 @@ def test_save_model_memory_does_not_grow_with_the_file(tmp_path):
 
 @pytest.fixture(scope="module")
 def trained_on_cohort():
-    records = generate_cohort(CohortSpec(n_patients=200, seed=0))
+    cohort = generate_cohort(CohortSpec(n_patients=200, seed=0))
     enc = default_encoder(seed=0)
     spec = FusionSpec(dim_cnv_mut=32, dim_rna=64, dim_image=32)
     model = build_model(spec, enc, seed=0)
-    result = train_survival(model, records, TrainConfig(epochs=6, seed=0))
-    return records, model, result
+    result = train_survival(model, cohort, TrainConfig(epochs=6, seed=0))
+    return cohort, model, result
 
 
 def test_fit_learns_informative_cohort(trained_on_cohort):
-    records, model, result = trained_on_cohort
+    cohort, model, result = trained_on_cohort
     assert result.epochs[-1].c_index > 0.65
 
 
@@ -476,29 +466,27 @@ def test_epoch_metrics_roundtrip_as_dicts(trained_on_cohort):
 
 
 def test_evaluate_matches_manual_composition(trained_on_cohort):
-    records, model, _ = trained_on_cohort
-    out = evaluate(model, records)
-    theta = predict_theta(model, records)
-    times = np.array([r.time for r in records])
-    events = np.array([r.event for r in records])
-    assert out["c_index"] == concordance_index(theta, times, events)
+    cohort, model, _ = trained_on_cohort
+    out = evaluate(model, cohort)
+    theta = predict_theta(model, cohort)
+    assert out["c_index"] == concordance_index(theta, cohort.times, cohort.events)
     assert 0.0 < out["mean_loss"]
 
 
 def test_evaluate_constant_scores_give_chance_c(trained_on_cohort):
-    records, _, _ = trained_on_cohort
+    cohort, _, _ = trained_on_cohort
     m = _small_model()
     spec = FusionSpec(dim_cnv_mut=32, dim_rna=64, dim_image=32)
     m = build_model(spec, default_encoder(seed=0), seed=0)
     for stack in (m.snn, m.mlp_b, m.image_encoder, [m.head]):
         _zero_stack(stack)
-    assert evaluate(m, records)["c_index"] == 0.5
+    assert evaluate(m, cohort)["c_index"] == 0.5
 
 
 def test_image_branch_features_shape(trained_on_cohort):
-    records, model, _ = trained_on_cohort
-    feats = image_branch_features(model, records)
-    assert feats.shape == (len(records), model.img_dim)
+    cohort, model, _ = trained_on_cohort
+    feats = image_branch_features(model, cohort)
+    assert feats.shape == (len(cohort), model.img_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +494,14 @@ def test_image_branch_features_shape(trained_on_cohort):
 
 
 def test_model_checkpoint_round_trip(tmp_path, trained_on_cohort):
-    records, model, _ = trained_on_cohort
+    cohort, model, _ = trained_on_cohort
     path = str(tmp_path / "model.ckpt")
     save_model(path, model)
     back = load_model(path)
     assert back.fusion_mode == model.fusion_mode
     assert np.array_equal(back.g2_mean, model.g2_mean)
     assert np.array_equal(back.g2_std, model.g2_std)
-    assert np.array_equal(predict_theta(back, records), predict_theta(model, records))
+    assert np.array_equal(predict_theta(back, cohort), predict_theta(model, cohort))
 
 
 def test_load_model_rejects_other_kinds(tmp_path):

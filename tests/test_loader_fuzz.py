@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survfuse.cohort import CohortSpec, generate_cohort, load_cohort, save_cohort
+from survfuse.cohort import (Cohort, CohortSpec, generate_cohort, load_cohort,
+                             save_cohort)
 from survfuse.config import (RunConfig, load_cells_spec, load_cohort_spec,
                              load_run_config)
 from survfuse.errors import SurvfuseError
 from survfuse.smoothing import (CellCorpusSpec, CellProfile, generate_cells,
                                 load_cells, save_cells)
-from survfuse.survival import SurvivalRecord
 
 NUM_TYPES = 3
 INI = """\
@@ -62,14 +62,13 @@ out_dir = runs
 """
 
 
-def _valid_cohort(records):
-    assert records and all(isinstance(r, SurvivalRecord) for r in records)
-    dims = {(r.cnv_mut.size, r.rna.size, r.image.size) for r in records}
-    assert len(dims) == 1 and min(dims.pop()) > 0
-    assert len({r.id for r in records}) == len(records)
-    for r in records:
-        assert r.time > 0 and np.isfinite(r.time)
-        assert all(np.isfinite(x).all() for x in (r.cnv_mut, r.rna, r.image))
+def _valid_cohort(cohort):
+    assert isinstance(cohort, Cohort) and len(cohort) > 0
+    for x in (cohort.x_cnv, cohort.x_rna, cohort.x_img):
+        assert x.shape[0] == len(cohort) and x.shape[1] > 0
+        assert np.isfinite(x).all()
+    assert len(set(cohort.ids.tolist())) == len(cohort)
+    assert (cohort.times > 0).all() and np.isfinite(cohort.times).all()
 
 
 def _valid_cells(cells):

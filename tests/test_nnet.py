@@ -175,6 +175,28 @@ def test_pickled_layer_keeps_weights_and_drops_forward_cache():
         back.backward(np.ones((200, 4)))
 
 
+def test_pickled_layers_carry_parameters_only_and_train_in_a_group():
+    rng = np.random.default_rng(0)
+    layers = make_mlp(64, 32, hidden_dim=128, n_hidden=1, rng=rng)
+    group = layer_group("original", layers)
+    mlp_forward(layers, rng.normal(size=(8, 64)), train=True)
+    mlp_backward(layers, rng.normal(size=(8, 32)))
+    back = pickle.loads(pickle.dumps(layers))
+    for a, b in zip(layers, back):
+        assert len(pickle.dumps(a)) < 1.1 * (a.weight.nbytes + a.bias.nbytes)
+        assert np.array_equal(b.weight, a.weight) and np.array_equal(b.bias, a.bias)
+        assert not b.grad_weight.any() and not b.grad_bias.any()
+        assert b._cached_input is None and b._cached_preact is None
+    # one more step on the same batch moves the copy exactly as the original
+    copy_group = layer_group("copy", back)
+    x, up = rng.normal(size=(8, 64)), rng.normal(size=(8, 32))
+    for net, grp in ((layers, group), (back, copy_group)):
+        mlp_forward(net, x, train=True)
+        mlp_backward(net, up)
+        sgd_step([grp], eta=0.1)
+    assert np.array_equal(copy_group.flat_params, group.flat_params)
+
+
 @pytest.mark.parametrize("activation", ["identity", "relu", "selu", "tanh"])
 def test_inference_forward_keeps_no_cache(activation):
     layer = DenseLayer(3, 4, activation, rng=np.random.default_rng(0))

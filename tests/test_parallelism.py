@@ -17,13 +17,12 @@ import pytest
 import survfuse
 from survfuse import experiment
 from survfuse.cli import build_parser, main
-from survfuse.cohort import CohortSpec, generate_cohort, save_cohort
+from survfuse.cohort import Cohort, CohortSpec, generate_cohort, save_cohort
 from survfuse.config import load_run_config
 from survfuse.errors import ConfigError, NumericalError
 from survfuse.experiment import run_ablation, run_cross_validation, run_stage1
 from survfuse.smoothing import (CellCorpusSpec, CellProfile, generate_cells,
                                 save_cells)
-from survfuse.survival import SurvivalRecord
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SRC = str(Path(survfuse.__file__).resolve().parent.parent)
@@ -79,7 +78,7 @@ def test_blas_thread_count_does_not_change_results(tmp_path):
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, what each task is
+    """Stands in for ProcessPoolExecutor: cohort its size, what each task is
     sent and how it is shut down; runs the initializer and every task here."""
 
     sizes: list[int] = []
@@ -117,13 +116,13 @@ class RecordingPool:
 
 @pytest.fixture(scope="module")
 def tiny_run():
-    records = generate_cohort(CohortSpec(n_patients=40, seed=0))
+    cohort = generate_cohort(CohortSpec(n_patients=40, seed=0))
     cfg = load_run_config(None, seed=0, smoothing_enabled=False, k_folds=2, epochs=1)
     cfg = dataclasses.replace(cfg, smoothing=dataclasses.replace(
         cfg.smoothing, stage1_epochs=1, steps_per_epoch=5))
-    cells = generate_cells(CellCorpusSpec(n_cells=4, gene_dim=records[0].rna.size,
+    cells = generate_cells(CellCorpusSpec(n_cells=4, gene_dim=cohort.x_rna.shape[1],
                                           num_types=2))
-    return records, cfg, run_stage1(cells, cfg), cells
+    return cohort, cfg, run_stage1(cells, cfg), cells
 
 
 def _carries(value, kind) -> bool:
@@ -138,43 +137,43 @@ def _carries(value, kind) -> bool:
 
 
 def test_fold_pool_has_no_more_workers_than_folds(tiny_run, monkeypatch):
-    records, cfg, bundle, _ = tiny_run
+    cohort, cfg, bundle, _ = tiny_run
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
     RecordingPool.reset()
-    pooled = run_cross_validation(records, cfg, bundle, jobs=50)
+    pooled = run_cross_validation(cohort, cfg, bundle, jobs=50)
     assert RecordingPool.sizes == [1]   # with this process: one per fold
-    serial = run_cross_validation(records, cfg, bundle, jobs=1)
+    serial = run_cross_validation(cohort, cfg, bundle, jobs=1)
     assert RecordingPool.sizes == [1]
     assert pooled == serial
     assert len(RecordingPool.submissions) == 2
-    assert not _carries(RecordingPool.submissions, SurvivalRecord)
+    assert not _carries(RecordingPool.submissions, Cohort)
 
 
 @pytest.mark.parametrize("jobs", [3, 50])
 def test_ablate_runs_on_one_pool_and_sends_inputs_once(tiny_run, monkeypatch, jobs):
-    records, cfg, _, cells = tiny_run
-    serial = run_ablation(records, cells, cfg, jobs=1)
+    cohort, cfg, _, cells = tiny_run
+    serial = run_ablation(cohort, cells, cfg, jobs=1)
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
     RecordingPool.reset()
-    pooled = run_ablation(records, cells, cfg, jobs=jobs)
+    pooled = run_ablation(cohort, cells, cfg, jobs=jobs)
     n_tasks = 6 * cfg.k_folds   # every fold of the grid; stage 1 trains here
     assert RecordingPool.sizes == [min(jobs, n_tasks) - 1]
     assert len(RecordingPool.submissions) == n_tasks
-    assert not _carries(RecordingPool.submissions, (SurvivalRecord, CellProfile))
+    assert not _carries(RecordingPool.submissions, (Cohort, CellProfile))
     assert pooled == serial
 
 
 def test_failed_task_cancels_the_rest_and_surfaces_its_error(tiny_run, monkeypatch):
-    records, cfg, _, cells = tiny_run
+    cohort, cfg, _, cells = tiny_run
 
-    def failing_fold(records, plan, fold, cfg, bundle):
+    def failing_fold(cohort, plan, fold, cfg, bundle):
         raise NumericalError(f"fold {fold} diverged")
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiment, "run_single_fold", failing_fold)
     RecordingPool.reset()
     with pytest.raises(NumericalError, match="fold 0 diverged"):
-        run_ablation(records, cells, cfg, jobs=2)
+        run_ablation(cohort, cells, cfg, jobs=2)
     assert RecordingPool.shutdowns[0] == {"wait": True, "cancel_futures": True}
 
 
@@ -184,11 +183,11 @@ SMALL_GRID_INI = ("[run]\nk_folds = 2\nepochs = 1\n"
 
 def test_worker_error_is_a_clean_cli_error_without_running_the_rest(
         tiny_run, tmp_path, monkeypatch, capsys):
-    records, _, _, cells = tiny_run
+    cohort, _, _, cells = tiny_run
     started = tmp_path / "started"
     started.mkdir()
 
-    def fold(records, plan, fold, cfg, bundle):
+    def fold(cohort, plan, fold, cfg, bundle):
         if cfg.fusion_mode == "concat" and not cfg.smoothing.enabled \
                 and not cfg.modulation.enabled and fold == 0:
             raise NumericalError("row 1 fold 0 diverged")
@@ -198,7 +197,7 @@ def test_worker_error_is_a_clean_cli_error_without_running_the_rest(
 
     # forked workers inherit the substitute
     monkeypatch.setattr(experiment, "run_single_fold", fold)
-    save_cohort(str(tmp_path / "cohort.csv"), records)
+    save_cohort(str(tmp_path / "cohort.csv"), cohort)
     save_cells(str(tmp_path / "cells.csv"), cells)
     (tmp_path / "grid.ini").write_text(SMALL_GRID_INI)
     argv = ["ablate", "--config", str(tmp_path / "grid.ini"),
@@ -219,13 +218,13 @@ def test_worker_error_is_a_clean_cli_error_without_running_the_rest(
     ("feature_dim = 0", "feature_dim")])
 def test_bad_stage1_setting_stops_ablate_before_any_fold(
         setting, message, jobs, tiny_run, tmp_path, monkeypatch, capsys):
-    records, _, _, cells = tiny_run
+    cohort, _, _, cells = tiny_run
     folds = []
     monkeypatch.setattr(experiment, "run_single_fold",
                         lambda *args: folds.append(args) or {})
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
     RecordingPool.reset()
-    save_cohort(str(tmp_path / "cohort.csv"), records)
+    save_cohort(str(tmp_path / "cohort.csv"), cohort)
     save_cells(str(tmp_path / "cells.csv"), cells)
     (tmp_path / "grid.ini").write_text("[run]\nk_folds = 2\nepochs = 1\n"
                                        f"[smoothing]\n{setting}\n")
@@ -242,7 +241,7 @@ def test_bad_stage1_setting_stops_ablate_before_any_fold(
 
 def test_stage1_failure_stops_serial_ablate_before_any_fold(
         tiny_run, tmp_path, monkeypatch, capsys):
-    records, _, _, cells = tiny_run
+    cohort, _, _, cells = tiny_run
     folds = []
 
     def diverged(*args):
@@ -251,7 +250,7 @@ def test_stage1_failure_stops_serial_ablate_before_any_fold(
     monkeypatch.setattr(experiment, "pretrain_mlp_a", diverged)
     monkeypatch.setattr(experiment, "run_single_fold",
                         lambda *args: folds.append(args) or {})
-    save_cohort(str(tmp_path / "cohort.csv"), records)
+    save_cohort(str(tmp_path / "cohort.csv"), cohort)
     save_cells(str(tmp_path / "cells.csv"), cells)
     (tmp_path / "grid.ini").write_text(SMALL_GRID_INI)
     argv = ["ablate", "--config", str(tmp_path / "grid.ini"),
@@ -282,18 +281,18 @@ def _runs(marks: Path) -> dict[str, list[int]]:
 
 def test_every_fold_runs_once_in_this_process_or_a_worker(tiny_run, tmp_path,
                                                           monkeypatch):
-    records, cfg, _, cells = tiny_run
+    cohort, cfg, _, cells = tiny_run
     real_fold = experiment.run_single_fold
 
-    def marked(records, plan, fold, cfg, bundle):
+    def marked(cohort, plan, fold, cfg, bundle):
         row = (cfg.smoothing.enabled, cfg.fusion_mode, cfg.modulation.enabled)
         (tmp_path / f"{row}-{fold}@{os.getpid()}").touch()
         time.sleep(0.2)   # long enough for both processes to take folds
-        return real_fold(records, plan, fold, cfg, bundle)
+        return real_fold(cohort, plan, fold, cfg, bundle)
 
     # forked workers inherit the substitute
     monkeypatch.setattr(experiment, "run_single_fold", marked)
-    run_ablation(records, cells, cfg, jobs=2)
+    run_ablation(cohort, cells, cfg, jobs=2)
     runs = _runs(tmp_path)
     assert len(runs) == 6 * cfg.k_folds
     assert all(len(pids) == 1 for pids in runs.values())
@@ -303,11 +302,11 @@ def test_every_fold_runs_once_in_this_process_or_a_worker(tiny_run, tmp_path,
 
 def test_earlier_worker_error_outranks_this_process_error_and_stops_the_rest(
         tiny_run, tmp_path, monkeypatch, capsys):
-    records, _, _, _ = tiny_run
+    cohort, _, _, _ = tiny_run
     marks = tmp_path / "marks"
     marks.mkdir()
 
-    def fold(records, plan, fold, cfg, bundle):
+    def fold(cohort, plan, fold, cfg, bundle):
         (marks / f"{fold}@{os.getpid()}").touch()
         if fold == 3:   # this process's first task: the back of the queue
             _wait_for(tmp_path / "0-started")
@@ -321,9 +320,9 @@ def test_earlier_worker_error_outranks_this_process_error_and_stops_the_rest(
         return {}
 
     monkeypatch.setattr(experiment, "run_single_fold", fold)
-    cohort = str(tmp_path / "cohort.csv")
-    save_cohort(cohort, records)
-    argv = ["train", "--cohort", cohort, "--smoothing", "off", "--k-folds", "4",
+    cohort_csv = str(tmp_path / "cohort.csv")
+    save_cohort(cohort_csv, cohort)
+    argv = ["train", "--cohort", cohort_csv, "--smoothing", "off", "--k-folds", "4",
             "--epochs", "1", "--out", str(tmp_path / "run"), "--jobs", "2"]
     assert main(argv) == 1
     assert "error: fold 0 diverged" in capsys.readouterr().err
@@ -334,11 +333,11 @@ def test_earlier_worker_error_outranks_this_process_error_and_stops_the_rest(
 
 def test_stage1_error_outranks_a_fold_error_at_jobs_2(tiny_run, tmp_path,
                                                       monkeypatch, capsys):
-    records, _, _, cells = tiny_run
+    cohort, _, _, cells = tiny_run
     marks = tmp_path / "marks"
     marks.mkdir()
 
-    def fold(records, plan, fold, cfg, bundle):
+    def fold(cohort, plan, fold, cfg, bundle):
         (marks / f"{cfg.smoothing.enabled}-{fold}@{os.getpid()}").touch()
         (tmp_path / "fold-failed").touch()
         raise NumericalError("row 1 fold 0 diverged")
@@ -349,7 +348,7 @@ def test_stage1_error_outranks_a_fold_error_at_jobs_2(tiny_run, tmp_path,
 
     monkeypatch.setattr(experiment, "run_single_fold", fold)
     monkeypatch.setattr(experiment, "pretrain_mlp_a", stage1)
-    save_cohort(str(tmp_path / "cohort.csv"), records)
+    save_cohort(str(tmp_path / "cohort.csv"), cohort)
     save_cells(str(tmp_path / "cells.csv"), cells)
     (tmp_path / "grid.ini").write_text(SMALL_GRID_INI)
     argv = ["ablate", "--config", str(tmp_path / "grid.ini"),
@@ -427,12 +426,12 @@ def test_train_and_ablate_take_jobs(command):
 
 
 def test_jobs_below_one_is_a_clean_error(tiny_run, tmp_path, capsys):
-    records, cfg, bundle, _ = tiny_run
+    cohort, cfg, bundle, _ = tiny_run
     with pytest.raises(ConfigError, match="--jobs"):
-        run_cross_validation(records, cfg, bundle, jobs=0)
-    cohort = str(tmp_path / "cohort.csv")
-    save_cohort(cohort, records)
-    argv = ["train", "--cohort", cohort, "--smoothing", "off", "--k-folds", "2",
+        run_cross_validation(cohort, cfg, bundle, jobs=0)
+    cohort_csv = str(tmp_path / "cohort.csv")
+    save_cohort(cohort_csv, cohort)
+    argv = ["train", "--cohort", cohort_csv, "--smoothing", "off", "--k-folds", "2",
             "--epochs", "1", "--out", str(tmp_path / "run"), "--jobs", "0"]
     assert main(argv) == 1
     assert "error:" in capsys.readouterr().err

@@ -8,10 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cox_reference as ref
+from survfuse.cohort import Cohort
 from survfuse.errors import (ConcordanceUndefinedError, ShapeError,
                              ValidationError)
 from survfuse.modulation import ModulationConfig, contribution_ratio
-from survfuse.survival import (CoxBatch, SurvivalRecord, build_risk_sets,
+from survfuse.survival import (CoxBatch, build_risk_sets,
                                concordance_index, cox_gradient, cox_loss,
                                fit_linear_cox, probe_c_index)
 
@@ -314,23 +315,24 @@ def test_concordance_memory_is_linear_in_n():
 
 
 # ---------------------------------------------------------------------------
-# records
+# cohorts
+
+
+def _cohort(times, events):
+    n = len(times)
+    return Cohort(ids=[f"p{i}" for i in range(n)], times=times, events=events,
+                  x_cnv=np.zeros((n, 2)), x_rna=np.zeros((n, 2)), x_img=np.zeros((n, 2)))
 
 
 def test_survival_record_validation():
-    with pytest.raises(ValidationError):
-        SurvivalRecord(id="p0", time=0.0, event=True,
-                       cnv_mut=np.zeros(2), rna=np.zeros(2), image=np.zeros(2))
-    with pytest.raises(ValidationError):
-        SurvivalRecord(id="p0", time=np.inf, event=True,
-                       cnv_mut=np.zeros(2), rna=np.zeros(2), image=np.zeros(2))
+    # a cohort's times enter CoxBatch unchecked, so the cohort checks them
+    for bad in (0.0, np.inf):
+        with pytest.raises(ValidationError, match="record 'p0': time must be positive"):
+            _cohort([bad], [True])
 
 
 def test_build_risk_sets_from_records():
-    recs = [SurvivalRecord(id=f"p{i}", time=t, event=e,
-                           cnv_mut=np.zeros(1), rna=np.zeros(1), image=np.zeros(1))
-            for i, (t, e) in enumerate([(2.0, True), (1.0, False)])]
-    batch = build_risk_sets(recs)
+    batch = build_risk_sets(_cohort([2.0, 1.0], [True, False]))
     assert batch.times.tolist() == [2.0, 1.0]
     assert batch.n_events == 1
 
