@@ -26,7 +26,7 @@ from .errors import SurvfuseError, ValidationError, write_text
 from .experiment import (Stage1Bundle, ablation_csv_lines, run_ablation,
                          run_cross_validation, run_final_fit, run_stage1,
                          tool_version)
-from .fusion import FusionModel, evaluate, load_model, save_model
+from .fusion import evaluate, load_model, save_model
 from .gradcheck import run_all
 from .smoothing import (Stage1Result, generate_cells, load_cells, load_stage1,
                         save_cells, save_stage1)
@@ -83,9 +83,7 @@ def _write_jsonl(path: str, rows: list[dict], force: bool) -> None:
 def _out_path(args, default_name: str, configured: str | None = None) -> str:
     if args.out:
         return os.path.join(args.out, default_name)
-    if configured:
-        return configured
-    return default_name
+    return configured or default_name
 
 
 # ---------------------------------------------------------------------------
@@ -184,20 +182,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_widths(path: str, cohort: Cohort, model: FusionModel) -> None:
-    """Each column block of the cohort is as wide as the model's input for it."""
-    wants = (model.snn[0].in_dim, model.encoder.gene_dim, model.image_encoder[0].in_dim)
-    for letter, x, want in zip("grp", (cohort.x_cnv, cohort.x_rna, cohort.x_img), wants):
-        if x.shape[1] != want:
-            raise ValidationError(f"{path}: the cohort has {x.shape[1]} '{letter}' "
-                                  f"columns, the model expects {want}")
-
-
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config, seed=args.seed, cohort=args.cohort)
     model = load_model(args.model)
     cohort = load_cohort(cfg.paths.cohort)
-    _check_widths(cfg.paths.cohort, cohort, model)
+    try:
+        model.check_widths(cohort)
+    except ValidationError as exc:
+        raise ValidationError(f"{cfg.paths.cohort}: {exc}") from exc
     metrics = evaluate(model, cohort)
     result = {"kind": "eval_report", "tool_version": tool_version(),
               "model": args.model, "cohort": cfg.paths.cohort,

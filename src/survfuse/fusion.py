@@ -106,6 +106,14 @@ class FusionModel:
         self.g2_mean: np.ndarray | None = None
         self.g2_std: np.ndarray | None = None
 
+    def check_widths(self, cohort: Cohort) -> None:
+        """Each column block of the cohort is as wide as this model's input for it."""
+        wants = (self.snn[0].in_dim, self.encoder.gene_dim, self.image_encoder[0].in_dim)
+        for letter, x, want in zip("grp", (cohort.x_cnv, cohort.x_rna, cohort.x_img), wants):
+            if x.shape[1] != want:
+                raise ValidationError(f"the cohort has {x.shape[1]} '{letter}' columns, "
+                                      f"the model expects {want}")
+
     # --- head block views (concat mode) ---
 
     def _require_concat(self):
@@ -289,6 +297,7 @@ class TrainResult:
 
 
 def predict_theta(model: FusionModel, cohort: Cohort) -> np.ndarray:
+    model.check_widths(cohort)
     theta, _, _ = model.forward_batch(cohort.x_cnv, model.frozen_rna_features(cohort.x_rna),
                                       cohort.x_img)
     return theta

@@ -1,5 +1,6 @@
 """Two-branch fusion model: architecture, fusion ops, training loop."""
 
+import dataclasses
 import pickle
 import tracemalloc
 
@@ -481,6 +482,17 @@ def test_evaluate_constant_scores_give_chance_c(trained_on_cohort):
     for stack in (m.snn, m.mlp_b, m.image_encoder, [m.head]):
         _zero_stack(stack)
     assert evaluate(m, cohort)["c_index"] == 0.5
+
+
+@pytest.mark.parametrize("letter,block", [("g", "x_cnv"), ("r", "x_rna"), ("p", "x_img")])
+def test_inference_names_the_block_of_a_width_mismatch(letter, block):
+    cohort = _cohort(n=6)
+    narrow = dataclasses.replace(cohort, **{block: getattr(cohort, block)[:, :3]})
+    want = DIMS[{"g": "dim_cnv_mut", "r": "dim_rna", "p": "dim_image"}[letter]]
+    message = f"the cohort has 3 '{letter}' columns, the model expects {want}"
+    for infer in (predict_theta, evaluate):
+        with pytest.raises(ValidationError, match=message):
+            infer(_small_model(), narrow)
 
 
 def test_image_branch_features_shape(trained_on_cohort):

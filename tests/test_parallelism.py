@@ -78,7 +78,7 @@ def test_blas_thread_count_does_not_change_results(tmp_path):
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: cohort its size, what each task is
+    """Stands in for ProcessPoolExecutor: records its size, what each task is
     sent and how it is shut down; runs the initializer and every task here."""
 
     sizes: list[int] = []

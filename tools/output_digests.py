@@ -1,6 +1,6 @@
 """Digest every output of the survfuse pipeline, to compare two checkouts.
 
-For each seed and each --jobs value, in its own run directory, this runs
+For each seed, at --jobs 1 and at --jobs 2, each in its own run directory, this runs
 gen-cohort, gen-cells, pretrain-smooth, train (stage-1 smoothing,
 modulation, --track-rho, --image-probe), eval and ablate on a small
 configuration, then prints one `sha256 relative-path` line per output file.
@@ -30,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TOKEN = "<run>"
+JOBS = (1, 2)
 
 # small enough for CI, large enough that every fold trains on several batches
 CONFIG = """\
@@ -104,31 +105,25 @@ def output_digests(run_dir: Path) -> dict[str, str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 3])
-    parser.add_argument("--jobs", type=int, nargs="+", default=[1, 2])
-    parser.add_argument("--work", default=None,
-                        help="keep the run directories here (default: a temporary "
-                             "directory, removed afterwards)")
     args = parser.parse_args(argv)
+    differ = []
     with tempfile.TemporaryDirectory(prefix="survfuse-digests-") as tmp:
-        work = Path(args.work).resolve() if args.work else Path(tmp)
-        differ = []
         for seed in args.seeds:
             by_jobs = {}
-            for jobs in args.jobs:
-                run_dir = work / f"seed{seed}" / f"jobs{jobs}"
+            for jobs in JOBS:
+                run_dir = Path(tmp) / f"seed{seed}" / f"jobs{jobs}"
                 run_pipeline(run_dir, seed, jobs)
                 by_jobs[jobs] = output_digests(run_dir)
                 for rel, sha in by_jobs[jobs].items():
                     print(f"{sha}  seed{seed}/jobs{jobs}/{rel}")
-            first = by_jobs[args.jobs[0]]
+            first = by_jobs[JOBS[0]]
             for jobs, digests in by_jobs.items():
                 differ += [f"seed {seed}: {rel} at --jobs {jobs}"
                            for rel in sorted(set(first) | set(digests))
                            if digests.get(rel) != first.get(rel)]
     for line in differ:
-        print(f"differs from --jobs {args.jobs[0]}: {line}", file=sys.stderr)
+        print(f"differs from --jobs {JOBS[0]}: {line}", file=sys.stderr)
     return 1 if differ else 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
