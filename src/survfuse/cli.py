@@ -183,14 +183,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = load_run_config(args.config, seed=args.seed, cohort=args.cohort)
+    cfg = load_run_config(args.config, cohort=args.cohort)
     model = load_model(args.model)
     cohort = load_cohort(cfg.paths.cohort)
     try:
-        model.check_widths(cohort)
-    except ValidationError as exc:
+        metrics = evaluate(model, cohort)
+    except ValidationError as exc:   # a column block of the wrong width
         raise ValidationError(f"{cfg.paths.cohort}: {exc}") from exc
-    metrics = evaluate(model, cohort)
     result = {"kind": "eval_report", "tool_version": tool_version(),
               "model": args.model, "cohort": cfg.paths.cohort,
               "c_index": metrics["c_index"], "mean_loss": metrics["mean_loss"],
@@ -239,12 +238,18 @@ def cmd_gradcheck(args) -> int:
 # parser
 
 
-def _add_common(sp) -> None:
-    sp.add_argument("--config", default=None, help="INI config file")
-    sp.add_argument("--seed", type=int, default=None, help="override the seed")
-    sp.add_argument("--out", default=None, help="output directory")
-    sp.add_argument("--force", action="store_true",
-                    help="overwrite existing outputs")
+_COMMON_FLAGS = {
+    "--config": dict(default=None, help="INI config file"),
+    "--seed": dict(type=int, default=None, help="override the seed"),
+    "--out": dict(default=None, help="output directory"),
+    "--force": dict(action="store_true", help="overwrite existing outputs"),
+}
+
+
+def _add_common(sp, *flags: str) -> None:
+    """Register the common flags the command reads: all four unless named."""
+    for flag in flags or _COMMON_FLAGS:
+        sp.add_argument(flag, **_COMMON_FLAGS[flag])
 
 
 def _add_jobs(sp) -> None:
@@ -296,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a saved model on a cohort")
-    _add_common(p)
+    _add_common(p, "--config", "--out", "--force")
     p.add_argument("--model", required=True, help="fusion-model checkpoint")
     p.add_argument("--cohort", default=None, help="cohort CSV")
     p.set_defaults(handler=cmd_eval)
@@ -310,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck",
                        help="finite-difference gradient verification suite")
-    _add_common(p)
+    _add_common(p, "--seed")
     p.set_defaults(handler=cmd_gradcheck)
     return parser
 
@@ -324,8 +329,8 @@ def main(argv: list[str] | None = None) -> int:
     except SurvfuseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # missing/unreadable inputs and the like
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:  # unreadable inputs, failed allocations
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -96,9 +96,6 @@ class FusionModel:
                              f"{fusion_mode} fusion produces {expected}")
         if head.out_dim != 1:
             raise ShapeError("fusion head must have a single output")
-        # caches for the kronecker backward pass, set by a training forward
-        self._last_G: np.ndarray | None = None
-        self._last_P: np.ndarray | None = None
         # per-feature standardization of the frozen rna path, fitted on the
         # training split (stage-1 features come out ~10x smaller than raw
         # encoder latents; without this MLP-B under-uses whichever variant
@@ -170,8 +167,8 @@ class FusionModel:
     def forward_batch(self, x_cnv, g2_feat, x_img, *, train: bool = False):
         """Score a batch; returns (theta, G, P). g2_feat is the precomputed
         frozen-path output for these rows. With train=True (backward_batch
-        follows) every trainable layer, and the kronecker head's G and P,
-        are cached for the backward pass; otherwise no cache changes."""
+        follows) every trainable layer caches its input for the backward
+        pass; otherwise no cache changes."""
         g1 = mlp_forward(self.snn, x_cnv, train=train)
         G = mlp_forward(self.mlp_b, np.concatenate([g1, g2_feat], axis=1), train=train)
         P = mlp_forward(self.image_encoder, x_img, train=train)
@@ -179,8 +176,6 @@ class FusionModel:
             fused = np.concatenate([G, P], axis=1)
         else:
             fused = kronecker_features(G, P)
-        if train:
-            self._last_G, self._last_P = G, P
         theta = self.head.forward(fused, train=train)[:, 0]
         return theta, G, P
 
@@ -192,9 +187,8 @@ class FusionModel:
             dG = up[:, :self.gen_dim]
             dP = up[:, self.gen_dim:]
         else:
-            if self._last_G is None or self._last_P is None:
-                raise StateError("backward_batch called before forward_batch")
-            dG, dP = _kronecker_backward(up, self._last_G, self._last_P)
+            dG, dP = _kronecker_backward(up, self.head._cached_input,
+                                         self.gen_dim, self.img_dim)
         # only the SNN's columns of MLP-B's input gradient are used, and no
         # input gradient of the SNN or the image encoder
         d_g1 = mlp_backward(self.mlp_b, dG, input_cols=self.snn[-1].out_dim)
@@ -238,13 +232,13 @@ def kronecker_features(G, P) -> np.ndarray:
     return (g_ext[:, :, None] * p_ext[:, None, :]).reshape(G.shape[0], -1)
 
 
-def _kronecker_backward(up, G, P):
-    n, g = G.shape
-    p = P.shape[1]
-    u = up.reshape(n, g + 1, p + 1)
-    ones = np.ones((n, 1))
-    g_ext = np.concatenate([G, ones], axis=1)
-    p_ext = np.concatenate([P, ones], axis=1)
+def _kronecker_backward(up, fused, g, p):
+    """dG and dP from the head's input gradient and its cached input: row i's
+    [G_i || 1] is column p, and [P_i || 1] row g, of its outer product, read
+    back exactly because the other factor there is 1.0."""
+    outer = fused.reshape(-1, g + 1, p + 1)
+    g_ext, p_ext = outer[:, :, p], outer[:, g, :]
+    u = up.reshape(outer.shape)
     dG = (u * p_ext[:, None, :]).sum(axis=2)[:, :g]
     dP = (u * g_ext[:, :, None]).sum(axis=1)[:, :p]
     return dG, dP

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -235,51 +235,24 @@ def mlp_backward(net: list[DenseLayer], upstream,
     return grad
 
 
-def _tiled_buffer(arrays: list[np.ndarray]) -> np.ndarray | None:
-    """The 1-D buffer that `arrays` tile end to end, in order, or None."""
-    if not arrays:
-        return np.empty(0)
-    buffer = arrays[0].base
-    if not isinstance(buffer, np.ndarray) or buffer.ndim != 1 or not buffer.flags.c_contiguous:
-        return None
-    start = address = buffer.__array_interface__["data"][0]
-    for a in arrays:
-        if (a.base is not buffer or not a.flags.c_contiguous
-                or a.__array_interface__["data"][0] != address):
-            return None
-        address += a.nbytes
-    return buffer if address == start + buffer.nbytes else None
-
-
 @dataclass
 class ParamGroup:
-    """Named parameter tensors with aliased gradient buffers and an lr scale.
+    """A named pair of flat buffers, the parameters of some layers and their
+    gradients, with an lr scale.
 
-    The params tile one flat buffer, `flat_params`, and the grads another,
-    `flat_grads`, so sgd_step checks and updates a group in one operation
-    each. layer_group builds groups whose tensors are laid out this way.
+    The layers' tensors are views of these buffers (build groups with
+    layer_group), so sgd_step checks and updates a group in one operation each.
     """
 
     name: str
-    params: list[np.ndarray]
-    grads: list[np.ndarray]
+    flat_params: np.ndarray
+    flat_grads: np.ndarray
     lr_scale: float = 1.0
-    flat_params: np.ndarray = field(init=False, repr=False)
-    flat_grads: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.params) != len(self.grads):
-            raise ShapeError(
-                f"group '{self.name}': {len(self.params)} params vs {len(self.grads)} grads")
-        for p, g in zip(self.params, self.grads):
-            if p.shape != g.shape:
-                raise ShapeError(
-                    f"group '{self.name}': param shape {p.shape} != grad shape {g.shape}")
-        self.flat_params = _tiled_buffer(self.params)
-        self.flat_grads = _tiled_buffer(self.grads)
-        if self.flat_params is None or self.flat_grads is None:
-            raise ShapeError(f"group '{self.name}': params and grads must each tile "
-                             "one contiguous buffer (build groups with layer_group)")
+        if self.flat_params.shape != self.flat_grads.shape:
+            raise ShapeError(f"group '{self.name}': params shape {self.flat_params.shape} "
+                             f"!= grads shape {self.flat_grads.shape}")
         self._check_lr_scale()
 
     def _check_lr_scale(self):
@@ -292,37 +265,37 @@ class ParamGroup:
         self._check_lr_scale()
 
 
-def _layer_tensors(layers: list[DenseLayer]) -> tuple[list, list]:
-    params = [t for layer in layers for t in (layer.weight, layer.bias)]
-    grads = [t for layer in layers for t in (layer.grad_weight, layer.grad_bias)]
-    return params, grads
-
-
 def layer_group(name: str, layers: list[DenseLayer], lr_scale: float = 1.0) -> ParamGroup:
     """Collect layer weights/biases into one group; arrays are aliased, not copied.
 
     The first time, the layers' tensors move (values kept) into one flat
     parameter buffer and one flat gradient buffer, and the layers' attributes
-    become views of them; a later group over the same layers finds them laid
-    out already and shares the buffers. Layers laid out for another group
-    cannot join a different one: moving them would cut that group off.
+    become views of them; a later group over the same layers, in any order,
+    finds every tensor a view of two buffers that they fill exactly and shares
+    them. Layers laid out for another group cannot join a different one:
+    moving them would cut that group off. No layers give an empty group.
     """
-    params, grads = _layer_tensors(layers)
-    if _tiled_buffer(params) is None or _tiled_buffer(grads) is None:
-        if any(t.base is not None for t in params + grads):
-            raise StateError(f"group '{name}': its layers are laid out for another group")
-        flat_params = np.concatenate([t.ravel() for t in params])
-        flat_grads = np.concatenate([t.ravel() for t in grads])
-        offset = 0
-        for layer in layers:
-            for attr, grad_attr in (("weight", "grad_weight"), ("bias", "grad_bias")):
-                shape = getattr(layer, attr).shape
-                end = offset + math.prod(shape)
-                setattr(layer, attr, flat_params[offset:end].reshape(shape))
-                setattr(layer, grad_attr, flat_grads[offset:end].reshape(shape))
-                offset = end
-        params, grads = _layer_tensors(layers)
-    return ParamGroup(name, params, grads, lr_scale)
+    params = [t for layer in layers for t in (layer.weight, layer.bias)]
+    grads = [t for layer in layers for t in (layer.grad_weight, layer.grad_bias)]
+    if any(t.base is not None for t in params + grads):
+        flat_params, flat_grads = params[0].base, grads[0].base
+        size = sum(t.size for t in params)
+        for flat, tensors in ((flat_params, params), (flat_grads, grads)):
+            if (not isinstance(flat, np.ndarray) or flat.size != size
+                    or any(t.base is not flat for t in tensors)):
+                raise StateError(f"group '{name}': its layers are laid out for another group")
+        return ParamGroup(name, flat_params, flat_grads, lr_scale)
+    flat_params = np.concatenate([np.empty(0), *(t.ravel() for t in params)])
+    flat_grads = np.concatenate([np.empty(0), *(t.ravel() for t in grads)])
+    offset = 0
+    for layer in layers:
+        for attr, grad_attr in (("weight", "grad_weight"), ("bias", "grad_bias")):
+            shape = getattr(layer, attr).shape
+            end = offset + math.prod(shape)
+            setattr(layer, attr, flat_params[offset:end].reshape(shape))
+            setattr(layer, grad_attr, flat_grads[offset:end].reshape(shape))
+            offset = end
+    return ParamGroup(name, flat_params, flat_grads, lr_scale)
 
 
 def sgd_step(groups: list[ParamGroup], eta: float) -> None:

@@ -394,6 +394,15 @@ def test_ablate_emits_six_fixed_rows(pipeline, capsys):
     assert len(csv_lines) == 7
 
 
+def test_an_allocation_that_fails_is_a_clean_error(tmp_path, capsys):
+    # 10^15 patients need petabytes: the first array allocation fails at once
+    argv = ["gen-cohort", "--n-patients", "1000000000000000", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "allocate" in err
+    assert not os.listdir(tmp_path)
+
+
 def test_gradcheck_command_passes(capsys):
     assert main(["gradcheck", "--seed", "0"]) == 0
     out = capsys.readouterr().out

@@ -25,8 +25,8 @@ def _break_relu_derivative(monkeypatch):
 
 
 def _break_kronecker_backward(monkeypatch):
-    def backward(up, G, P):
-        dG, dP = KRONECKER_BACKWARD(up, G, P)
+    def backward(up, fused, g, p):
+        dG, dP = KRONECKER_BACKWARD(up, fused, g, p)
         return 1.01 * dG, dP
 
     monkeypatch.setattr(fusion, "_kronecker_backward", backward)

@@ -181,20 +181,26 @@ def test_pickled_layers_carry_parameters_only_and_train_in_a_group():
     group = layer_group("original", layers)
     mlp_forward(layers, rng.normal(size=(8, 64)), train=True)
     mlp_backward(layers, rng.normal(size=(8, 32)))
-    back = pickle.loads(pickle.dumps(layers))
-    for a, b in zip(layers, back):
-        assert len(pickle.dumps(a)) < 1.1 * (a.weight.nbytes + a.bias.nbytes)
-        assert np.array_equal(b.weight, a.weight) and np.array_equal(b.bias, a.bias)
-        assert not b.grad_weight.any() and not b.grad_bias.any()
-        assert b._cached_input is None and b._cached_preact is None
-    # one more step on the same batch moves the copy exactly as the original
-    copy_group = layer_group("copy", back)
+    # protocol 5 (pickle's default from Python 3.14) unpickles an array as a
+    # view of another ndarray, protocol 4 as a view of bytes
+    copies = [pickle.loads(pickle.dumps(layers, protocol=protocol)) for protocol in (4, 5)]
+    for back in copies:
+        for a, b in zip(layers, back):
+            assert len(pickle.dumps(a)) < 1.1 * (a.weight.nbytes + a.bias.nbytes)
+            assert np.array_equal(b.weight, a.weight) and np.array_equal(b.bias, a.bias)
+            assert b.weight.flags.owndata and b.bias.flags.owndata
+            assert not b.grad_weight.any() and not b.grad_bias.any()
+            assert b._cached_input is None and b._cached_preact is None
+    # one more step on the same batch moves each copy exactly as the original
+    nets = [(layers, group)] + [(back, layer_group(f"copy{i}", back))
+                                for i, back in enumerate(copies)]
     x, up = rng.normal(size=(8, 64)), rng.normal(size=(8, 32))
-    for net, grp in ((layers, group), (back, copy_group)):
+    for net, grp in nets:
         mlp_forward(net, x, train=True)
         mlp_backward(net, up)
         sgd_step([grp], eta=0.1)
-    assert np.array_equal(copy_group.flat_params, group.flat_params)
+    for _, copy_group in nets[1:]:
+        assert np.array_equal(copy_group.flat_params, group.flat_params)
 
 
 @pytest.mark.parametrize("activation", ["identity", "relu", "selu", "tanh"])
@@ -275,6 +281,12 @@ def _random_layers(rng, dims):
     return [DenseLayer(i, o, "identity", rng=rng) for i, o in dims]
 
 
+def _tensors(layers):
+    """The layers' parameter tensors and their gradient tensors, in order."""
+    return ([t for layer in layers for t in (layer.weight, layer.bias)],
+            [t for layer in layers for t in (layer.grad_weight, layer.grad_bias)])
+
+
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2 ** 31 - 1), eta=st.floats(1e-4, 1.0),
        scales=st.tuples(*[st.floats(0.01, 1.0)] * 3))
@@ -284,14 +296,15 @@ def test_sgd_step_on_flat_buffers_equals_per_array_update(seed, eta, scales):
               _random_layers(rng, [(2, 1)])]
     groups = [layer_group(f"g{i}", layers, scale)
               for i, (layers, scale) in enumerate(zip(stacks, scales))]
-    for group in groups:
-        for g in group.grads:
+    for layers in stacks:
+        for g in _tensors(layers)[1]:
             g[...] = rng.normal(size=g.shape) * 10.0 ** rng.integers(-8, 3)
-    expected = [[p - eta * group.lr_scale * g for p, g in zip(group.params, group.grads)]
-                for group in groups]
+    expected = [[p - eta * group.lr_scale * g for p, g in zip(*_tensors(layers))]
+                for group, layers in zip(groups, stacks)]
     sgd_step(groups, eta)
-    for group, want in zip(groups, expected):
-        for p, w, g in zip(group.params, want, group.grads):
+    for layers, want in zip(stacks, expected):
+        params, grads = _tensors(layers)
+        for p, w, g in zip(params, want, grads):
             assert _same_bits(p, w)
             assert not g.any()
 
@@ -305,7 +318,7 @@ def test_sgd_step_non_finite_gradient_in_any_group_moves_nothing(bad_group, bad_
     groups = [layer_group(f"g{i}", layers) for i, layers in enumerate(stacks)]
     for group in groups:
         group.flat_grads[:] = rng.normal(size=group.flat_grads.size)
-    groups[bad_group].grads[-1].flat[0] = bad_value
+    stacks[bad_group][-1].grad_bias.flat[0] = bad_value
     before = [group.flat_params.copy() for group in groups]
     grads_before = [group.flat_grads.copy() for group in groups]
     with pytest.raises(NumericalError, match=f"g{bad_group}"):
@@ -341,9 +354,28 @@ def test_layers_of_one_group_cannot_join_another():
         layer_group("second only", layers[1:])
 
 
-def test_param_group_rejects_tensors_outside_one_buffer():
-    with pytest.raises(ShapeError, match="contiguous buffer"):
-        ParamGroup("g", [np.zeros(2), np.zeros(3)], [np.zeros(2), np.zeros(3)])
+def test_layer_group_over_the_same_layers_in_another_order_shares_buffers():
+    layers = _random_layers(np.random.default_rng(7), [(3, 4), (4, 2)])
+    first = layer_group("forward", layers)
+    reordered = layer_group("reversed", layers[::-1])
+    assert reordered.flat_params is first.flat_params
+    assert reordered.flat_grads is first.flat_grads
+    layers[0].grad_weight[:] = 1.0
+    before = first.flat_params.copy()
+    sgd_step([reordered], eta=0.5)    # element by element: the order is immaterial
+    assert np.array_equal(layers[0].weight.ravel(), before[:12] - 0.5)
+    assert np.array_equal(first.flat_params[12:], before[12:])
+
+
+def test_layer_group_of_no_layers_is_empty():
+    group = layer_group("none", [])
+    assert group.flat_params.shape == group.flat_grads.shape == (0,)
+    sgd_step([group], eta=0.1)
+
+
+def test_param_group_rejects_buffers_of_different_shapes():
+    with pytest.raises(ShapeError, match="grads shape"):
+        ParamGroup("g", np.zeros(5), np.zeros(4))
 
 
 def test_step_decay_halves_at_each_third():

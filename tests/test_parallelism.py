@@ -420,6 +420,19 @@ def test_jobs_is_a_usage_error_where_nothing_reads_it(command, tmp_path,
     assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["gradcheck"], ["--config", "c.ini"]), (["gradcheck"], ["--out", "o"]),
+    (["gradcheck"], ["--force"]), (["eval", "--model", "m.ckpt"], ["--seed", "1"])],
+    ids=["gradcheck-config", "gradcheck-out", "gradcheck-force", "eval-seed"])
+def test_common_flags_are_usage_errors_where_nothing_reads_them(command, flag, tmp_path,
+                                                               monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_train_and_ablate_take_jobs(command):
     assert build_parser().parse_args([command, "--jobs", "3"]).jobs == 3

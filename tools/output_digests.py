@@ -78,7 +78,7 @@ def run_pipeline(run_dir: Path, seed: int, jobs: int) -> None:
                "--image-probe", "--jobs", str(jobs), "--out", str(run_dir / "train")],
               run_dir)
     (run_dir / "eval").mkdir()
-    _survfuse(["eval", *common, "--cohort", cohort,
+    _survfuse(["eval", "--config", str(ini), "--cohort", cohort,
                "--model", str(run_dir / "train" / "model.ckpt"),
                "--out", str(run_dir / "eval")], run_dir)
     _survfuse(["ablate", *common, "--cohort", cohort, "--cells", cells,
