@@ -7,13 +7,19 @@ feature G. Image branch: a trainable dense stack maps image features to P.
 The fusion head scores theta per patient:
 
     concat:     theta = W . [G || P] + b   (W splits into blocks W^G, W^P)
-    kronecker:  theta = W . flat([G || 1] outer [P || 1]) + b
+    kronecker:  theta = W . flat([G || 1] outer [P || 1]) + b, computed as the
+                bilinear form rowsum(([G || 1] @ W') * [P || 1]) + b with W'
+                the weight row as a (g+1) x (p+1) matrix
 
 Training minimizes the negative Cox partial log-likelihood over mini
 batches; with modulation on, the per-batch contribution report rescales the
 two branch groups' effective learning rates before each update (the head is
 never rescaled). Frozen parameters (encoder, MLP-A) are precomputed into
 features once per run and never receive gradients.
+
+Every inference forward of n rows (predict_theta, image_branch_features, the
+frozen rna path, the epoch-end C-index forward) runs in row chunks, so its
+activations take memory per chunk, not per cohort.
 """
 
 from __future__ import annotations
@@ -27,15 +33,36 @@ from .errors import (ConfigError, NumericalError, ShapeError, StateError,
                      ValidationError)
 from .modulation import (ModulationConfig, apply_modulation, branch_scores,
                          contribution_ratio)
-from .nnet import (DenseLayer, ParamGroup, add_layers, checkpoint_layers,
-                   layer_group, load_checkpoint, make_mlp, meta_typed,
-                   mlp_backward, mlp_forward, save_checkpoint, sgd_step,
-                   stack_names, step_decay_eta)
+from .nnet import (DenseLayer, ParamGroup, add_layers, as_matrix,
+                   checkpoint_layers, layer_group, load_checkpoint, make_mlp,
+                   meta_typed, mlp_backward, mlp_forward, save_checkpoint,
+                   sgd_step, stack_names, step_decay_eta)
 from .smoothing import FrozenEncoder
 from .survival import (CoxBatch, build_risk_sets, concordance_index,
                        cox_gradient, cox_loss)
 
 FUSION_MODES = ("concat", "kronecker")
+
+# Rows per inference chunk. The short tail joins the last chunk, so every
+# chunk holds 128-255 rows: OpenBLAS takes other kernels for a few rows, and
+# a tail run alone, like whole-model chunks of 32 rows, does not reproduce
+# the one-pass forward bit for bit.
+INFERENCE_CHUNK = 128
+
+
+def _by_row_chunks(rows_fn, n: int) -> np.ndarray:
+    """rows_fn(rows) for consecutive row slices covering range(n), written into
+    one n-row result. Each slice holds INFERENCE_CHUNK rows but the last,
+    which also takes the tail; fewer than 2 * INFERENCE_CHUNK rows are one
+    slice, and n = 0 is one empty slice."""
+    stops = [*range(INFERENCE_CHUNK, n - INFERENCE_CHUNK + 1, INFERENCE_CHUNK), n]
+    out = None
+    for start, stop in zip([0, *stops], stops):
+        part = rows_fn(slice(start, stop))
+        if out is None:
+            out = np.empty((n, *part.shape[1:]))
+        out[start:stop] = part
+    return out
 
 
 def head_width(gen_dim: int, img_dim: int, fusion_mode: str) -> int:
@@ -145,12 +172,17 @@ class FusionModel:
 
     def frozen_rna_features(self, rna_matrix) -> np.ndarray:
         """Frozen path: encoder, then MLP-A when present (raw latent otherwise),
-        then the fitted standardization if one has been fitted."""
-        z = self.encoder.apply(rna_matrix)
-        feats = mlp_forward(self.mlp_a, z) if self.mlp_a else z
-        if self.g2_mean is not None:
-            feats = (feats - self.g2_mean) / self.g2_std
-        return feats
+        then the fitted standardization if one has been fitted; in row chunks."""
+        rna = np.asarray(rna_matrix, dtype=np.float64)
+
+        def features(rows):
+            z = self.encoder.apply(rna[rows])
+            feats = mlp_forward(self.mlp_a, z) if self.mlp_a else z
+            if self.g2_mean is not None:
+                feats = (feats - self.g2_mean) / self.g2_std
+            return feats
+
+        return _by_row_chunks(features, len(rna))
 
     def fit_g2_normalization(self, rna_matrix) -> np.ndarray:
         """Fit the frozen-path standardization on training rows only; returns
@@ -173,22 +205,20 @@ class FusionModel:
         G = mlp_forward(self.mlp_b, np.concatenate([g1, g2_feat], axis=1), train=train)
         P = mlp_forward(self.image_encoder, x_img, train=train)
         if self.fusion_mode == "concat":
-            fused = np.concatenate([G, P], axis=1)
+            theta = self.head.forward(np.concatenate([G, P], axis=1), train=train)[:, 0]
         else:
-            fused = kronecker_features(G, P)
-        theta = self.head.forward(fused, train=train)[:, 0]
+            theta = _kronecker_forward(self.head, G, P, train=train)
         return theta, G, P
 
     def backward_batch(self, dtheta) -> None:
         """Backpropagate d(loss)/d(theta) into every trainable gradient buffer."""
-        dtheta = np.asarray(dtheta, dtype=np.float64).reshape(-1)
-        up = self.head.backward(dtheta[:, None])
+        up = np.asarray(dtheta, dtype=np.float64).reshape(-1, 1)
         if self.fusion_mode == "concat":
+            up = self.head.backward(up)
             dG = up[:, :self.gen_dim]
             dP = up[:, self.gen_dim:]
         else:
-            dG, dP = _kronecker_backward(up, self.head._cached_input,
-                                         self.gen_dim, self.img_dim)
+            dG, dP = _kronecker_backward(self.head, up, self.gen_dim)
         # only the SNN's columns of MLP-B's input gradient are used, and no
         # input gradient of the SNN or the image encoder
         d_g1 = mlp_backward(self.mlp_b, dG, input_cols=self.snn[-1].out_dim)
@@ -222,25 +252,43 @@ def build_model(spec: FusionSpec, encoder: FrozenEncoder,
                        spec.fusion_mode)
 
 
-def kronecker_features(G, P) -> np.ndarray:
-    """Row i is the flat row-major outer product of [G_i || 1] and [P_i || 1]."""
-    G = np.asarray(G, dtype=np.float64)
-    P = np.asarray(P, dtype=np.float64)
+def _kronecker_forward(head: DenseLayer, G, P, *, train: bool) -> np.ndarray:
+    """The head applied to flat([G || 1] outer [P || 1]) without building it:
+    theta = rowsum(([G || 1] @ W) * [P || 1]) + b, with W the head's weight
+    row as a (g+1) x (p+1) matrix. A non-finite theta raises NumericalError.
+    A training forward caches [G || 1 || P || 1] as the head's input and
+    theta as its pre-activation."""
+    g = G.shape[1]
     ones = np.ones((G.shape[0], 1))
-    g_ext = np.concatenate([G, ones], axis=1)
-    p_ext = np.concatenate([P, ones], axis=1)
-    return (g_ext[:, :, None] * p_ext[:, None, :]).reshape(G.shape[0], -1)
+    gp = np.concatenate([G, ones, P, ones], axis=1)
+    g_ext, p_ext = gp[:, :g + 1], gp[:, g + 1:]
+    theta = ((g_ext @ head.weight.reshape(g + 1, -1)) * p_ext).sum(axis=1)
+    theta += head.bias[0]
+    if train:
+        head._cached_input, head._cached_preact = gp, theta[:, None]
+    if not np.isfinite(theta).all():
+        raise NumericalError("layer forward produced non-finite output")
+    return theta
 
 
-def _kronecker_backward(up, fused, g, p):
-    """dG and dP from the head's input gradient and its cached input: row i's
-    [G_i || 1] is column p, and [P_i || 1] row g, of its outer product, read
-    back exactly because the other factor there is 1.0."""
-    outer = fused.reshape(-1, g + 1, p + 1)
-    g_ext, p_ext = outer[:, :, p], outer[:, g, :]
-    u = up.reshape(outer.shape)
-    dG = (u * p_ext[:, None, :]).sum(axis=2)[:, :g]
-    dP = (u * g_ext[:, :, None]).sum(axis=1)[:, :p]
+def _kronecker_backward(head: DenseLayer, up, g: int):
+    """Fill the head's gradient buffers from its last training forward and the
+    (n, 1) upstream gradient d: dW = ([G || 1] * d)^T @ [P || 1], db = sum(d).
+    Returns dG = d * ([P || 1] @ W^T) and dP = d * ([G || 1] @ W), each
+    without the last column (the one of the constant 1)."""
+    gp = head._cached_input
+    if gp is None:
+        raise StateError("backward called before a training forward")
+    up = as_matrix(up, "upstream gradient")
+    if up.shape != (gp.shape[0], 1):
+        raise ShapeError(f"upstream gradient has shape {up.shape}, "
+                         f"expected {(gp.shape[0], 1)}")
+    g_ext, p_ext = gp[:, :g + 1], gp[:, g + 1:]
+    W = head.weight.reshape(g + 1, -1)
+    np.matmul((g_ext * up).T, p_ext, out=head.grad_weight.reshape(W.shape))
+    np.add.reduce(up, axis=0, out=head.grad_bias)
+    dG = (p_ext @ W[:g].T) * up
+    dP = (g_ext @ W[:, :-1]) * up
     return dG, dP
 
 
@@ -290,16 +338,28 @@ class TrainResult:
     skipped_batches: int
 
 
+def _chunked_theta(model: FusionModel, cohort: Cohort,
+                   g2: np.ndarray | None = None) -> np.ndarray:
+    """Inference theta of every cohort row, in row chunks. g2 holds the rows'
+    frozen-path features when they are already computed; otherwise each
+    chunk computes its own."""
+    def theta(rows):
+        feats = model.frozen_rna_features(cohort.x_rna[rows]) if g2 is None else g2[rows]
+        return model.forward_batch(cohort.x_cnv[rows], feats, cohort.x_img[rows])[0]
+
+    return _by_row_chunks(theta, len(cohort))
+
+
 def predict_theta(model: FusionModel, cohort: Cohort) -> np.ndarray:
     model.check_widths(cohort)
-    theta, _, _ = model.forward_batch(cohort.x_cnv, model.frozen_rna_features(cohort.x_rna),
-                                      cohort.x_img)
-    return theta
+    return _chunked_theta(model, cohort)
 
 
 def image_branch_features(model: FusionModel, cohort: Cohort) -> np.ndarray:
     """Post-training P features, e.g. for a standalone linear Cox probe."""
-    return mlp_forward(model.image_encoder, cohort.x_img)
+    model.check_widths(cohort)
+    return _by_row_chunks(lambda rows: mlp_forward(model.image_encoder, cohort.x_img[rows]),
+                          len(cohort))
 
 
 def train_survival(model: FusionModel, cohort: Cohort, cfg: TrainConfig) -> TrainResult:
@@ -368,8 +428,8 @@ def train_survival(model: FusionModel, cohort: Cohort, cfg: TrainConfig) -> Trai
             sgd_step(group_list, step_decay_eta(cfg.eta, step_index, total_steps))
             epoch_loss_sum += loss
             epoch_event_count += sub.n_events
-        theta_all, _, _ = model.forward_batch(cohort.x_cnv, g2_all, cohort.x_img)
-        c_index = concordance_index(theta_all, full.times, full.events)
+        c_index = concordance_index(_chunked_theta(model, cohort, g2_all),
+                                    full.times, full.events)
         mean_loss = epoch_loss_sum / epoch_event_count if epoch_event_count else 0.0
         epoch_rows.append(EpochMetrics(
             epoch=epoch, loss=mean_loss, c_index=c_index,

@@ -281,7 +281,8 @@ def pretrain_mlp_a(cells: list[CellProfile], encoder: FrozenEncoder,
         feat = mlp_forward(mlp_a, encoder.apply(mixed), train=True)
         pred = classifier.forward(feat, train=True)
         loss, grad = mse_loss(pred, target)
-        mlp_backward(mlp_a, classifier.backward(grad))
+        # the encoder is frozen: no gradient w.r.t. MLP-A's input
+        mlp_backward(mlp_a, classifier.backward(grad), input_cols=0)
         if cfg.weight_decay > 0.0:
             for layer in mlp_a:  # decay weights only; biases and classifier float free
                 layer.grad_weight += cfg.weight_decay * layer.weight

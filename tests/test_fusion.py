@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from survfuse.cohort import Cohort, CohortSpec, generate_cohort
-from survfuse.errors import (ConfigError, ShapeError, StateError,
-                             ValidationError)
-from survfuse.fusion import (FusionSpec, TrainConfig, build_model, evaluate,
-                             image_branch_features, kronecker_features,
-                             load_model, predict_theta, save_model,
-                             train_survival)
+from survfuse.errors import (ConfigError, NumericalError, ShapeError,
+                             StateError, ValidationError)
+from survfuse import fusion
+from survfuse.fusion import (FUSION_MODES, FusionSpec, TrainConfig, build_model,
+                             evaluate, image_branch_features, load_model,
+                             predict_theta, save_model, train_survival)
 from survfuse.modulation import ModulationConfig
-from survfuse.nnet import layer_group, make_mlp, save_checkpoint, sgd_step
+from survfuse.nnet import (layer_group, make_mlp, mlp_forward, save_checkpoint,
+                           sgd_step)
 from survfuse.smoothing import (CellCorpusSpec, Stage1Config, default_encoder,
                                 generate_cells, pretrain_mlp_a)
 from survfuse.survival import concordance_index
@@ -217,24 +218,76 @@ def test_zeroed_mlp_b_silences_genomic_branch():
 # kronecker fusion
 
 
+def _outer_features(G, P):
+    """Reference: row i is the flat row-major outer product of [G_i || 1] and
+    [P_i || 1], the input the kronecker head's weights are laid out for."""
+    ones = np.ones((G.shape[0], 1))
+    g_ext = np.concatenate([G, ones], axis=1)
+    p_ext = np.concatenate([P, ones], axis=1)
+    return (g_ext[:, :, None] * p_ext[:, None, :]).reshape(G.shape[0], -1)
+
+
 def test_kronecker_frozen_oracles():
-    out = kronecker_features([[2.0], [0.0]], [[3.0], [0.0]])
-    assert out.tolist() == [[6.0, 2.0, 3.0, 1.0], [0.0, 0.0, 0.0, 1.0]]
+    m = _small_model(fusion_mode="kronecker", gen_dim=1, img_dim=1)
+    m.head.weight[0] = [1.0, 2.0, 4.0, 8.0]
+    m.head.bias[0] = 0.5
+    _pin_branch_outputs(m, [2.0], [3.0])
+    theta, _, _ = m.forward_batch(np.zeros((2, 6)), m.frozen_rna_features(np.zeros((2, 8))),
+                                  np.zeros((2, 6)))
+    # W . flat([2, 1] outer [3, 1]) + b = 1*6 + 2*2 + 4*3 + 8*1 + 0.5, exact in binary
+    assert theta.tolist() == [30.5, 30.5]
+
+
+def _kronecker_batch(seed, n=6):
+    m = _small_model(seed=seed, fusion_mode="kronecker", gen_dim=3, img_dim=2)
+    m.head.bias[0] = 0.75
+    rng = np.random.default_rng(seed)
+    theta, G, P = m.forward_batch(*_batch(rng, n), train=True)
+    return m, theta, G, P, rng.normal(size=n)
 
 
 def test_kronecker_shape_law():
-    out = kronecker_features(np.ones((2, 3)), np.ones((2, 5)))
-    assert out.shape == (2, (3 + 1) * (5 + 1))
+    m, theta, G, P, dtheta = _kronecker_batch(3)
+    dG, dP = fusion._kronecker_backward(m.head, dtheta[:, None], m.gen_dim)
+    assert theta.shape == (6,)
+    assert (dG.shape, dP.shape) == (G.shape, P.shape) == ((6, 3), (6, 2))
+    assert m.head.grad_weight.shape == (1, (3 + 1) * (2 + 1))
 
 
 def test_kronecker_features_match_per_row():
-    rng = np.random.default_rng(3)
-    G = rng.normal(size=(6, 3))
-    P = rng.normal(size=(6, 2))
-    batch = kronecker_features(G, P)
+    """The bilinear theta and its gradients against the outer-product head."""
+    for seed in (0, 3):
+        _assert_kronecker_matches_outer_product(seed)
+
+
+def _assert_kronecker_matches_outer_product(seed):
+    m, theta, G, P, dtheta = _kronecker_batch(seed)
+    fused = _outer_features(G, P)
+    w = m.head.weight[0]
     for i in range(6):
-        want = np.outer(np.append(G[i], 1.0), np.append(P[i], 1.0)).reshape(-1)
-        assert np.array_equal(batch[i], want)
+        want = np.outer(np.append(G[i], 1.0), np.append(P[i], 1.0)).reshape(-1) @ w + 0.75
+        assert np.isclose(theta[i], want, rtol=1e-12, atol=1e-12)
+    dG, dP = fusion._kronecker_backward(m.head, dtheta[:, None], m.gen_dim)
+    assert np.allclose(m.head.grad_weight[0], dtheta @ fused, rtol=1e-12, atol=1e-12)
+    assert m.head.grad_bias[0] == pytest.approx(dtheta.sum(), rel=1e-12)
+    d_outer = (dtheta[:, None] * w).reshape(6, 4, 3)   # d theta / d fused, per row
+    ones = np.ones((6, 1))
+    want_dG = (d_outer * np.concatenate([P, ones], axis=1)[:, None, :]).sum(axis=2)[:, :3]
+    want_dP = (d_outer * np.concatenate([G, ones], axis=1)[:, :, None]).sum(axis=1)[:, :2]
+    assert np.allclose(dG, want_dG, rtol=1e-12, atol=1e-12)
+    assert np.allclose(dP, want_dP, rtol=1e-12, atol=1e-12)
+
+
+def test_kronecker_head_checks_theta_and_its_upstream_gradient():
+    m, _, _, _, dtheta = _kronecker_batch(1)
+    with pytest.raises(ShapeError):
+        fusion._kronecker_backward(m.head, dtheta[:5, None], m.gen_dim)
+    dtheta[2] = np.nan
+    with pytest.raises(NumericalError, match="upstream gradient"):
+        m.backward_batch(dtheta)
+    m.head.weight[0, -1] = np.inf
+    with pytest.raises(NumericalError, match="non-finite output"):
+        m.forward_batch(*_batch(np.random.default_rng(1), 3))
 
 
 def test_kronecker_head_width():
@@ -400,14 +453,65 @@ def test_training_and_inference_forwards_agree_bit_for_bit(mode):
         assert a.tobytes() == b.tobytes()
 
 
-def _default_width_model(cohort):
+def _default_width_model(cohort, fusion_mode="concat"):
     """A model at the default widths (hidden 128), MLP-A on the frozen path."""
     rna_dim = cohort.x_rna.shape[1]
     mlp_a = make_mlp(32, 32, hidden_dim=128, n_hidden=2, activation="relu",
                      rng=np.random.default_rng(0))
     spec = FusionSpec(dim_cnv_mut=cohort.x_cnv.shape[1], dim_rna=rna_dim,
-                      dim_image=cohort.x_img.shape[1])
+                      dim_image=cohort.x_img.shape[1], fusion_mode=fusion_mode)
     return build_model(spec, default_encoder(rna_dim, 32, seed=0), mlp_a, seed=0)
+
+
+# 0, 255, 256, 257, 389: no rows, the most run in one piece, then two and
+# three chunks whose last one takes the tail
+_CHUNK = fusion.INFERENCE_CHUNK
+CHUNK_BOUNDARY_ROWS = [0, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1, 3 * _CHUNK + 5]
+
+
+@pytest.fixture(scope="module")
+def boundary_cohort():
+    return generate_cohort(CohortSpec(n_patients=max(CHUNK_BOUNDARY_ROWS), seed=0))
+
+
+def _one_pass(model, cohort):
+    """Reference: each stack run over all rows at once, layer by layer; returns
+    the frozen-path features, P and theta."""
+    feats = mlp_forward(model.mlp_a, model.encoder.apply(cohort.x_rna))
+    if model.g2_mean is not None:
+        feats = (feats - model.g2_mean) / model.g2_std
+    theta, _, P = model.forward_batch(cohort.x_cnv, feats, cohort.x_img)
+    return feats, P, theta
+
+
+@pytest.mark.parametrize("n", CHUNK_BOUNDARY_ROWS)
+@pytest.mark.parametrize("mode", FUSION_MODES)
+def test_chunked_inference_matches_one_pass(boundary_cohort, mode, n):
+    cohort = boundary_cohort.take(np.arange(n))
+    model = _default_width_model(cohort, mode)
+    model.fit_g2_normalization(boundary_cohort.x_rna)
+    feats, P, theta = _one_pass(model, cohort)
+    assert np.array_equal(model.frozen_rna_features(cohort.x_rna), feats)
+    assert np.array_equal(image_branch_features(model, cohort), P)
+    assert np.array_equal(predict_theta(model, cohort), theta)
+    # the epoch-end forward, which reads the features training computed once
+    assert np.array_equal(fusion._chunked_theta(model, cohort, feats), theta)
+
+
+@pytest.mark.parametrize("n", CHUNK_BOUNDARY_ROWS[1:])   # no epoch without rows
+@pytest.mark.parametrize("mode", FUSION_MODES)
+def test_epoch_end_forward_matches_one_pass(boundary_cohort, monkeypatch, mode, n):
+    cohort = boundary_cohort.take(np.arange(n))
+    model = _default_width_model(cohort, mode)
+    scored = []
+
+    def c_index(theta, times, events):
+        scored.append(theta)
+        return concordance_index(theta, times, events)
+
+    monkeypatch.setattr(fusion, "concordance_index", c_index)
+    train_survival(model, cohort, TrainConfig(epochs=1, seed=0))
+    assert np.array_equal(scored[-1], _one_pass(model, cohort)[2])
 
 
 def _peak_bytes(fn, *args):
@@ -420,12 +524,28 @@ def _peak_bytes(fn, *args):
     return peak
 
 
-def test_evaluate_memory_is_a_few_hidden_activations():
-    cohort = generate_cohort(CohortSpec(n_patients=4000, seed=0))
-    model = _default_width_model(cohort)
-    activation_bytes = len(cohort) * 128 * 8
+@pytest.fixture(scope="module")
+def cohort_4000():
+    return generate_cohort(CohortSpec(n_patients=4000, seed=0))
+
+
+def test_evaluate_memory_is_a_few_hidden_activations(cohort_4000):
+    model = _default_width_model(cohort_4000)
+    activation_bytes = len(cohort_4000) * 128 * 8
     # keeping every layer's input and pre-activation measured 11.7x
-    assert _peak_bytes(evaluate, model, cohort) < 6 * activation_bytes
+    assert _peak_bytes(evaluate, model, cohort_4000) < 6 * activation_bytes
+
+
+@pytest.mark.parametrize("mode", FUSION_MODES)
+def test_evaluate_memory_does_not_grow_with_the_cohort(cohort_4000, mode):
+    """The cohort's arrays exist before tracing starts, so the peak is what
+    evaluate adds: n-long vectors and one chunk's activations. 3,000 more rows
+    of one 128-wide activation would add 2.9 MiB."""
+    model = _default_width_model(cohort_4000, mode)
+    small = cohort_4000.take(np.arange(1000))
+    evaluate(model, small)   # lazy set-up outside the measurement
+    growth = _peak_bytes(evaluate, model, cohort_4000) - _peak_bytes(evaluate, model, small)
+    assert growth < 2**20
 
 
 def test_save_model_memory_does_not_grow_with_the_file(tmp_path):
@@ -488,7 +608,7 @@ def test_inference_names_the_block_of_a_width_mismatch(letter, block):
     narrow = dataclasses.replace(cohort, **{block: getattr(cohort, block)[:, :3]})
     want = DIMS[{"g": "dim_cnv_mut", "r": "dim_rna", "p": "dim_image"}[letter]]
     message = f"the cohort has 3 '{letter}' columns, the model expects {want}"
-    for infer in (predict_theta, evaluate):
+    for infer in (predict_theta, evaluate, image_branch_features):
         with pytest.raises(ValidationError, match=message):
             infer(_small_model(), narrow)
 

@@ -33,6 +33,9 @@ RUN_TOKEN = "<run>"
 JOBS = (1, 2)
 
 # small enough for CI, large enough that every fold trains on several batches
+# and that inference runs in row chunks: the training folds (300 rows), the
+# final fit and `eval` (400 rows) hold at least two chunks of
+# survfuse.fusion.INFERENCE_CHUNK (128) rows
 CONFIG = """\
 [run]
 k_folds = 4
@@ -43,7 +46,7 @@ stage1_epochs = 2
 steps_per_epoch = 20
 
 [cohort]
-n_patients = 200
+n_patients = 400
 
 [cells]
 n_cells = 200
