@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .cohort import Cohort, fold_split, split_folds
 from .config import RunConfig, config_echo
 from .errors import ConfigError
@@ -28,12 +29,7 @@ from .survival import probe_c_index
 
 
 def tool_version() -> str:
-    import importlib.metadata
-    try:
-        own = importlib.metadata.version("survfuse")
-    except importlib.metadata.PackageNotFoundError:
-        own = "0+unknown"
-    return f"survfuse {own} / numpy {np.__version__}"
+    return f"survfuse {__version__} / numpy {np.__version__}"
 
 
 def derive_seed(seed: int, tag: int, index: int = 0) -> int:

@@ -44,10 +44,13 @@ from .survival import (CoxBatch, build_risk_sets, concordance_index,
 FUSION_MODES = ("concat", "kronecker")
 
 # Rows per inference chunk. The short tail joins the last chunk, so every
-# chunk holds 128-255 rows: OpenBLAS takes other kernels for a few rows, and
-# a tail run alone, like whole-model chunks of 32 rows, does not reproduce
-# the one-pass forward bit for bit.
-INFERENCE_CHUNK = 128
+# chunk holds 64-127 rows. The widest activation at default widths is then
+# 127 x 128 float64 = 130,048 bytes, under glibc's default 128 KiB mmap
+# threshold, so the activations a chunk frees stay on the heap for the next
+# chunk instead of going back to the kernel and faulting in again. Chunks of
+# 48-128 rows give the same bits; OpenBLAS takes other kernels for fewer
+# rows, so a tail run alone, like chunks of 32 rows, does not.
+INFERENCE_CHUNK = 64
 
 
 def _by_row_chunks(rows_fn, n: int) -> np.ndarray:

@@ -411,6 +411,13 @@ def test_gradcheck_command_passes(capsys):
     assert all(l.startswith("PASS") for l in lines)
 
 
+def test_gradcheck_refuses_a_negative_seed(capsys):
+    assert main(["gradcheck", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be non-negative, got -1\n"
+    assert captured.out == ""
+
+
 def test_missing_inputs_exit_nonzero(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "nope.ini")]) == 1
     assert main(["gen-cohort", "--config", str(tmp_path / "nope.ini")]) == 1
@@ -568,33 +575,44 @@ def test_json_report_streams_the_text_json_dumps_gives(tmp_path):
     assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
 
-# Twenty inference forwards of a 600-patient cohort after the CLI's allocator
-# setting; prints the minor page faults they took.
+# Twenty inference forwards of a 600-patient cohort on the theta path and the
+# frozen rna path, in both fusion modes with MLP-A; prints the minor page
+# faults each took. image_branch_features is left out: at this size, freeing
+# its 150 KB result can push the heap top past glibc's trim threshold, and
+# 20 calls took 1,580 faults with 64-row chunks, 2,620 with 128-row chunks.
 _FAULT_PROBE = """
 import resource
-from survfuse.cli import _keep_freed_memory
+import numpy as np
 from survfuse.cohort import CohortSpec, generate_cohort
-from survfuse.fusion import FusionSpec, build_model, predict_theta
+from survfuse.fusion import FUSION_MODES, FusionSpec, build_model, predict_theta
+from survfuse.nnet import make_mlp
 from survfuse.smoothing import default_encoder
-_keep_freed_memory()
-records = generate_cohort(CohortSpec(n_patients=600, seed=0))
-model = build_model(FusionSpec(dim_cnv_mut=32, dim_rna=64, dim_image=32),
-                    default_encoder(seed=0), seed=0)
-predict_theta(model, records)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(20):
-    predict_theta(model, records)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+cohort = generate_cohort(CohortSpec(n_patients=600, seed=0))
+for mode in FUSION_MODES:
+    mlp_a = make_mlp(32, 32, n_hidden=2, activation="relu", rng=np.random.default_rng(0))
+    model = build_model(FusionSpec(dim_cnv_mut=32, dim_rna=64, dim_image=32, fusion_mode=mode),
+                        default_encoder(seed=0), mlp_a, seed=0)
+    model.fit_g2_normalization(cohort.x_rna)
+    paths = {"predict_theta": lambda: predict_theta(model, cohort),
+             "frozen_rna_features": lambda: model.frozen_rna_features(cohort.x_rna)}
+    for name, forward in paths.items():
+        forward()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            forward()
+        print(mode, name, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc")
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="measures glibc malloc")
 def test_cli_process_reuses_the_memory_inference_forwards_free():
     src = str(Path(survfuse.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
                          capture_output=True, text=True, check=True).stdout
-    # one forward's n x 128 activations span ~150 pages each; glibc's default
-    # thresholds faulted them in afresh on every forward
-    assert int(out) < 20 * 50
+    faults = {tuple(line.split()[:2]): int(line.split()[2]) for line in out.splitlines()}
+    assert len(faults) == 4
+    # a forward's activations span ~16-32 pages per 64-127-row chunk; faulting
+    # them in afresh on every chunk of every forward would cost thousands
+    assert all(count < 20 * 50 for count in faults.values()), faults

@@ -463,10 +463,12 @@ def _default_width_model(cohort, fusion_mode="concat"):
     return build_model(spec, default_encoder(rna_dim, 32, seed=0), mlp_a, seed=0)
 
 
-# 0, 255, 256, 257, 389: no rows, the most run in one piece, then two and
-# three chunks whose last one takes the tail
+# no rows, the most run in one piece, then two and three chunks whose last
+# one takes the tail; then 255-389 rows, three to six 64-row chunks (at 255
+# rows the last holds 127, the most any chunk holds)
 _CHUNK = fusion.INFERENCE_CHUNK
-CHUNK_BOUNDARY_ROWS = [0, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1, 3 * _CHUNK + 5]
+CHUNK_BOUNDARY_ROWS = [0, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1, 3 * _CHUNK + 5,
+                       255, 256, 257, 389]
 
 
 @pytest.fixture(scope="module")
@@ -512,6 +514,24 @@ def test_epoch_end_forward_matches_one_pass(boundary_cohort, monkeypatch, mode, 
     monkeypatch.setattr(fusion, "concordance_index", c_index)
     train_survival(model, cohort, TrainConfig(epochs=1, seed=0))
     assert np.array_equal(scored[-1], _one_pass(model, cohort)[2])
+
+
+@pytest.mark.parametrize("n", [600, 1000])
+@pytest.mark.parametrize("mode", FUSION_MODES)
+def test_inference_bits_do_not_depend_on_the_chunk_size(cohort_4000, monkeypatch, mode, n):
+    """At 1,000 rows a one-pass Kronecker theta differs in its last bits, so
+    this compares chunkings with each other, not with one pass."""
+    cohort = cohort_4000.take(np.arange(n))
+    model = _default_width_model(cohort, mode)
+    model.fit_g2_normalization(cohort.x_rna)
+
+    def outputs(chunk):
+        monkeypatch.setattr(fusion, "INFERENCE_CHUNK", chunk)
+        return (predict_theta(model, cohort), image_branch_features(model, cohort),
+                model.frozen_rna_features(cohort.x_rna))
+
+    for at_128, at_64 in zip(outputs(128), outputs(64)):
+        assert np.array_equal(at_128, at_64)
 
 
 def _peak_bytes(fn, *args):

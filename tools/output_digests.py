@@ -35,7 +35,7 @@ JOBS = (1, 2)
 # small enough for CI, large enough that every fold trains on several batches
 # and that inference runs in row chunks: the training folds (300 rows), the
 # final fit and `eval` (400 rows) hold at least two chunks of
-# survfuse.fusion.INFERENCE_CHUNK (128) rows
+# survfuse.fusion.INFERENCE_CHUNK rows
 CONFIG = """\
 [run]
 k_folds = 4
