@@ -44,13 +44,12 @@ from .survival import (CoxBatch, build_risk_sets, concordance_index,
 FUSION_MODES = ("concat", "kronecker")
 
 # Rows per inference chunk. The short tail joins the last chunk, so every
-# chunk holds 64-127 rows. The widest activation at default widths is then
-# 127 x 128 float64 = 130,048 bytes, under glibc's default 128 KiB mmap
-# threshold, so the activations a chunk frees stay on the heap for the next
-# chunk instead of going back to the kernel and faulting in again. Chunks of
-# 48-128 rows give the same bits; OpenBLAS takes other kernels for fewer
-# rows, so a tail run alone, like chunks of 32 rows, does not.
-INFERENCE_CHUNK = 64
+# chunk holds 128-255 rows: OpenBLAS takes other kernels for a few rows, so a
+# tail run alone, like chunks of 32 rows, gives other bits than chunks of
+# 48-128 rows, which agree with each other. A chunked forward need not match
+# a one-pass forward over all rows bit for bit (a Kronecker theta at 1,000
+# rows does not).
+INFERENCE_CHUNK = 128
 
 
 def _by_row_chunks(rows_fn, n: int) -> np.ndarray:

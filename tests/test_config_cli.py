@@ -575,44 +575,48 @@ def test_json_report_streams_the_text_json_dumps_gives(tmp_path):
     assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
 
-# Twenty inference forwards of a 600-patient cohort on the theta path and the
-# frozen rna path, in both fusion modes with MLP-A; prints the minor page
-# faults each took. image_branch_features is left out: at this size, freeing
-# its 150 KB result can push the heap top past glibc's trim threshold, and
-# 20 calls took 1,580 faults with 64-row chunks, 2,620 with 128-row chunks.
+# Twenty forwards of each inference path after the CLI's allocator setting,
+# in both fusion modes with MLP-A, at 600 and 1,100 patients; prints the
+# minor page faults each took.
 _FAULT_PROBE = """
 import resource
 import numpy as np
+from survfuse.cli import _keep_freed_memory
 from survfuse.cohort import CohortSpec, generate_cohort
-from survfuse.fusion import FUSION_MODES, FusionSpec, build_model, predict_theta
+from survfuse.fusion import (FUSION_MODES, FusionSpec, build_model, image_branch_features,
+                             predict_theta)
 from survfuse.nnet import make_mlp
 from survfuse.smoothing import default_encoder
-cohort = generate_cohort(CohortSpec(n_patients=600, seed=0))
+_keep_freed_memory()
+full = generate_cohort(CohortSpec(n_patients=1100, seed=0))
 for mode in FUSION_MODES:
     mlp_a = make_mlp(32, 32, n_hidden=2, activation="relu", rng=np.random.default_rng(0))
     model = build_model(FusionSpec(dim_cnv_mut=32, dim_rna=64, dim_image=32, fusion_mode=mode),
                         default_encoder(seed=0), mlp_a, seed=0)
-    model.fit_g2_normalization(cohort.x_rna)
-    paths = {"predict_theta": lambda: predict_theta(model, cohort),
-             "frozen_rna_features": lambda: model.frozen_rna_features(cohort.x_rna)}
-    for name, forward in paths.items():
-        forward()
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for _ in range(20):
+    model.fit_g2_normalization(full.x_rna)
+    for n in (600, 1100):
+        cohort = full.take(np.arange(n))
+        paths = {"predict_theta": lambda: predict_theta(model, cohort),
+                 "image_branch_features": lambda: image_branch_features(model, cohort),
+                 "frozen_rna_features": lambda: model.frozen_rna_features(cohort.x_rna)}
+        for name, forward in paths.items():
             forward()
-        print(mode, name, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(20):
+                forward()
+            print(mode, n, name, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="measures glibc malloc")
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc")
 def test_cli_process_reuses_the_memory_inference_forwards_free():
     src = str(Path(survfuse.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
                          capture_output=True, text=True, check=True).stdout
-    faults = {tuple(line.split()[:2]): int(line.split()[2]) for line in out.splitlines()}
-    assert len(faults) == 4
-    # a forward's activations span ~16-32 pages per 64-127-row chunk; faulting
-    # them in afresh on every chunk of every forward would cost thousands
+    faults = {tuple(line.split()[:3]): int(line.split()[3]) for line in out.splitlines()}
+    assert len(faults) == 12
+    # one forward's n x 128 activations span ~150 pages each; glibc's default
+    # thresholds faulted them in afresh on every forward
     assert all(count < 20 * 50 for count in faults.values()), faults

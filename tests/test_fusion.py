@@ -463,12 +463,10 @@ def _default_width_model(cohort, fusion_mode="concat"):
     return build_model(spec, default_encoder(rna_dim, 32, seed=0), mlp_a, seed=0)
 
 
-# no rows, the most run in one piece, then two and three chunks whose last
-# one takes the tail; then 255-389 rows, three to six 64-row chunks (at 255
-# rows the last holds 127, the most any chunk holds)
+# 0, 255, 256, 257, 389: no rows, the most run in one piece, then two and
+# three chunks whose last one takes the tail
 _CHUNK = fusion.INFERENCE_CHUNK
-CHUNK_BOUNDARY_ROWS = [0, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1, 3 * _CHUNK + 5,
-                       255, 256, 257, 389]
+CHUNK_BOUNDARY_ROWS = [0, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1, 3 * _CHUNK + 5]
 
 
 @pytest.fixture(scope="module")
@@ -530,8 +528,8 @@ def test_inference_bits_do_not_depend_on_the_chunk_size(cohort_4000, monkeypatch
         return (predict_theta(model, cohort), image_branch_features(model, cohort),
                 model.frozen_rna_features(cohort.x_rna))
 
-    for at_128, at_64 in zip(outputs(128), outputs(64)):
-        assert np.array_equal(at_128, at_64)
+    for at_default, at_64 in zip(outputs(_CHUNK), outputs(64)):
+        assert np.array_equal(at_default, at_64)
 
 
 def _peak_bytes(fn, *args):
