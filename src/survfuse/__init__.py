@@ -14,13 +14,23 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var
 
-from importlib.metadata import PackageNotFoundError
-from importlib.metadata import version as _pkg_version
 
-try:
-    __version__ = _pkg_version("survfuse")
-except PackageNotFoundError:   # running from a source tree without install
-    __version__ = "0+unknown"
+def __getattr__(name: str):
+    # __version__ is looked up on its first read and then kept as a global.
+    # importlib.metadata and the modules it loads (email, zipfile, ...) cost a
+    # process memory and start-up time, and only reports read the version, so
+    # processes that write none (the generators, the forked fold workers)
+    # never load them.
+    if name != "__version__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib.metadata import PackageNotFoundError, version
+    try:
+        value = version("survfuse")
+    except PackageNotFoundError:   # running from a source tree without install
+        value = "0+unknown"
+    globals()["__version__"] = value
+    return value
+
 
 from .errors import (ConcordanceUndefinedError, ConfigError, NumericalError,
                      ShapeError, StateError, SurvfuseError, ValidationError)

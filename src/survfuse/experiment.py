@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
 from .cohort import Cohort, fold_split, split_folds
 from .config import RunConfig, config_echo
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .fusion import (FusionModel, FusionSpec, TrainConfig, build_model,
                      evaluate, image_branch_features, train_survival)
 from .nnet import DenseLayer
@@ -29,6 +28,8 @@ from .survival import probe_c_index
 
 
 def tool_version() -> str:
+    # read at call time: the package resolves __version__ on first read
+    from . import __version__
     return f"survfuse {__version__} / numpy {np.__version__}"
 
 
@@ -113,8 +114,11 @@ def run_single_fold(cohort: Cohort, plan, fold: int,
     train, test = fold_split(cohort, plan, fold)
     model, tcfg = _new_model(cohort, cfg, bundle, derive_seed(cfg.seed, 0xFD, fold),
                              track_rho=cfg.track_rho)
-    tres = train_survival(model, train, tcfg)
-    test_metrics = evaluate(model, test)
+    try:
+        tres = train_survival(model, train, tcfg)
+        test_metrics = evaluate(model, test)
+    except NumericalError as exc:
+        raise NumericalError(f"fold {fold}: {exc}") from exc
     row = {
         "fold": fold,
         "c_index": test_metrics["c_index"],
@@ -142,7 +146,10 @@ def run_final_fit(cohort: Cohort, cfg: RunConfig, bundle: Stage1Bundle):
     modulation needs them.
     """
     model, tcfg = _new_model(cohort, cfg, bundle, cfg.seed)
-    train_survival(model, cohort, tcfg)
+    try:
+        train_survival(model, cohort, tcfg)
+    except NumericalError as exc:
+        raise NumericalError(f"final fit: {exc}") from exc
     return model
 
 

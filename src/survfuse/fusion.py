@@ -404,30 +404,32 @@ def train_survival(model: FusionModel, cohort: Cohort, cfg: TrainConfig) -> Trai
             if sub.degenerate:
                 skipped += 1
                 continue
-            theta, G, P = model.forward_batch(cohort.x_cnv[idx], g2_all[idx],
-                                              cohort.x_img[idx], train=True)
-            lse = sub.log_risk_denominators(theta)
-            loss = cox_loss(theta, sub, lse)
-            if not np.isfinite(loss):
-                raise NumericalError(
-                    f"non-finite loss at epoch {epoch}, step {step_index}")
-            model.backward_batch(cox_gradient(theta, sub, lse))
-            if want_reports:
-                s_g, s_p = branch_scores(model.head_Wg, G, model.head_Wp, P,
-                                         model.head_b)
-                report = contribution_ratio(s_g, s_p, sub, cfg.modulation)
-                epoch_rho.append(report.rho_g)
-                epoch_fg.append(report.factor_g)
-                epoch_fp.append(report.factor_p)
-                step_reports.append({"epoch": epoch, "step": step_index,
-                                     "rho_g": report.rho_g, "rho_p": report.rho_p,
-                                     "rho_g_clamped": report.rho_g_clamped,
-                                     "factor_g": report.factor_g,
-                                     "factor_p": report.factor_p})
-                if cfg.modulation.enabled and step_index >= cfg.modulation.warmup_steps:
-                    apply_modulation(report, groups["genomic"], groups["image"],
-                                     cfg.modulation)
-            sgd_step(group_list, step_decay_eta(cfg.eta, step_index, total_steps))
+            try:
+                theta, G, P = model.forward_batch(cohort.x_cnv[idx], g2_all[idx],
+                                                  cohort.x_img[idx], train=True)
+                lse = sub.log_risk_denominators(theta)
+                loss = cox_loss(theta, sub, lse)
+                if not np.isfinite(loss):
+                    raise NumericalError("non-finite loss")
+                model.backward_batch(cox_gradient(theta, sub, lse))
+                if want_reports:
+                    s_g, s_p = branch_scores(model.head_Wg, G, model.head_Wp, P,
+                                             model.head_b)
+                    report = contribution_ratio(s_g, s_p, sub, cfg.modulation)
+                    epoch_rho.append(report.rho_g)
+                    epoch_fg.append(report.factor_g)
+                    epoch_fp.append(report.factor_p)
+                    step_reports.append({"epoch": epoch, "step": step_index,
+                                         "rho_g": report.rho_g, "rho_p": report.rho_p,
+                                         "rho_g_clamped": report.rho_g_clamped,
+                                         "factor_g": report.factor_g,
+                                         "factor_p": report.factor_p})
+                    if cfg.modulation.enabled and step_index >= cfg.modulation.warmup_steps:
+                        apply_modulation(report, groups["genomic"], groups["image"],
+                                         cfg.modulation)
+                sgd_step(group_list, step_decay_eta(cfg.eta, step_index, total_steps))
+            except NumericalError as exc:
+                raise NumericalError(f"epoch {epoch}, step {step_index}: {exc}") from exc
             epoch_loss_sum += loss
             epoch_event_count += sub.n_events
         c_index = concordance_index(_chunked_theta(model, cohort, g2_all),

@@ -115,6 +115,8 @@ def contribution_ratio(s_g, s_p, batch: CoxBatch, cfg: ModulationConfig) -> Cont
     """Per-batch discrepancy ratios rho_g, rho_p and their learning-rate factors.
 
     Degenerate batches (no uncensored sample) yield the neutral report.
+    Scores so far below zero that rho_g or rho_p is not finite raise
+    NumericalError.
     """
     s_g = np.asarray(s_g, dtype=np.float64).reshape(-1)
     s_p = np.asarray(s_p, dtype=np.float64).reshape(-1)
@@ -130,16 +132,21 @@ def contribution_ratio(s_g, s_p, batch: CoxBatch, cfg: ModulationConfig) -> Cont
     k = batch.event_indices
     lse_g = batch.log_risk_denominators(s_g)[k]
     lse_p = batch.log_risk_denominators(s_p)[k]
-    if cfg.exp_numerator:
-        r_g = np.exp(s_g[k] - lse_g)
-        r_p = np.exp(s_p[k] - lse_p)
-    else:
-        r_g = s_g[k] * np.exp(-lse_g)
-        r_p = s_p[k] * np.exp(-lse_p)
-
     agg = np.mean if cfg.aggregate == "mean" else np.median
-    rho_g = float(_signed_guard(agg(r_g), cfg.epsilon) / _signed_guard(agg(r_p), cfg.epsilon))
-    rho_p = 1.0 / rho_g
+    # scores far below zero overflow exp(-lse); the check below names the result
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if cfg.exp_numerator:
+            r_g = np.exp(s_g[k] - lse_g)
+            r_p = np.exp(s_p[k] - lse_p)
+        else:
+            r_g = s_g[k] * np.exp(-lse_g)
+            r_p = s_p[k] * np.exp(-lse_p)
+        rho_g = float(_signed_guard(agg(r_g), cfg.epsilon)
+                      / _signed_guard(agg(r_p), cfg.epsilon))
+    rho_p = 1.0 / rho_g if rho_g else np.inf
+    if not (np.isfinite(rho_g) and np.isfinite(rho_p)):
+        raise NumericalError(
+            f"contribution ratio is not finite: rho_g = {rho_g}, rho_p = {rho_p}")
 
     rho_g_c = min(max(rho_g, cfg.rho_min), cfg.rho_max)
     return ContributionReport(

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError, csv_lines, open_text, write_text
+from .errors import (NumericalError, ShapeError, ValidationError, csv_lines,
+                     open_text, write_text)
 from .nnet import (DenseLayer, add_layers, checkpoint_layers, layer_group,
                    load_checkpoint, make_mlp, meta_typed, mlp_backward,
                    mlp_forward, mse_loss, save_checkpoint, sgd_step,
@@ -278,15 +279,18 @@ def pretrain_mlp_a(cells: list[CellProfile], encoder: FrozenEncoder,
         idx_b = step_rng.integers(0, len(cells), size=cfg.batch_pairs)
         lams = step_rng.uniform(0.0, 1.0, size=cfg.batch_pairs)
         mixed, target = _stack_mixes(expr, hot, idx_a, idx_b, lams)
-        feat = mlp_forward(mlp_a, encoder.apply(mixed), train=True)
-        pred = classifier.forward(feat, train=True)
-        loss, grad = mse_loss(pred, target)
-        # the encoder is frozen: no gradient w.r.t. MLP-A's input
-        mlp_backward(mlp_a, classifier.backward(grad), input_cols=0)
-        if cfg.weight_decay > 0.0:
-            for layer in mlp_a:  # decay weights only; biases and classifier float free
-                layer.grad_weight += cfg.weight_decay * layer.weight
-        sgd_step(groups, step_decay_eta(cfg.eta, step, total_steps))
+        try:
+            feat = mlp_forward(mlp_a, encoder.apply(mixed), train=True)
+            pred = classifier.forward(feat, train=True)
+            loss, grad = mse_loss(pred, target)
+            # the encoder is frozen: no gradient w.r.t. MLP-A's input
+            mlp_backward(mlp_a, classifier.backward(grad), input_cols=0)
+            if cfg.weight_decay > 0.0:
+                for layer in mlp_a:  # decay weights only; biases and classifier float free
+                    layer.grad_weight += cfg.weight_decay * layer.weight
+            sgd_step(groups, step_decay_eta(cfg.eta, step, total_steps))
+        except NumericalError as exc:
+            raise NumericalError(f"stage 1, step {step}: {exc}") from exc
         history.append(loss)
     return Stage1Result(mlp_a=mlp_a, classifier=classifier, loss_history=history)
 

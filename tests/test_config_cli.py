@@ -15,10 +15,10 @@ import survfuse
 from survfuse import experiment
 from survfuse.cli import _write_json, main
 from survfuse.cohort import (CohortSpec, default_hazard_coef, generate_cohort,
-                             save_cohort)
+                             load_cohort, save_cohort)
 from survfuse.config import (RunConfig, config_echo, load_cells_spec,
                              load_cohort_spec, load_run_config)
-from survfuse.errors import ConfigError, ValidationError
+from survfuse.errors import ConfigError, NumericalError, ValidationError
 from survfuse.fusion import load_model
 from survfuse.nnet import load_checkpoint, save_checkpoint
 from survfuse.smoothing import load_stage1
@@ -456,6 +456,23 @@ def test_clamp_with_zero_factor_stops_train_before_any_fold(
     assert capsys.readouterr().err.startswith(f"error: {key} = ")
     assert folds == []
     assert not out.exists()
+
+
+def test_a_diverging_run_names_the_fold_epoch_and_step(pipeline, tmp_path, capsys):
+    root, _ = pipeline
+    ini = tmp_path / "eta.ini"
+    ini.write_text(TINY_INI.format(dir=root).replace("[run]\n", "[run]\neta = 1e6\n"))
+    argv = ["train", "--config", str(ini), "--out", str(tmp_path / "run"),
+            "--smoothing", "off", "--modulation", "on"]
+    assert main(argv) == 1
+    assert re.fullmatch(r"error: fold 0: epoch 0, step \d+: contribution ratio is not "
+                        r"finite: rho_g = \S+, rho_p = \S+\n", capsys.readouterr().err)
+    cfg = load_run_config(str(ini), smoothing_enabled=False, modulation_enabled=True)
+    cohort = load_cohort(cfg.paths.cohort)
+    bundle = experiment.Stage1Bundle(
+        encoder=cfg.smoothing.frozen_encoder(cohort.x_rna.shape[1]), result=None, report=None)
+    with pytest.raises(NumericalError, match=r"^final fit: epoch 0, step \d+: "):
+        experiment.run_final_fit(cohort, cfg, bundle)
 
 
 def test_ablate_with_track_rho_tracks_the_concat_rows(pipeline, capsys):

@@ -392,6 +392,15 @@ def test_all_censored_batches_are_skipped_not_fatal():
     assert len(result.epochs) == 1
 
 
+def test_a_diverging_step_names_its_epoch_and_step():
+    # eta = 1e6 throws the branch scores so far from zero that the
+    # contribution ratio overflows a step later
+    cfg = TrainConfig(epochs=2, batch_size=12, seed=0, eta=1e6, track_rho=True)
+    with pytest.raises(NumericalError,
+                       match=r"^epoch 0, step \d+: contribution ratio is not finite"):
+        train_survival(_small_model(), _cohort(), cfg)
+
+
 def test_g2_standardization_fitted_during_training():
     m = _small_model()
     cohort = _cohort()

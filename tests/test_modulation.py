@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survfuse.errors import ConfigError, ShapeError
+from survfuse.errors import ConfigError, NumericalError, ShapeError
 from survfuse.modulation import (ModulationConfig, apply_modulation,
                                  branch_scores, contribution_ratio,
                                  modulation_factor)
@@ -155,6 +155,22 @@ def test_exp_numerator_reading_is_softmax_share():
     r_g = np.exp(1.0) / (np.exp(1.0) + 1.0)
     r_p = 1.0 / (1.0 + np.exp(1.0))
     assert report.rho_g == pytest.approx(r_g / r_p, rel=1e-12)
+
+
+@pytest.mark.parametrize("genomic_offset", [-800.0, 0.0])
+@pytest.mark.parametrize("aggregate", ["mean", "median"])
+def test_overflowing_scores_raise_numerical_error(genomic_offset, aggregate):
+    # exp(-lse) overflows at scores near -800: with both branches there, rho_g
+    # is -inf / -inf = nan; with the image branch alone, rho_g is -0.0 and
+    # rho_p = 1 / rho_g has no value. Under the error::RuntimeWarning filter an
+    # unguarded overflow would surface as a RuntimeWarning instead.
+    rng = np.random.default_rng(7)
+    n = 16
+    s_g = genomic_offset + rng.normal(size=n)
+    s_p = -800.0 + rng.normal(size=n)
+    batch = _batch(np.arange(1.0, n + 1.0), [True] * n)
+    with pytest.raises(NumericalError, match="rho_g"):
+        contribution_ratio(s_g, s_p, batch, _cfg(aggregate=aggregate))
 
 
 def test_config_validation():

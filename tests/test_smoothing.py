@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survfuse.errors import ShapeError, ValidationError
+from survfuse.errors import NumericalError, ShapeError, ValidationError
 from survfuse.nnet import DenseLayer, mlp_forward, save_checkpoint
 from survfuse.smoothing import (CellCorpusSpec, CellProfile, FrozenEncoder,
                                 Stage1Config, Stage1Result, _stack_mixes,
@@ -293,6 +293,18 @@ def test_zero_epochs_returns_untouched_init():
     for la, lb in zip(r1.mlp_a, r2.mlp_a):
         assert np.array_equal(la.weight, lb.weight)
         assert np.array_equal(la.bias, lb.bias)
+
+
+# the overflow in the dense layers comes before the non-finite check names it
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("setting", [dict(eta=1e9), dict(weight_decay=1e6)])
+def test_a_diverging_stage1_step_names_its_step(setting):
+    cells = generate_cells(CellCorpusSpec(n_cells=40, gene_dim=16, num_types=5))
+    encoder = default_encoder(gene_dim=16, embed_dim=8)
+    cfg = Stage1Config(epochs=1, steps_per_epoch=10, hidden_dim=16, feature_dim=8,
+                       **setting)
+    with pytest.raises(NumericalError, match=r"^stage 1, step \d+: "):
+        pretrain_mlp_a(cells, encoder, cfg)
 
 
 def test_pretrain_is_deterministic(trained_stage1):
