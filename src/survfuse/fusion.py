@@ -59,11 +59,12 @@ def _by_row_chunks(rows_fn, n: int) -> np.ndarray:
     slice, and n = 0 is one empty slice."""
     stops = [*range(INFERENCE_CHUNK, n - INFERENCE_CHUNK + 1, INFERENCE_CHUNK), n]
     out = None
-    for start, stop in zip([0, *stops], stops):
-        part = rows_fn(slice(start, stop))
-        if out is None:
-            out = np.empty((n, *part.shape[1:]))
-        out[start:stop] = part
+    with np.errstate(over="ignore", invalid="ignore"):   # see train_survival
+        for start, stop in zip([0, *stops], stops):
+            part = rows_fn(slice(start, stop))
+            if out is None:
+                out = np.empty((n, *part.shape[1:]))
+            out[start:stop] = part
     return out
 
 
@@ -391,55 +392,58 @@ def train_survival(model: FusionModel, cohort: Cohort, cfg: TrainConfig) -> Trai
     step_reports: list[dict] = []
     skipped = 0
     step_counter = 0
-    for epoch in range(cfg.epochs):
-        perm = shuffle_rng.permutation(n)
-        epoch_loss_sum = 0.0
-        epoch_event_count = 0
-        epoch_rho, epoch_fg, epoch_fp = [], [], []
-        for start in range(0, n, cfg.batch_size):
-            step_index = step_counter
-            step_counter += 1
-            idx = perm[start:start + cfg.batch_size]
-            sub = CoxBatch(full.times[idx], full.events[idx])
-            if sub.degenerate:
-                skipped += 1
-                continue
-            try:
-                theta, G, P = model.forward_batch(cohort.x_cnv[idx], g2_all[idx],
-                                                  cohort.x_img[idx], train=True)
-                lse = sub.log_risk_denominators(theta)
-                loss = cox_loss(theta, sub, lse)
-                if not np.isfinite(loss):
-                    raise NumericalError("non-finite loss")
-                model.backward_batch(cox_gradient(theta, sub, lse))
-                if want_reports:
-                    s_g, s_p = branch_scores(model.head_Wg, G, model.head_Wp, P,
-                                             model.head_b)
-                    report = contribution_ratio(s_g, s_p, sub, cfg.modulation)
-                    epoch_rho.append(report.rho_g)
-                    epoch_fg.append(report.factor_g)
-                    epoch_fp.append(report.factor_p)
-                    step_reports.append({"epoch": epoch, "step": step_index,
-                                         "rho_g": report.rho_g, "rho_p": report.rho_p,
-                                         "rho_g_clamped": report.rho_g_clamped,
-                                         "factor_g": report.factor_g,
-                                         "factor_p": report.factor_p})
-                    if cfg.modulation.enabled and step_index >= cfg.modulation.warmup_steps:
-                        apply_modulation(report, groups["genomic"], groups["image"],
-                                         cfg.modulation)
-                sgd_step(group_list, step_decay_eta(cfg.eta, step_index, total_steps))
-            except NumericalError as exc:
-                raise NumericalError(f"epoch {epoch}, step {step_index}: {exc}") from exc
-            epoch_loss_sum += loss
-            epoch_event_count += sub.n_events
-        c_index = concordance_index(_chunked_theta(model, cohort, g2_all),
-                                    full.times, full.events)
-        mean_loss = epoch_loss_sum / epoch_event_count if epoch_event_count else 0.0
-        epoch_rows.append(EpochMetrics(
-            epoch=epoch, loss=mean_loss, c_index=c_index,
-            rho_g=float(np.median(epoch_rho)) if epoch_rho else None,
-            factor_g=float(np.median(epoch_fg)) if epoch_fg else None,
-            factor_p=float(np.median(epoch_fp)) if epoch_fp else None))
+    # an overflow ends in a non-finite value that a check names with its
+    # epoch and step; numpy's warning would only print ahead of that error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            perm = shuffle_rng.permutation(n)
+            epoch_loss_sum = 0.0
+            epoch_event_count = 0
+            epoch_rho, epoch_fg, epoch_fp = [], [], []
+            for start in range(0, n, cfg.batch_size):
+                step_index = step_counter
+                step_counter += 1
+                idx = perm[start:start + cfg.batch_size]
+                sub = CoxBatch(full.times[idx], full.events[idx])
+                if sub.degenerate:
+                    skipped += 1
+                    continue
+                try:
+                    theta, G, P = model.forward_batch(cohort.x_cnv[idx], g2_all[idx],
+                                                      cohort.x_img[idx], train=True)
+                    lse = sub.log_risk_denominators(theta)
+                    loss = cox_loss(theta, sub, lse)
+                    if not np.isfinite(loss):
+                        raise NumericalError("non-finite loss")
+                    model.backward_batch(cox_gradient(theta, sub, lse))
+                    if want_reports:
+                        s_g, s_p = branch_scores(model.head_Wg, G, model.head_Wp, P,
+                                                 model.head_b)
+                        report = contribution_ratio(s_g, s_p, sub, cfg.modulation)
+                        epoch_rho.append(report.rho_g)
+                        epoch_fg.append(report.factor_g)
+                        epoch_fp.append(report.factor_p)
+                        step_reports.append({"epoch": epoch, "step": step_index,
+                                             "rho_g": report.rho_g, "rho_p": report.rho_p,
+                                             "rho_g_clamped": report.rho_g_clamped,
+                                             "factor_g": report.factor_g,
+                                             "factor_p": report.factor_p})
+                        if cfg.modulation.enabled and step_index >= cfg.modulation.warmup_steps:
+                            apply_modulation(report, groups["genomic"], groups["image"],
+                                             cfg.modulation)
+                    sgd_step(group_list, step_decay_eta(cfg.eta, step_index, total_steps))
+                except NumericalError as exc:
+                    raise NumericalError(f"epoch {epoch}, step {step_index}: {exc}") from exc
+                epoch_loss_sum += loss
+                epoch_event_count += sub.n_events
+            c_index = concordance_index(_chunked_theta(model, cohort, g2_all),
+                                        full.times, full.events)
+            mean_loss = epoch_loss_sum / epoch_event_count if epoch_event_count else 0.0
+            epoch_rows.append(EpochMetrics(
+                epoch=epoch, loss=mean_loss, c_index=c_index,
+                rho_g=float(np.median(epoch_rho)) if epoch_rho else None,
+                factor_g=float(np.median(epoch_fg)) if epoch_fg else None,
+                factor_p=float(np.median(epoch_fp)) if epoch_fp else None))
     return TrainResult(model=model, epochs=epoch_rows, step_reports=step_reports,
                        skipped_batches=skipped)
 

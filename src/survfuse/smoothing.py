@@ -274,24 +274,25 @@ def pretrain_mlp_a(cells: list[CellProfile], encoder: FrozenEncoder,
     step_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA2]))
     total_steps = cfg.epochs * cfg.steps_per_epoch
     history = []
-    for step in range(total_steps):
-        idx_a = step_rng.integers(0, len(cells), size=cfg.batch_pairs)
-        idx_b = step_rng.integers(0, len(cells), size=cfg.batch_pairs)
-        lams = step_rng.uniform(0.0, 1.0, size=cfg.batch_pairs)
-        mixed, target = _stack_mixes(expr, hot, idx_a, idx_b, lams)
-        try:
-            feat = mlp_forward(mlp_a, encoder.apply(mixed), train=True)
-            pred = classifier.forward(feat, train=True)
-            loss, grad = mse_loss(pred, target)
-            # the encoder is frozen: no gradient w.r.t. MLP-A's input
-            mlp_backward(mlp_a, classifier.backward(grad), input_cols=0)
-            if cfg.weight_decay > 0.0:
-                for layer in mlp_a:  # decay weights only; biases and classifier float free
-                    layer.grad_weight += cfg.weight_decay * layer.weight
-            sgd_step(groups, step_decay_eta(cfg.eta, step, total_steps))
-        except NumericalError as exc:
-            raise NumericalError(f"stage 1, step {step}: {exc}") from exc
-        history.append(loss)
+    with np.errstate(over="ignore", invalid="ignore"):   # see fusion.train_survival
+        for step in range(total_steps):
+            idx_a = step_rng.integers(0, len(cells), size=cfg.batch_pairs)
+            idx_b = step_rng.integers(0, len(cells), size=cfg.batch_pairs)
+            lams = step_rng.uniform(0.0, 1.0, size=cfg.batch_pairs)
+            mixed, target = _stack_mixes(expr, hot, idx_a, idx_b, lams)
+            try:
+                feat = mlp_forward(mlp_a, encoder.apply(mixed), train=True)
+                pred = classifier.forward(feat, train=True)
+                loss, grad = mse_loss(pred, target)
+                # the encoder is frozen: no gradient w.r.t. MLP-A's input
+                mlp_backward(mlp_a, classifier.backward(grad), input_cols=0)
+                if cfg.weight_decay > 0.0:
+                    for layer in mlp_a:  # decay weights only; biases and classifier float free
+                        layer.grad_weight += cfg.weight_decay * layer.weight
+                sgd_step(groups, step_decay_eta(cfg.eta, step, total_steps))
+            except NumericalError as exc:
+                raise NumericalError(f"stage 1, step {step}: {exc}") from exc
+            history.append(loss)
     return Stage1Result(mlp_a=mlp_a, classifier=classifier, loss_history=history)
 
 

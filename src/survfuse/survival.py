@@ -16,7 +16,8 @@ Conventions used everywhere in this package:
 Risk sets are never materialised: sorted by descending time, every R_k is
 a prefix ending at k's tie block, so one running log-sum-exp
 (CoxBatch.log_risk_denominators) gives all risk-set denominators in O(n).
-The loss, the gradient and the modulation ratios are computed from it.
+The loss, the gradient, the modulation ratios and the linear probe's
+Newton steps are computed from it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from .cohort import Cohort
 from .errors import (ConcordanceUndefinedError, NumericalError, ShapeError,
                      ValidationError)
+from .nnet import as_matrix
 
 
 class CoxBatch:
@@ -185,35 +187,96 @@ def concordance_index(theta, times, events) -> float:
     return (concordant + 0.5 * ties) / n_comparable
 
 
-def fit_linear_cox(x, times, events, l2: float = 1e-3, max_iter: int = 200) -> np.ndarray:
+# Damped Newton on the ridge objective stops when the Newton decrement
+# grad . H^-1 grad, about twice the gap to the optimum, falls to NEWTON_TOL
+# times max(1, |objective|): a test that does not depend on the scale of the
+# features. It takes a handful of steps; the cap ends a fit that cannot
+# converge. A step is halved until it gains ARMIJO of its predicted
+# decrease, at most ARMIJO_HALVINGS times.
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 50
+ARMIJO = 1e-4
+ARMIJO_HALVINGS = 40
+
+
+def _ridge_cox_objective(x, batch: CoxBatch, beta, l2: float):
+    """cox_loss(x @ beta) + l2/2 |beta|^2, with theta = x @ beta and its
+    log risk-set denominators."""
+    theta = x @ beta
+    lse = batch.log_risk_denominators(theta)
+    return cox_loss(theta, batch, lse) + 0.5 * l2 * float(beta @ beta), theta, lse
+
+
+def _linear_cox_hessian(x, theta, batch: CoxBatch, lse: np.ndarray, grad: np.ndarray):
+    """Hessian of beta -> cox_loss(x @ beta) at theta = x @ beta: X^T diag(w) X - M^T M.
+
+    `grad` is cox_gradient(theta, batch, lse), so w = grad + events is each
+    row's summed softmax weight over the risk sets that hold it. Row k of M
+    is the softmax-weighted mean of x over event k's risk set, from a running
+    log-sum-exp of theta + log(x) over the time-sorted rows, read at the end
+    of the event's tie block as log_risk_denominators reads its sums: tied
+    rows share Breslow risk sets, and no weight underflows however far apart
+    theta lies. The Hessian is a sum of risk-set covariances, so shifting x
+    to nonnegative columns first leaves it unchanged.
+    """
+    x = x - x.min(axis=0)
+    order = batch.order
+    event = batch.events[order]
+    with np.errstate(divide="ignore"):   # log(0) = -inf: the entry adds nothing
+        log_terms = np.log(x[order]) + theta[order][:, None]
+    means = np.exp(np.logaddexp.accumulate(log_terms, axis=0)[batch.block_end[event]]
+                   - lse[order[event]][:, None])
+    return (x.T * (grad + batch.events)) @ x - means.T @ means
+
+
+def fit_linear_cox(x, times, events, l2: float = 1e-3) -> np.ndarray:
     """Ridge-penalized linear Cox fit: beta minimizing cox_loss(X beta) + l2/2 |beta|^2.
 
-    Used as a standalone probe of how informative a feature block is; the
-    objective is convex, so the L-BFGS solution is deterministic.
+    Used as a standalone probe of how informative a feature block is. The
+    objective is strictly convex; damped Newton from beta = 0 (see
+    NEWTON_TOL) is deterministic, and a fit that does not converge within
+    NEWTON_MAX_ITER steps raises NumericalError.
     """
-    from scipy.optimize import minimize
-
-    x = np.asarray(x, dtype=np.float64)
+    x = as_matrix(x, "probe features")
     batch = CoxBatch(times, events)
     if not np.isfinite(batch.times).all() or (batch.times <= 0.0).any():
         raise ValidationError("all observation times must be positive and finite")
     if x.shape[0] != len(batch):
         raise ShapeError(f"feature rows {x.shape[0]} != batch size {len(batch)}")
+    if not l2 > 0.0:
+        raise ValidationError(f"l2 must be positive, got {l2}")
 
-    def objective(beta):
-        theta = x @ beta
-        loss = cox_loss(theta, batch) + 0.5 * l2 * float(beta @ beta)
-        grad = x.T @ cox_gradient(theta, batch) + l2 * beta
-        return loss, grad
-
-    res = minimize(objective, np.zeros(x.shape[1]), jac=True, method="L-BFGS-B",
-                   options={"maxiter": max_iter})
-    return res.x
+    beta = np.zeros(x.shape[1])
+    objective, theta, lse = _ridge_cox_objective(x, batch, beta, l2)
+    for steps in range(NEWTON_MAX_ITER):
+        d_theta = cox_gradient(theta, batch, lse)
+        grad = x.T @ d_theta + l2 * beta
+        hessian = _linear_cox_hessian(x, theta, batch, lse, d_theta)
+        hessian[np.diag_indices_from(hessian)] += l2
+        step = np.linalg.solve(hessian, grad)
+        decrement = float(grad @ step)
+        if decrement <= NEWTON_TOL * max(1.0, abs(objective)):
+            return beta
+        t = 1.0
+        for _ in range(ARMIJO_HALVINGS):   # backtracking along -step
+            trial = beta - t * step
+            value, theta_t, lse_t = _ridge_cox_objective(x, batch, trial, l2)
+            if value <= objective - ARMIJO * t * decrement:
+                break
+            t *= 0.5
+        else:
+            break   # no decrease along the Newton step
+        beta, objective, theta, lse = trial, value, theta_t, lse_t
+    raise NumericalError(f"linear Cox fit did not converge: Newton decrement "
+                         f"{decrement:.3g} after {steps + 1} steps")
 
 
 def probe_c_index(x_train, times_train, events_train, x_test, times_test, events_test,
                   l2: float = 1e-3) -> float:
     """Fit a linear Cox model on one feature block and score C on held-out data."""
     beta = fit_linear_cox(x_train, times_train, events_train, l2=l2)
-    theta = np.asarray(x_test, dtype=np.float64) @ beta
-    return concordance_index(theta, times_test, events_test)
+    x_test = as_matrix(x_test, "held-out probe features")
+    if x_test.shape[1] != beta.size:
+        raise ShapeError(f"held-out probe features have {x_test.shape[1]} columns, "
+                         f"the fit has {beta.size}")
+    return concordance_index(x_test @ beta, times_test, events_test)

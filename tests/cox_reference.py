@@ -47,6 +47,21 @@ def cox_gradient(theta, batch) -> np.ndarray:
     return grad
 
 
+def linear_cox_hessian(x, theta, batch) -> np.ndarray:
+    """Hessian of beta -> cox_loss(x @ beta) at theta = x @ beta: over each
+    event's risk set, the covariance of x under the softmax of theta."""
+    x = np.asarray(x, dtype=np.float64)
+    theta = np.asarray(theta, dtype=np.float64)
+    hess = np.zeros((x.shape[1], x.shape[1]))
+    for risk in risk_sets(batch):
+        t = theta[risk]
+        w = np.exp(t - t.max())
+        w /= w.sum()
+        mean = w @ x[risk]
+        hess += (x[risk].T * w) @ x[risk] - np.outer(mean, mean)
+    return hess
+
+
 def contribution_ratio(s_g, s_p, batch, cfg) -> ContributionReport:
     s_g = np.asarray(s_g, dtype=np.float64)
     s_p = np.asarray(s_p, dtype=np.float64)

@@ -171,6 +171,13 @@ out_dir = {dir}/run
 """
 
 
+def _source_env() -> dict:
+    """The environment for a new interpreter that imports this source's survfuse."""
+    src = str(Path(survfuse.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """gen-cells + gen-cohort + pretrain-smooth + train, once, shared."""
@@ -475,6 +482,21 @@ def test_a_diverging_run_names_the_fold_epoch_and_step(pipeline, tmp_path, capsy
         experiment.run_final_fit(cohort, cfg, bundle)
 
 
+def test_a_diverging_stage1_writes_one_error_line(pipeline, tmp_path):
+    # a new interpreter, so numpy's overflow warnings would print as they do
+    # for a user rather than raise as they do under pytest
+    root, _ = pipeline
+    ini = tmp_path / "eta.ini"
+    ini.write_text(TINY_INI.format(dir=root).replace("[smoothing]\n",
+                                                     "[smoothing]\nstage1_eta = 1e9\n"))
+    run = subprocess.run([sys.executable, "-m", "survfuse.cli", "pretrain-smooth",
+                          "--config", str(ini), "--out", str(tmp_path / "out")],
+                         env=_source_env(), capture_output=True, text=True)
+    assert run.returncode == 1
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: stage 1, step "), run.stderr
+
+
 def test_ablate_with_track_rho_tracks_the_concat_rows(pipeline, capsys):
     root, _ = pipeline
     ini = root / "tiny_rho.ini"
@@ -627,10 +649,7 @@ for mode in FUSION_MODES:
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc")
 def test_cli_process_reuses_the_memory_inference_forwards_free():
-    src = str(Path(survfuse.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
+    out = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=_source_env(),
                          capture_output=True, text=True, check=True).stdout
     faults = {tuple(line.split()[:3]): int(line.split()[3]) for line in out.splitlines()}
     assert len(faults) == 12

@@ -401,6 +401,23 @@ def test_a_diverging_step_names_its_epoch_and_step():
         train_survival(_small_model(), _cohort(), cfg)
 
 
+def test_an_overflowing_layer_names_its_epoch_and_step():
+    # without contribution reports the overflow reaches a dense layer, and its
+    # non-finite check, not a numpy RuntimeWarning, ends the run
+    cfg = TrainConfig(epochs=2, batch_size=12, seed=0, eta=1e6)
+    with pytest.raises(NumericalError, match=r"^epoch \d+, step \d+: layer forward produced "
+                                             r"non-finite output"):
+        train_survival(_small_model(), _cohort(), cfg)
+
+
+def test_an_overflowing_inference_forward_raises_numerical_error():
+    model = _small_model()
+    for layer in model.image_encoder:
+        layer.weight *= 1e200
+    with pytest.raises(NumericalError, match="layer forward produced non-finite output"):
+        predict_theta(model, _cohort())
+
+
 def test_g2_standardization_fitted_during_training():
     m = _small_model()
     cohort = _cohort()

@@ -295,8 +295,8 @@ def test_zero_epochs_returns_untouched_init():
         assert np.array_equal(la.bias, lb.bias)
 
 
-# the overflow in the dense layers comes before the non-finite check names it
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# the dense layers overflow without a warning; the first non-finite check
+# names the step
 @pytest.mark.parametrize("setting", [dict(eta=1e9), dict(weight_decay=1e6)])
 def test_a_diverging_stage1_step_names_its_step(setting):
     cells = generate_cells(CellCorpusSpec(n_cells=40, gene_dim=16, num_types=5))

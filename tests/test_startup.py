@@ -1,8 +1,9 @@
 """What importing survfuse loads: the package version is looked up on its
 first read, so `import survfuse`, the generators and the forked fold workers
 run without importlib.metadata, and only a process that writes a report
-loads it. pytest itself imports that module, so every check of sys.modules
-runs in a fresh interpreter."""
+loads it; and a run with the image probe never imports scipy. pytest itself
+imports importlib.metadata, so every check of sys.modules runs in a fresh
+interpreter."""
 
 import importlib.metadata
 import os
@@ -100,6 +101,23 @@ def test_fold_workers_fork_without_package_metadata(tmp_path):
     assert workers[0][0] != parent[0]
     assert workers[0][1] == "False"
     assert parent[1] == "True"               # the reports, written after the pool closed
+
+
+def test_image_probe_runs_without_scipy(tmp_path):
+    script = """if True:
+        import json, os, sys
+        from survfuse.cli import main
+        root = sys.argv[1]
+        cfg = ["--config", os.path.join(root, "grid.ini")]
+        assert main(["gen-cohort", *cfg, "--out", root]) == 0
+        assert main(["train", *cfg, "--cohort", os.path.join(root, "cohort.csv"),
+                     "--smoothing", "off", "--image-probe", "--out", root]) == 0
+        with open(os.path.join(root, "report.json")) as fh:
+            folds = json.load(fh)["per_fold"]
+        print("probe", all("image_probe_c" in fold for fold in folds), "scipy" in sys.modules)
+    """
+    (tmp_path / "grid.ini").write_text(GRID_INI)
+    assert _fresh(script, str(tmp_path)) == [["True", "False"]]
 
 
 def test_version_strings_match_the_package_metadata():

@@ -8,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cox_reference as ref
+from survfuse import survival
 from survfuse.cohort import Cohort
-from survfuse.errors import (ConcordanceUndefinedError, ShapeError,
-                             ValidationError)
+from survfuse.errors import (ConcordanceUndefinedError, NumericalError,
+                             ShapeError, ValidationError)
 from survfuse.modulation import ModulationConfig, contribution_ratio
 from survfuse.survival import (CoxBatch, build_risk_sets,
                                concordance_index, cox_gradient, cox_loss,
@@ -383,3 +384,86 @@ def test_fit_linear_cox_rejects_times_that_are_not_positive_and_finite(bad):
     times = np.array([1.0, 2.0, bad, 3.0])
     with pytest.raises(ValidationError, match="positive and finite"):
         fit_linear_cox(np.eye(4), times, np.ones(4, dtype=bool))
+
+
+@pytest.mark.parametrize("x, l2, error, match", [
+    (np.ones(4), 1e-3, ShapeError, "probe features must be 2-D"),
+    (np.array([[1.0], [2.0], [np.nan], [3.0]]), 1e-3, NumericalError, "probe features"),
+    (np.eye(4), 0.0, ValidationError, "l2 must be positive"),
+])
+def test_fit_linear_cox_rejects_bad_features_and_penalties(x, l2, error, match):
+    times = np.array([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(error, match=match):
+        fit_linear_cox(x, times, np.ones(4, dtype=bool), l2=l2)
+
+
+@pytest.mark.parametrize("x_test, error, match", [
+    (np.ones((4, 2)), ShapeError, "have 2 columns, the fit has 1"),
+    (np.array([[1.0], [np.nan], [2.0], [3.0]]), NumericalError, "held-out probe features"),
+])
+def test_probe_c_index_rejects_bad_held_out_features(x_test, error, match):
+    times, events = np.array([1.0, 2.0, 3.0, 4.0]), np.ones(4, dtype=bool)
+    with pytest.raises(error, match=match):
+        probe_c_index(np.array([[0.5], [1.0], [-1.0], [2.0]]), times, events,
+                      x_test, times, events)
+
+
+def _tied_probe_data(seed=8, n=40):
+    """n rows over 6 distinct times, a third of them censored."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 3)) * [1.0, 10.0, 0.1] + [0.0, 5.0, -2.0]
+    times = rng.integers(1, 7, size=n).astype(np.float64)
+    events = rng.uniform(size=n) < 0.67
+    return x, times, events
+
+
+@pytest.mark.parametrize("time_slope", [0.0, 200.0])
+def test_linear_cox_hessian_matches_the_risk_set_sums(time_slope):
+    # with time_slope 200 theta falls by 200 per unit of time: the later risk
+    # sets' weights, shifted by one global maximum, would underflow
+    x, times, events = _tied_probe_data()
+    batch = _batch(times, events)
+    theta = x @ np.array([0.7, -0.2, 1.5]) - time_slope * times
+    lse = batch.log_risk_denominators(theta)
+    hess = survival._linear_cox_hessian(x, theta, batch, lse,
+                                        cox_gradient(theta, batch, lse))
+    expected = ref.linear_cox_hessian(x, theta, batch)
+    assert np.allclose(hess, expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max())
+
+
+def test_linear_cox_hessian_matches_central_differences():
+    x, times, events = _tied_probe_data()
+    batch = _batch(times, events)
+    beta, h = np.array([0.3, -0.05, 0.8]), 1e-5
+    theta = x @ beta
+    lse = batch.log_risk_denominators(theta)
+    hess = survival._linear_cox_hessian(x, theta, batch, lse, cox_gradient(theta, batch, lse))
+    columns = [(x.T @ cox_gradient(x @ (beta + h * e), batch)
+                - x.T @ cox_gradient(x @ (beta - h * e), batch)) / (2 * h)
+               for e in np.eye(3)]
+    assert np.allclose(hess, np.column_stack(columns), rtol=1e-6, atol=1e-6)
+
+
+def test_fit_linear_cox_stops_below_the_newton_decrement_tolerance():
+    x, times, events = _tied_probe_data(n=120)
+    l2 = 1e-3
+    beta = fit_linear_cox(x, times, events, l2=l2)
+    batch = _batch(times, events)
+    theta = x @ beta
+    objective = ref.cox_loss(theta, batch) + 0.5 * l2 * beta @ beta
+    grad = x.T @ ref.cox_gradient(theta, batch) + l2 * beta
+    hess = ref.linear_cox_hessian(x, theta, batch) + l2 * np.eye(3)
+    decrement = grad @ np.linalg.solve(hess, grad)
+    assert decrement <= survival.NEWTON_TOL * max(1.0, abs(objective))
+
+
+def test_fit_linear_cox_is_deterministic():
+    x, times, events = _tied_probe_data(n=120)
+    assert np.array_equal(fit_linear_cox(x, times, events), fit_linear_cox(x, times, events))
+
+
+def test_fit_linear_cox_raises_at_its_iteration_cap(monkeypatch):
+    x, times, events = _tied_probe_data(n=120)
+    monkeypatch.setattr(survival, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(NumericalError, match="did not converge: Newton decrement .* after 1 steps"):
+        fit_linear_cox(x, times, events)
