@@ -12,7 +12,6 @@ completed.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import datetime
 import itertools
 import json
@@ -30,30 +29,6 @@ from .fusion import evaluate, load_model, save_model
 from .gradcheck import run_all
 from .smoothing import (Stage1Result, generate_cells, load_cells, load_stage1,
                         save_cells, save_stage1)
-
-
-# glibc malloc moves its mmap threshold to the size of the last freed mmapped
-# block and trims the heap top past twice that threshold. An inference
-# forward frees each n x 128 activation (0.5 MB at 600 rows) once the next
-# layer has run, so every epoch-end C-index forward gave its memory back to
-# the kernel and faulted it in again: a seed-0 train_modulated op took 215k
-# minor page faults instead of 8k, and its system time moved with the
-# machine's load. Fixed thresholds keep blocks under 4 MiB on the heap for
-# reuse and trim only past 16 MiB free; larger arrays still go back to the
-# kernel when freed. Set for the processes the CLI runs (and the fold workers
-# they fork), not for every importer of the package.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD_BYTES = 4 << 20
-_TRIM_THRESHOLD_BYTES = 16 << 20
-
-
-def _keep_freed_memory() -> None:
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):   # not a glibc-style libc
-        return
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
 def _timestamp() -> str:
@@ -133,7 +108,9 @@ def cmd_pretrain(args) -> int:
                    "config": config_echo(cfg), "checkpoint": ckpt_path,
                    "timestamp": _timestamp()})
     _write_json(report_path, report, args.force)
-    print(f"stage-1 done: final loss {report['final_loss']:.6f}, "
+    loss = report["final_loss"]   # None after zero epochs
+    loss_text = "" if loss is None else f"final loss {loss:.6f}, "
+    print(f"stage-1 done: {loss_text}"
           f"gap {report['gap_before']:.4f} -> {report['gap_after']:.4f}; "
           f"checkpoint: {ckpt_path}")
     return 0
@@ -325,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _keep_freed_memory()
     try:
         return args.handler(args)
     except SurvfuseError as exc:

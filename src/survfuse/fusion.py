@@ -19,7 +19,10 @@ features once per run and never receive gradients.
 
 Every inference forward of n rows (predict_theta, image_branch_features, the
 frozen rna path, the epoch-end C-index forward) runs in row chunks, so its
-activations take memory per chunk, not per cohort.
+activations take memory per chunk, not per cohort. The stacks' hidden layers
+write each chunk's activations into a pair of buffers the model allocates
+once, so repeated forwards allocate (and fault in) no fresh hidden
+activations.
 """
 
 from __future__ import annotations
@@ -52,16 +55,18 @@ FUSION_MODES = ("concat", "kronecker")
 INFERENCE_CHUNK = 128
 
 
-def _by_row_chunks(rows_fn, n: int) -> np.ndarray:
-    """rows_fn(rows) for consecutive row slices covering range(n), written into
-    one n-row result. Each slice holds INFERENCE_CHUNK rows but the last,
+def _by_row_chunks(model: "FusionModel", rows_fn, n: int) -> np.ndarray:
+    """rows_fn(rows, buffers) for consecutive row slices covering range(n),
+    written into one n-row result; buffers is the model's inference workspace
+    (see mlp_forward). Each slice holds INFERENCE_CHUNK rows but the last,
     which also takes the tail; fewer than 2 * INFERENCE_CHUNK rows are one
     slice, and n = 0 is one empty slice."""
     stops = [*range(INFERENCE_CHUNK, n - INFERENCE_CHUNK + 1, INFERENCE_CHUNK), n]
+    buffers = model._inference_buffers()
     out = None
     with np.errstate(over="ignore", invalid="ignore"):   # see train_survival
         for start, stop in zip([0, *stops], stops):
-            part = rows_fn(slice(start, stop))
+            part = rows_fn(slice(start, stop), buffers)
             if out is None:
                 out = np.empty((n, *part.shape[1:]))
             out[start:stop] = part
@@ -132,6 +137,19 @@ class FusionModel:
         # is smaller)
         self.g2_mean: np.ndarray | None = None
         self.g2_std: np.ndarray | None = None
+        self._buffers: tuple[np.ndarray, np.ndarray] | None = None
+
+    def _inference_buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The chunked inference forwards' workspace: two flat buffers, each
+        the largest chunk (2 * INFERENCE_CHUNK - 1 rows) of the widest hidden
+        layer of the SNN, MLP-A, MLP-B and image stacks. Allocated by the
+        first chunked inference and reused by every later one."""
+        stacks = (self.snn, self.mlp_a or [], self.mlp_b, self.image_encoder)
+        size = (2 * INFERENCE_CHUNK - 1) * max(
+            (layer.out_dim for stack in stacks for layer in stack[:-1]), default=0)
+        if self._buffers is None or self._buffers[0].size < size:
+            self._buffers = (np.empty(size), np.empty(size))
+        return self._buffers
 
     def check_widths(self, cohort: Cohort) -> None:
         """Each column block of the cohort is as wide as this model's input for it."""
@@ -178,14 +196,15 @@ class FusionModel:
         then the fitted standardization if one has been fitted; in row chunks."""
         rna = np.asarray(rna_matrix, dtype=np.float64)
 
-        def features(rows):
+        def features(rows, buffers):
             z = self.encoder.apply(rna[rows])
-            feats = mlp_forward(self.mlp_a, z) if self.mlp_a else z
-            if self.g2_mean is not None:
-                feats = (feats - self.g2_mean) / self.g2_std
+            feats = mlp_forward(self.mlp_a, z, buffers=buffers) if self.mlp_a else z
+            if self.g2_mean is not None:   # feats is this chunk's own array
+                feats -= self.g2_mean
+                feats /= self.g2_std
             return feats
 
-        return _by_row_chunks(features, len(rna))
+        return _by_row_chunks(self, features, len(rna))
 
     def fit_g2_normalization(self, rna_matrix) -> np.ndarray:
         """Fit the frozen-path standardization on training rows only; returns
@@ -199,14 +218,18 @@ class FusionModel:
 
     # --- batch forward/backward ---
 
-    def forward_batch(self, x_cnv, g2_feat, x_img, *, train: bool = False):
+    def forward_batch(self, x_cnv, g2_feat, x_img, *, train: bool = False,
+                      buffers: tuple[np.ndarray, np.ndarray] | None = None):
         """Score a batch; returns (theta, G, P). g2_feat is the precomputed
         frozen-path output for these rows. With train=True (backward_batch
         follows) every trainable layer caches its input for the backward
-        pass; otherwise no cache changes."""
-        g1 = mlp_forward(self.snn, x_cnv, train=train)
-        G = mlp_forward(self.mlp_b, np.concatenate([g1, g2_feat], axis=1), train=train)
-        P = mlp_forward(self.image_encoder, x_img, train=train)
+        pass; otherwise no cache changes, and the stacks' hidden layers may
+        write into `buffers` (see mlp_forward)."""
+        g1 = mlp_forward(self.snn, x_cnv, train=train, buffers=buffers)
+        G = mlp_forward(self.mlp_b, np.concatenate([g1, g2_feat], axis=1), train=train,
+                        buffers=buffers)
+        del g1   # copied into MLP-B's input; an inference chunk frees it here
+        P = mlp_forward(self.image_encoder, x_img, train=train, buffers=buffers)
         if self.fusion_mode == "concat":
             theta = self.head.forward(np.concatenate([G, P], axis=1), train=train)[:, 0]
         else:
@@ -265,7 +288,9 @@ def _kronecker_forward(head: DenseLayer, G, P, *, train: bool) -> np.ndarray:
     ones = np.ones((G.shape[0], 1))
     gp = np.concatenate([G, ones, P, ones], axis=1)
     g_ext, p_ext = gp[:, :g + 1], gp[:, g + 1:]
-    theta = ((g_ext @ head.weight.reshape(g + 1, -1)) * p_ext).sum(axis=1)
+    products = g_ext @ head.weight.reshape(g + 1, -1)
+    products *= p_ext
+    theta = products.sum(axis=1)
     theta += head.bias[0]
     if train:
         head._cached_input, head._cached_preact = gp, theta[:, None]
@@ -346,11 +371,12 @@ def _chunked_theta(model: FusionModel, cohort: Cohort,
     """Inference theta of every cohort row, in row chunks. g2 holds the rows'
     frozen-path features when they are already computed; otherwise each
     chunk computes its own."""
-    def theta(rows):
+    def theta(rows, buffers):
         feats = model.frozen_rna_features(cohort.x_rna[rows]) if g2 is None else g2[rows]
-        return model.forward_batch(cohort.x_cnv[rows], feats, cohort.x_img[rows])[0]
+        return model.forward_batch(cohort.x_cnv[rows], feats, cohort.x_img[rows],
+                                   buffers=buffers)[0]
 
-    return _by_row_chunks(theta, len(cohort))
+    return _by_row_chunks(model, theta, len(cohort))
 
 
 def predict_theta(model: FusionModel, cohort: Cohort) -> np.ndarray:
@@ -361,8 +387,10 @@ def predict_theta(model: FusionModel, cohort: Cohort) -> np.ndarray:
 def image_branch_features(model: FusionModel, cohort: Cohort) -> np.ndarray:
     """Post-training P features, e.g. for a standalone linear Cox probe."""
     model.check_widths(cohort)
-    return _by_row_chunks(lambda rows: mlp_forward(model.image_encoder, cohort.x_img[rows]),
-                          len(cohort))
+    return _by_row_chunks(
+        model, lambda rows, buffers: mlp_forward(model.image_encoder, cohort.x_img[rows],
+                                                 buffers=buffers),
+        len(cohort))
 
 
 def train_survival(model: FusionModel, cohort: Cohort, cfg: TrainConfig) -> TrainResult:

@@ -51,25 +51,33 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 # without a masked selection, which costs more than the exp itself.
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+def _activate(z: np.ndarray, kind: str, out: np.ndarray,
+              scratch: np.ndarray | None = None) -> np.ndarray:
+    """Write act(z) into out, which may be z itself, and return it. selu
+    works in scratch, an array of z's shape (a fresh one if None)."""
     if kind == "identity":
-        return z
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    if kind == "selu":
+        if out is not z:
+            np.copyto(out, z)
+    elif kind == "relu":
+        np.maximum(z, 0.0, out=out)
+    elif kind == "selu":
         # alpha * expm1(min(z, 0)) + max(z, 0): one of the terms is +-0, so
-        # the sum is exactly the selected branch, and copysign restores the
-        # sign of z = -0.0
-        out = np.minimum(z, 0.0)
-        np.expm1(out, out=out)
-        out *= SELU_ALPHA
-        out += np.maximum(z, 0.0)
-        np.copysign(out, z, out=out)
+        # the sum is exactly the selected branch. s takes the sign of z (its
+        # own but at z = -0.0) and hands it to the sum, which restores the
+        # sign of z = -0.0 even where out has overwritten z
+        s = np.minimum(z, 0.0, out=scratch)
+        np.expm1(s, out=s)
+        s *= SELU_ALPHA
+        np.copysign(s, z, out=s)
+        np.maximum(z, 0.0, out=out)
+        out += s
+        np.copysign(out, s, out=out)
         out *= SELU_LAMBDA
-        return out
-    if kind == "tanh":
-        return np.tanh(z)
-    raise ValidationError(f"unknown activation '{kind}'")
+    elif kind == "tanh":
+        np.tanh(z, out=out)
+    else:
+        raise ValidationError(f"unknown activation '{kind}'")
+    return out
 
 
 def _activation_backward(upstream: np.ndarray, z: np.ndarray, kind: str) -> np.ndarray:
@@ -152,25 +160,30 @@ class DenseLayer:
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
 
-    def forward(self, x, *, train: bool = False) -> np.ndarray:
+    def forward(self, x, *, train: bool = False, out: np.ndarray | None = None,
+                scratch: np.ndarray | None = None) -> np.ndarray:
         """act(x @ W.T + b); a non-finite output raises NumericalError.
 
         With train=True (a backward pass follows) the input and the
-        pre-activation are cached for it; otherwise the caches are left as
-        they were. The input's finiteness is not checked here: mlp_forward
-        checks a stack's input, and the package builds every other layer
-        input from checked layer outputs.
+        pre-activation are cached for it, and the output is a fresh array;
+        otherwise the caches are left as they were and the activation runs
+        in place. An inference forward may pass `out`, an (n, out_dim) array
+        that must not overlap x, to hold the pre-activation and then the
+        output, and `scratch`, one more such array for selu. The input's
+        finiteness is not checked here: mlp_forward checks a stack's input,
+        and the package builds every other layer input from checked layer
+        outputs.
         """
         x = _as_2d(x, "layer input")
         if x.shape[1] != self.in_dim:
             raise ShapeError(
                 f"input has {x.shape[1]} columns, layer expects {self.in_dim}")
-        z = x @ self.weight.T
+        z = np.matmul(x, self.weight.T, out=out)
         z += self.bias
         if train:
             self._cached_input = x
             self._cached_preact = z
-        out = _activate(z, self.activation)
+        out = _activate(z, self.activation, np.empty_like(z) if train else z, scratch)
         if not np.isfinite(out).all():
             raise NumericalError("layer forward produced non-finite output")
         return out
@@ -209,15 +222,27 @@ def make_mlp(in_dim: int, out_dim: int, *, hidden_dim: int = 128,
     return layers
 
 
-def mlp_forward(net: list[DenseLayer], x, *, train: bool = False) -> np.ndarray:
+def mlp_forward(net: list[DenseLayer], x, *, train: bool = False,
+                buffers: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Run a batch through the stack; with train=True every layer caches
     what mlp_backward needs.
 
-    An empty stack acts as the identity map.
+    An inference forward may pass `buffers`, two flat float64 arrays that
+    each hold the batch's rows of the widest hidden layer: hidden layer i
+    then writes into buffers[i % 2] and works in the other, so no hidden
+    activation is allocated. The last layer's output is always a fresh
+    array. An empty stack acts as the identity map.
     """
     out = as_matrix(x, "mlp input")
-    for layer in net:
-        out = layer.forward(out, train=train)
+    rows = out.shape[0]
+    for depth, layer in enumerate(net):
+        if buffers is None or depth == len(net) - 1:
+            out = layer.forward(out, train=train)
+        else:
+            shape, size = (rows, layer.out_dim), rows * layer.out_dim
+            out = layer.forward(out, train=train,
+                                out=buffers[depth % 2][:size].reshape(shape),
+                                scratch=buffers[1 - depth % 2][:size].reshape(shape))
     return out
 
 

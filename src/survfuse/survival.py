@@ -139,8 +139,8 @@ def concordance_index(theta, times, events) -> float:
     Raises ConcordanceUndefinedError when no pair is comparable.
 
     Pairs are counted as integers, in O(n log n) time and O(n) memory, over
-    the rows sorted by descending time (ties in row order, as in CoxBatch):
-    the rows comparable with event i are the prefix before i's tie block.
+    the rows in CoxBatch's order (descending time, ties in row order): the
+    rows comparable with event i are the prefix before i's tie block.
     Tied pairs come from one sort of (score rank, position) keys; concordant
     pairs from a wavelet matrix over the score ranks, O(n) per rank bit.
     """
@@ -151,9 +151,11 @@ def concordance_index(theta, times, events) -> float:
         raise ShapeError(
             f"length mismatch: theta {theta.size}, times {times.size}, events {events.size}")
     n = times.size
-    order = np.argsort(-times, kind="stable")
-    neg_sorted = -times[order]
-    n_later = np.searchsorted(neg_sorted, neg_sorted)   # rows with a later time
+    if n == 0:   # CoxBatch refuses an empty batch
+        raise ConcordanceUndefinedError("no comparable pair: no rows")
+    batch = CoxBatch(times, events)
+    order = batch.order
+    n_later = batch.block_start   # rows with a later time
     event = events[order]
     n_comparable = int(n_later[event].sum())
     if n_comparable == 0:

@@ -19,7 +19,7 @@ from survfuse.cohort import (CohortSpec, default_hazard_coef, generate_cohort,
 from survfuse.config import (RunConfig, config_echo, load_cells_spec,
                              load_cohort_spec, load_run_config)
 from survfuse.errors import ConfigError, NumericalError, ValidationError
-from survfuse.fusion import load_model
+from survfuse.fusion import FUSION_MODES, load_model
 from survfuse.nnet import load_checkpoint, save_checkpoint
 from survfuse.smoothing import load_stage1
 
@@ -497,6 +497,17 @@ def test_a_diverging_stage1_writes_one_error_line(pipeline, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: stage 1, step "), run.stderr
 
 
+def test_pretrain_smooth_without_epochs_prints_no_final_loss(pipeline, tmp_path, capsys):
+    root, _ = pipeline
+    ini = tmp_path / "zero.ini"
+    ini.write_text(TINY_INI.format(dir=root).replace("stage1_epochs = 1", "stage1_epochs = 0"))
+    out = tmp_path / "out"
+    assert main(["pretrain-smooth", "--config", str(ini), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("stage-1 done: gap ")
+    report = json.loads((out / "stage1_report.json").read_text())
+    assert report["final_loss"] is None and report["steps"] == 0
+
+
 def test_ablate_with_track_rho_tracks_the_concat_rows(pipeline, capsys):
     root, _ = pipeline
     ini = root / "tiny_rho.ini"
@@ -614,23 +625,25 @@ def test_json_report_streams_the_text_json_dumps_gives(tmp_path):
     assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
 
-# Twenty forwards of each inference path after the CLI's allocator setting,
-# in both fusion modes with MLP-A, at 600 and 1,100 patients; prints the
-# minor page faults each took.
+# Twenty forwards of each inference path, in the fusion mode given in argv,
+# with MLP-A on the frozen path, at hidden widths 128 and 256 and at 600 and
+# 1,100 patients; prints the minor page faults each took. No allocator
+# setting is made.
 _FAULT_PROBE = """
 import resource
+import sys
 import numpy as np
-from survfuse.cli import _keep_freed_memory
 from survfuse.cohort import CohortSpec, generate_cohort
-from survfuse.fusion import (FUSION_MODES, FusionSpec, build_model, image_branch_features,
-                             predict_theta)
+from survfuse.fusion import FusionSpec, build_model, image_branch_features, predict_theta
 from survfuse.nnet import make_mlp
 from survfuse.smoothing import default_encoder
-_keep_freed_memory()
+mode = sys.argv[1]
 full = generate_cohort(CohortSpec(n_patients=1100, seed=0))
-for mode in FUSION_MODES:
-    mlp_a = make_mlp(32, 32, n_hidden=2, activation="relu", rng=np.random.default_rng(0))
-    model = build_model(FusionSpec(dim_cnv_mut=32, dim_rna=64, dim_image=32, fusion_mode=mode),
+for hidden in (128, 256):
+    mlp_a = make_mlp(32, 32, hidden_dim=hidden, n_hidden=2, activation="relu",
+                     rng=np.random.default_rng(0))
+    model = build_model(FusionSpec(dim_cnv_mut=32, dim_rna=64, dim_image=32,
+                                   hidden_dim=hidden, fusion_mode=mode),
                         default_encoder(seed=0), mlp_a, seed=0)
     model.fit_g2_normalization(full.x_rna)
     for n in (600, 1100):
@@ -643,16 +656,24 @@ for mode in FUSION_MODES:
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             for _ in range(20):
                 forward()
-            print(mode, n, name, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            print(mode, hidden, n, name,
+                  resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc")
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the fault bound was measured with glibc malloc only")
 def test_cli_process_reuses_the_memory_inference_forwards_free():
-    out = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=_source_env(),
-                         capture_output=True, text=True, check=True).stdout
-    faults = {tuple(line.split()[:3]): int(line.split()[3]) for line in out.splitlines()}
-    assert len(faults) == 12
-    # one forward's n x 128 activations span ~150 pages each; glibc's default
-    # thresholds faulted them in afresh on every forward
+    # each mode in a fresh interpreter: a mode run before it would have moved
+    # glibc's dynamic mmap threshold and hidden its faults
+    faults = {}
+    for mode in FUSION_MODES:
+        out = subprocess.run([sys.executable, "-c", _FAULT_PROBE, mode], env=_source_env(),
+                             capture_output=True, text=True, check=True).stdout
+        faults.update((tuple(line.split()[:4]), int(line.split()[4]))
+                      for line in out.splitlines())
+    assert len(faults) == 24
+    # one forward's n x 128 activations span ~150 pages each; without the
+    # model's inference workspace glibc's default thresholds faulted them in
+    # afresh on every forward
     assert all(count < 20 * 50 for count in faults.values()), faults

@@ -558,6 +558,25 @@ def test_inference_bits_do_not_depend_on_the_chunk_size(cohort_4000, monkeypatch
         assert np.array_equal(at_default, at_64)
 
 
+def test_inference_workspace_follows_the_layers_and_is_reused(boundary_cohort):
+    """The buffers take the widest hidden layer, here MLP-A's 200, not the
+    stacks' hidden_dim of 16; every chunked inference path reuses them."""
+    cohort = boundary_cohort
+    mlp_a = make_mlp(32, 32, hidden_dim=200, n_hidden=2, activation="relu",
+                     rng=np.random.default_rng(0))
+    spec = FusionSpec(dim_cnv_mut=cohort.x_cnv.shape[1], dim_rna=cohort.x_rna.shape[1],
+                      dim_image=cohort.x_img.shape[1], hidden_dim=16)
+    model = build_model(spec, default_encoder(cohort.x_rna.shape[1], 32, seed=0), mlp_a,
+                        seed=0)
+    theta = predict_theta(model, cohort)
+    buffers = model._buffers
+    assert [b.size for b in buffers] == [(2 * _CHUNK - 1) * 200] * 2
+    image_branch_features(model, cohort)
+    model.frozen_rna_features(cohort.x_rna)
+    assert model._buffers is buffers
+    assert np.array_equal(predict_theta(model, cohort), theta)
+
+
 def _peak_bytes(fn, *args):
     tracemalloc.start()
     try:
