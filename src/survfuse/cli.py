@@ -22,9 +22,9 @@ from .cohort import Cohort, generate_cohort, load_cohort, save_cohort
 from .config import (RunConfig, config_echo, load_cells_spec, load_cohort_spec,
                      load_run_config)
 from .errors import SurvfuseError, ValidationError, write_text
-from .experiment import (Stage1Bundle, ablation_csv_lines, run_ablation,
-                         run_cross_validation, run_final_fit, run_stage1,
-                         tool_version)
+from .experiment import (Stage1Bundle, ablation_csv_lines, contribution_rows,
+                         run_ablation, run_cross_validation, run_final_fit,
+                         run_stage1, tool_version)
 from .fusion import evaluate, load_model, save_model
 from .gradcheck import run_all
 from .smoothing import (Stage1Result, generate_cells, load_cells, load_stage1,
@@ -51,7 +51,7 @@ def _write_json(path: str, obj: dict, force: bool) -> None:
     _write_text(path, itertools.chain(encoder.iterencode(obj), ["\n"]), force)
 
 
-def _write_jsonl(path: str, rows: list[dict], force: bool) -> None:
+def _write_jsonl(path: str, rows, force: bool) -> None:
     _write_text(path, (json.dumps(row, sort_keys=True) + "\n" for row in rows), force)
 
 
@@ -151,7 +151,7 @@ def cmd_train(args) -> int:
     _write_jsonl(os.path.join(out_dir, "metrics.jsonl"), outputs.epoch_stream,
                  True)
     _write_jsonl(os.path.join(out_dir, "contributions.jsonl"),
-                 outputs.contribution_stream, True)
+                 contribution_rows(outputs.contribution_stream), True)
     model = run_final_fit(cohort, cfg, bundle)   # full-cohort fit for `eval`
     save_model(os.path.join(out_dir, "model.ckpt"), model)
     print(f"C-index {report['c_index_mean']:.4f} +/- {report['c_index_std']:.4f} "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ from .config import RunConfig, config_echo
 from .errors import ConfigError, NumericalError
 from .fusion import (FusionModel, FusionSpec, TrainConfig, build_model,
                      evaluate, image_branch_features, train_survival)
+from .modulation import median
 from .nnet import DenseLayer
 from .smoothing import (CellProfile, FrozenEncoder, Stage1Config, Stage1Result,
                         gap_probe_pairs, interpolation_gap, pretrain_mlp_a)
@@ -109,6 +111,25 @@ def _new_model(cohort: Cohort, cfg: RunConfig, bundle: Stage1Bundle,
     return model, tcfg
 
 
+_REPORT_FLOATS = ("rho_g", "rho_p", "rho_g_clamped", "factor_g", "factor_p")
+
+
+def _report_columns(step_reports: list[dict], fold: int) -> dict[str, array]:
+    """One fold's step reports as one array per field: 64-bit ints for the
+    fold, epoch and step, float64 for the report values."""
+    columns = {"fold": array("q", [fold]) * len(step_reports)}
+    for key in ("epoch", "step", *_REPORT_FLOATS):
+        columns[key] = array("d" if key in _REPORT_FLOATS else "q",
+                             [r[key] for r in step_reports])
+    return columns
+
+
+def contribution_rows(columns: dict[str, array]):
+    """The reports of a contribution stream, one dict each, in order."""
+    for values in zip(*columns.values()):
+        yield dict(zip(columns, values))
+
+
 def run_single_fold(cohort: Cohort, plan, fold: int,
                     cfg: RunConfig, bundle: Stage1Bundle) -> dict:
     train, test = fold_split(cohort, plan, fold)
@@ -126,7 +147,7 @@ def run_single_fold(cohort: Cohort, plan, fold: int,
         "train_c_index": tres.epochs[-1].c_index,
         "skipped_batches": tres.skipped_batches,
         "epoch_stream": [dict(m.as_dict(), fold=fold) for m in tres.epochs],
-        "contribution_stream": [dict(r, fold=fold) for r in tres.step_reports],
+        "contribution_stream": _report_columns(tres.step_reports, fold),
     }
     if cfg.image_probe:
         row["image_probe_c"] = probe_c_index(
@@ -155,21 +176,27 @@ def run_final_fit(cohort: Cohort, cfg: RunConfig, bundle: Stage1Bundle):
 
 @dataclass
 class RunOutputs:
-    report: dict                     # JSON-ready, without the timestamp key
-    epoch_stream: list[dict]         # one object per (fold, epoch)
-    contribution_stream: list[dict]  # one object per (fold, step) report
+    report: dict                                # JSON-ready, without the timestamp key
+    epoch_stream: list[dict]                    # one object per (fold, epoch)
+    contribution_stream: dict[str, array]       # one column per report field,
+                                                # one entry per (fold, step) report
 
 
 def _run_outputs(rows: list[dict], cfg: RunConfig, bundle: Stage1Bundle) -> RunOutputs:
     """One cross-validation run's report and streams from its fold rows."""
     rows = sorted(rows, key=lambda r: r["fold"])
-    epoch_stream, contribution_stream = [], []
+    epoch_stream, fold_columns = [], []
     for row in rows:
         epoch_stream.extend(row.pop("epoch_stream"))
-        contribution_stream.extend(row.pop("contribution_stream"))
+        fold_columns.append(row.pop("contribution_stream"))
+    contribution_stream = {key: array(column.typecode)
+                           for key, column in fold_columns[0].items()}
+    for columns in fold_columns:
+        for key, column in contribution_stream.items():
+            column.extend(columns[key])
 
     c_values = np.array([row["c_index"] for row in rows])
-    rho_values = [r["rho_g"] for r in contribution_stream]
+    rho_values = contribution_stream["rho_g"]
     report = {
         "kind": "cv_report",
         "tool_version": tool_version(),
@@ -179,7 +206,7 @@ def _run_outputs(rows: list[dict], cfg: RunConfig, bundle: Stage1Bundle) -> RunO
         "c_index_mean": float(c_values.mean()),
         "c_index_std": float(c_values.std(ddof=1)) if len(rows) > 1 else 0.0,
         "skipped_batches": int(sum(row["skipped_batches"] for row in rows)),
-        "rho_g_median": float(np.median(rho_values)) if rho_values else None,
+        "rho_g_median": median(rho_values) if rho_values else None,
     }
     if cfg.image_probe:
         probe = np.array([row["image_probe_c"] for row in rows])

@@ -35,7 +35,7 @@ from .cohort import Cohort
 from .errors import (ConfigError, NumericalError, ShapeError, StateError,
                      ValidationError)
 from .modulation import (ModulationConfig, apply_modulation, branch_scores,
-                         contribution_ratio)
+                         contribution_ratio, median)
 from .nnet import (DenseLayer, ParamGroup, add_layers, as_matrix,
                    checkpoint_layers, layer_group, load_checkpoint, make_mlp,
                    meta_typed, mlp_backward, mlp_forward, save_checkpoint,
@@ -195,16 +195,18 @@ class FusionModel:
         """Frozen path: encoder, then MLP-A when present (raw latent otherwise),
         then the fitted standardization if one has been fitted; in row chunks."""
         rna = np.asarray(rna_matrix, dtype=np.float64)
+        return _by_row_chunks(
+            self, lambda rows, buffers: self._frozen_chunk(rna[rows], buffers), len(rna))
 
-        def features(rows, buffers):
-            z = self.encoder.apply(rna[rows])
-            feats = mlp_forward(self.mlp_a, z, buffers=buffers) if self.mlp_a else z
-            if self.g2_mean is not None:   # feats is this chunk's own array
-                feats -= self.g2_mean
-                feats /= self.g2_std
-            return feats
-
-        return _by_row_chunks(self, features, len(rna))
+    def _frozen_chunk(self, rna: np.ndarray, buffers) -> np.ndarray:
+        """The frozen path of one inference chunk, as a fresh array; MLP-A's
+        hidden layers write into `buffers` (see mlp_forward)."""
+        z = self.encoder.apply(rna)
+        feats = mlp_forward(self.mlp_a, z, buffers=buffers) if self.mlp_a else z
+        if self.g2_mean is not None:   # feats is this chunk's own array
+            feats -= self.g2_mean
+            feats /= self.g2_std
+        return feats
 
     def fit_g2_normalization(self, rna_matrix) -> np.ndarray:
         """Fit the frozen-path standardization on training rows only; returns
@@ -370,9 +372,9 @@ def _chunked_theta(model: FusionModel, cohort: Cohort,
                    g2: np.ndarray | None = None) -> np.ndarray:
     """Inference theta of every cohort row, in row chunks. g2 holds the rows'
     frozen-path features when they are already computed; otherwise each
-    chunk computes its own."""
+    chunk computes its own, in the same buffers."""
     def theta(rows, buffers):
-        feats = model.frozen_rna_features(cohort.x_rna[rows]) if g2 is None else g2[rows]
+        feats = model._frozen_chunk(cohort.x_rna[rows], buffers) if g2 is None else g2[rows]
         return model.forward_batch(cohort.x_cnv[rows], feats, cohort.x_img[rows],
                                    buffers=buffers)[0]
 
@@ -469,9 +471,9 @@ def train_survival(model: FusionModel, cohort: Cohort, cfg: TrainConfig) -> Trai
             mean_loss = epoch_loss_sum / epoch_event_count if epoch_event_count else 0.0
             epoch_rows.append(EpochMetrics(
                 epoch=epoch, loss=mean_loss, c_index=c_index,
-                rho_g=float(np.median(epoch_rho)) if epoch_rho else None,
-                factor_g=float(np.median(epoch_fg)) if epoch_fg else None,
-                factor_p=float(np.median(epoch_fp)) if epoch_fp else None))
+                rho_g=median(epoch_rho) if epoch_rho else None,
+                factor_g=median(epoch_fg) if epoch_fg else None,
+                factor_p=median(epoch_fp) if epoch_fp else None))
     return TrainResult(model=model, epochs=epoch_rows, step_reports=step_reports,
                        skipped_batches=skipped)
 

@@ -106,9 +106,31 @@ def branch_scores(Wg, G, Wp, P, b: float):
     return G @ Wg + half, P @ Wp + half
 
 
-def _signed_guard(x, eps: float):
-    # keep the sign, bound the magnitude away from zero
-    return np.where(x >= 0.0, np.maximum(x, eps), np.minimum(x, -eps))
+def _signed_guard(x: float, eps: float) -> float:
+    # keep the sign, bound the magnitude away from zero; NaN stays NaN
+    return max(x, eps) if x >= 0.0 else min(x, -eps)
+
+
+def _mean(values: np.ndarray) -> float:
+    # the arithmetic np.mean does on a 1-D float64 array, without its dispatch
+    return float(np.add.reduce(values) / values.size)
+
+
+def median(values) -> float:
+    """np.median of a non-empty 1-D sequence, bit for bit, NaN included.
+
+    np.median checks for NaN through a helper that imports numpy.ma (over a
+    megabyte of resident memory per process); this partitions around the same
+    kth (the middle index or indices, and the last one, where a NaN sorts)
+    and returns that last value if it is NaN, else the mean of the middle.
+    """
+    a = np.asarray(values, dtype=np.float64).reshape(-1)
+    half = a.size // 2
+    middle = [half - 1, half] if a.size % 2 == 0 else [half]
+    part = np.partition(a, [*middle, -1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return _mean(part[middle[0]:half + 1])
 
 
 def contribution_ratio(s_g, s_p, batch: CoxBatch, cfg: ModulationConfig) -> ContributionReport:
@@ -132,7 +154,7 @@ def contribution_ratio(s_g, s_p, batch: CoxBatch, cfg: ModulationConfig) -> Cont
     k = batch.event_indices
     lse_g = batch.log_risk_denominators(s_g)[k]
     lse_p = batch.log_risk_denominators(s_p)[k]
-    agg = np.mean if cfg.aggregate == "mean" else np.median
+    agg = _mean if cfg.aggregate == "mean" else median
     # scores far below zero overflow exp(-lse); the check below names the result
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if cfg.exp_numerator:
@@ -141,8 +163,8 @@ def contribution_ratio(s_g, s_p, batch: CoxBatch, cfg: ModulationConfig) -> Cont
         else:
             r_g = s_g[k] * np.exp(-lse_g)
             r_p = s_p[k] * np.exp(-lse_p)
-        rho_g = float(_signed_guard(agg(r_g), cfg.epsilon)
-                      / _signed_guard(agg(r_p), cfg.epsilon))
+        agg_g, agg_p = agg(r_g), agg(r_p)
+    rho_g = _signed_guard(agg_g, cfg.epsilon) / _signed_guard(agg_p, cfg.epsilon)
     rho_p = 1.0 / rho_g if rho_g else np.inf
     if not (np.isfinite(rho_g) and np.isfinite(rho_p)):
         raise NumericalError(

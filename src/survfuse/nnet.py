@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -393,6 +394,27 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = No
     write_text(path, _checkpoint_chunks(tensors, meta))
 
 
+# characters of a tensor's value line parsed per slice (about 700 values as
+# the writer formats them): the reader holds one slice's tokens at a time,
+# never a list of every token of a long line
+_CHARS_PER_SLICE = 16384
+_SPACE = re.compile(r"\s")   # what str.split() splits at, as str.isspace() says
+
+
+def _parse_values(line: str) -> np.ndarray:
+    """float() of each token of line.split(), one slice of the line at a time;
+    a slice ends at whitespace, so no token is cut. A token float() rejects
+    raises its ValueError."""
+    pieces = [np.empty(0)]
+    start = 0
+    while start < len(line):
+        space = _SPACE.search(line, start + _CHARS_PER_SLICE)
+        stop = space.start() if space else len(line)
+        pieces.append(np.array([float(tok) for tok in line[start:stop].split()]))
+        start = stop
+    return np.concatenate(pieces)
+
+
 def _lines(fh):
     """The file's lines, one at a time, as str.splitlines() splits the whole
     text: the file object ends a line at LF, CR or CRLF, and splitlines()
@@ -426,7 +448,7 @@ def _parse_checkpoint(path, lines) -> tuple[dict, dict[str, np.ndarray]]:
             shape = tuple(int(d) for d in dims)
             if tag != "tensor" or int(ndim) != len(shape) or min(shape, default=0) < 0:
                 raise ValueError("expected 'tensor <name> <ndim> <dim>...'")
-            values = np.array([float(tok) for tok in value_line.split()])
+            values = _parse_values(value_line)
             if values.size != math.prod(shape) or not np.isfinite(values).all():
                 raise ValueError(f"tensor '{name}' needs {math.prod(shape)} finite values")
         except ValueError as exc:

@@ -192,9 +192,10 @@ def load_cells(path: str) -> list[CellProfile]:
     if not cells:
         raise ValidationError(f"{path}: no data rows")
     labels = [c.cell_type for c in cells]
-    types = np.unique(labels)   # sized by the rows, never by a type's value
-    if types[-1] != types.size - 1:
-        missing = int(np.flatnonzero(types != np.arange(types.size))[0])
+    # sized by the rows, never by a type's value; np.unique would import numpy.ma
+    types = sorted(set(labels))
+    if types[-1] != len(types) - 1:
+        missing = next(i for i, t in enumerate(types) if t != i)
         raise ValidationError(f"{path}: row {2 + labels.index(types[-1])}: cell_type "
                               f"{types[-1]}, but no cell has type {missing}; "
                               "types must be 0..K-1")

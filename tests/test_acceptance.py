@@ -75,8 +75,7 @@ def protocol():
             "c_mod": out_c.report["c_index_mean"],
             "probe_smooth": out_b.report["image_probe_mean"],
             "probe_mod": out_c.report["image_probe_mean"],
-            "rho_median": float(np.median(
-                [r["rho_g"] for r in out_b.contribution_stream])),
+            "rho_median": float(np.median(out_b.contribution_stream["rho_g"])),
         })
     return rows, timings
 

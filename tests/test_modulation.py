@@ -1,5 +1,7 @@
 """Contribution ratios (Eq.-5 style scores) and learning-rate factors."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from survfuse.errors import ConfigError, NumericalError, ShapeError
 from survfuse.modulation import (ModulationConfig, apply_modulation,
-                                 branch_scores, contribution_ratio,
+                                 branch_scores, contribution_ratio, median,
                                  modulation_factor)
 from survfuse.nnet import DenseLayer, layer_group
 from survfuse.survival import CoxBatch
@@ -144,6 +146,25 @@ def test_median_aggregate_supported():
     batch = _batch(np.arange(1.0, n + 1.0), [True] * n)
     report = contribution_ratio(s_g, s_p, batch, _cfg(aggregate="median"))
     assert np.isfinite(report.rho_g)
+
+
+_MEDIAN_ELEMENTS = st.one_of(
+    st.floats(-4.0, 4.0),                                              # ordinary
+    st.builds(lambda m, e: m * 2.0 ** e, st.floats(-1.0, 1.0),
+              st.integers(-1074, 1023)),                               # extreme exponents
+    st.integers(-4, 4).map(lambda i: i / 2.0),                         # rounded, tied
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=st.lists(_MEDIAN_ELEMENTS, min_size=1, max_size=40))
+def test_median_is_np_median_bit_for_bit(values):
+    # sign bit and NaN included: the same partition, then the same mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.median(np.array(values))
+        got = median(values)
+    assert isinstance(got, float)
+    assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 def test_exp_numerator_reading_is_softmax_share():

@@ -3,6 +3,8 @@
 import csv
 import io
 import pickle
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from survfuse import nnet
 from survfuse.cohort import CohortSpec, generate_cohort, load_cohort, save_cohort
 from survfuse.errors import (NumericalError, ShapeError, StateError,
                              ValidationError, csv_lines, write_text)
@@ -519,6 +522,51 @@ def test_checkpoint_text_keeps_one_line_per_tensor_across_pieces(tmp_path):
     for line, a in zip(lines[3::2], tensors.values()):
         assert line == " ".join(repr(float(v)) for v in a.ravel())
     assert lines[-2:] == ["end", ""]
+
+
+def test_a_long_tensor_line_is_parsed_in_bounded_slices(tmp_path):
+    # a list of every token of the line would hold one str per value
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=16384) * 10.0 ** rng.integers(-300, 300, size=16384)
+    path = tmp_path / "long.ckpt"
+    save_checkpoint(str(path), {"w": values}, {"kind": "t"})
+    line = path.read_text().splitlines()[3]
+    tracemalloc.start()
+    try:
+        tokens = line.split()
+        _, whole_line_tokens = tracemalloc.get_traced_memory()
+        del tokens
+        tracemalloc.reset_peak()
+        _, tensors = load_checkpoint(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < whole_line_tokens
+    assert tensors["w"].tobytes() == values.tobytes()
+
+
+def _parsed(parse, line):
+    try:
+        return parse(line).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(st.one_of(st.floats().map(repr),
+                                 st.sampled_from(["1e5", "-0", "+.5", "x1", "1,5"])),
+                       max_size=12),
+       gaps=st.lists(st.text(" \t\x0b\x0c\u3000\u2003", min_size=1, max_size=3),
+                     min_size=13, max_size=13),
+       width=st.integers(1, 30))
+def test_value_slices_give_the_whole_line_split(tokens, gaps, width):
+    # a slice ends at whitespace, so the slices' tokens are line.split()'s; a
+    # token float() rejects gives float()'s message
+    line = gaps[0] + "".join(tok + gap for tok, gap in zip(tokens, gaps[1:]))
+    whole = _parsed(lambda text: np.array([float(tok) for tok in text.split()]), line)
+    with mock.patch.object(nnet, "_CHARS_PER_SLICE", width):
+        assert _parsed(nnet._parse_values, line) == whole
+        assert _parsed(nnet._parse_values, line.strip()) == whole
 
 
 def test_failed_write_leaves_neither_file_nor_partial(tmp_path):

@@ -1,9 +1,10 @@
 """What importing survfuse loads: the package version is looked up on its
 first read, so `import survfuse`, the generators and the forked fold workers
 run without importlib.metadata, and only a process that writes a report
-loads it; and a run with the image probe never imports scipy. pytest itself
-imports importlib.metadata, so every check of sys.modules runs in a fresh
-interpreter."""
+loads it; a run with the image probe never imports scipy; and no process of
+a modulated train or an ablation grid imports numpy.ma, which np.median's
+NaN check loads. pytest itself imports importlib.metadata, so every check of
+sys.modules runs in a fresh interpreter."""
 
 import importlib.metadata
 import os
@@ -118,6 +119,43 @@ def test_image_probe_runs_without_scipy(tmp_path):
     """
     (tmp_path / "grid.ini").write_text(GRID_INI)
     assert _fresh(script, str(tmp_path)) == [["True", "False"]]
+
+
+def test_modulated_train_and_ablate_workers_leave_out_numpy_ma(tmp_path):
+    # the wrapper is installed before the pool starts, so each forked worker
+    # checks after each of its folds; this process lets the worker go first
+    script = """if True:
+        import multiprocessing, os, sys, time
+        from survfuse import cli, experiment
+        root = sys.argv[1]
+        multiprocessing.set_start_method("fork")
+        parent, run_fold = os.getpid(), experiment.run_single_fold
+
+        def probe(*args):
+            if os.getpid() == parent:
+                time.sleep(0.05)
+            row = run_fold(*args)
+            print("probe", os.getpid(), "numpy.ma" in sys.modules, flush=True)
+            return row
+
+        experiment.run_single_fold = probe
+        cfg = ["--config", os.path.join(root, "grid.ini")]
+        cohort = ["--cohort", os.path.join(root, "cohort.csv")]
+        assert cli.main(["gen-cohort", *cfg, "--out", root]) == 0
+        assert cli.main(["gen-cells", *cfg, "--out", root]) == 0
+        assert cli.main(["train", *cfg, *cohort, "--smoothing", "off", "--modulation", "on",
+                         "--out", os.path.join(root, "train")]) == 0
+        print("probe", os.getpid(), "numpy.ma" in sys.modules, flush=True)
+        assert cli.main(["ablate", *cfg, *cohort, "--cells", os.path.join(root, "cells.csv"),
+                         "--out", root, "--jobs", "2"]) == 0
+        print("probe", os.getpid(), "numpy.ma" in sys.modules)
+    """
+    (tmp_path / "grid.ini").write_text(GRID_INI)
+    lines = _fresh(script, str(tmp_path))
+    # 2 train folds and the train's end, 6 x 2 grid folds and the grid's end
+    assert len(lines) == 2 + 1 + 12 + 1
+    assert len({pid for pid, _ in lines}) == 2     # this process and one worker
+    assert {loaded for _, loaded in lines} == {"False"}
 
 
 def test_version_strings_match_the_package_metadata():
