@@ -22,7 +22,7 @@ from .config import RunConfig, config_echo
 from .errors import ConfigError, NumericalError
 from .fusion import (FusionModel, FusionSpec, TrainConfig, build_model,
                      evaluate, image_branch_features, train_survival)
-from .modulation import median
+from .modulation import median, with_fold
 from .nnet import DenseLayer
 from .smoothing import (CellProfile, FrozenEncoder, Stage1Config, Stage1Result,
                         gap_probe_pairs, interpolation_gap, pretrain_mlp_a)
@@ -111,19 +111,6 @@ def _new_model(cohort: Cohort, cfg: RunConfig, bundle: Stage1Bundle,
     return model, tcfg
 
 
-_REPORT_FLOATS = ("rho_g", "rho_p", "rho_g_clamped", "factor_g", "factor_p")
-
-
-def _report_columns(step_reports: list[dict], fold: int) -> dict[str, array]:
-    """One fold's step reports as one array per field: 64-bit ints for the
-    fold, epoch and step, float64 for the report values."""
-    columns = {"fold": array("q", [fold]) * len(step_reports)}
-    for key in ("epoch", "step", *_REPORT_FLOATS):
-        columns[key] = array("d" if key in _REPORT_FLOATS else "q",
-                             [r[key] for r in step_reports])
-    return columns
-
-
 def contribution_rows(columns: dict[str, array]):
     """The reports of a contribution stream, one dict each, in order."""
     for values in zip(*columns.values()):
@@ -147,7 +134,7 @@ def run_single_fold(cohort: Cohort, plan, fold: int,
         "train_c_index": tres.epochs[-1].c_index,
         "skipped_batches": tres.skipped_batches,
         "epoch_stream": [dict(m.as_dict(), fold=fold) for m in tres.epochs],
-        "contribution_stream": _report_columns(tres.step_reports, fold),
+        "contribution_stream": with_fold(tres.step_log, fold),
     }
     if cfg.image_probe:
         row["image_probe_c"] = probe_c_index(
@@ -185,18 +172,13 @@ class RunOutputs:
 def _run_outputs(rows: list[dict], cfg: RunConfig, bundle: Stage1Bundle) -> RunOutputs:
     """One cross-validation run's report and streams from its fold rows."""
     rows = sorted(rows, key=lambda r: r["fold"])
-    epoch_stream, fold_columns = [], []
+    epoch_stream, contribution_stream = [], {}
     for row in rows:
         epoch_stream.extend(row.pop("epoch_stream"))
-        fold_columns.append(row.pop("contribution_stream"))
-    contribution_stream = {key: array(column.typecode)
-                           for key, column in fold_columns[0].items()}
-    for columns in fold_columns:
-        for key, column in contribution_stream.items():
-            column.extend(columns[key])
+        for key, column in row.pop("contribution_stream").items():
+            contribution_stream.setdefault(key, array(column.typecode)).extend(column)
 
     c_values = np.array([row["c_index"] for row in rows])
-    rho_values = contribution_stream["rho_g"]
     report = {
         "kind": "cv_report",
         "tool_version": tool_version(),
@@ -206,7 +188,7 @@ def _run_outputs(rows: list[dict], cfg: RunConfig, bundle: Stage1Bundle) -> RunO
         "c_index_mean": float(c_values.mean()),
         "c_index_std": float(c_values.std(ddof=1)) if len(rows) > 1 else 0.0,
         "skipped_batches": int(sum(row["skipped_batches"] for row in rows)),
-        "rho_g_median": median(rho_values) if rho_values else None,
+        "rho_g_median": median(contribution_stream["rho_g"]),
     }
     if cfg.image_probe:
         probe = np.array([row["image_probe_c"] for row in rows])

@@ -27,15 +27,16 @@ activations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .cohort import Cohort
 from .errors import (ConfigError, NumericalError, ShapeError, StateError,
                      ValidationError)
-from .modulation import (ModulationConfig, apply_modulation, branch_scores,
-                         contribution_ratio, median)
+from .modulation import (STEP_LOG_FIELDS, ModulationConfig, apply_modulation,
+                         branch_scores, contribution_ratio, log_step, median)
 from .nnet import (DenseLayer, ParamGroup, add_layers, as_matrix,
                    checkpoint_layers, layer_group, load_checkpoint, make_mlp,
                    meta_typed, mlp_backward, mlp_forward, save_checkpoint,
@@ -355,16 +356,13 @@ class EpochMetrics:
     factor_p: float | None = None
 
     def as_dict(self) -> dict:
-        return {"epoch": self.epoch, "loss": self.loss, "c_index": self.c_index,
-                "rho_g": self.rho_g, "factor_g": self.factor_g,
-                "factor_p": self.factor_p}
+        return asdict(self)
 
 
 @dataclass
 class TrainResult:
-    model: FusionModel
     epochs: list[EpochMetrics]
-    step_reports: list[dict]
+    step_log: dict[str, array]   # modulation.STEP_LOG_FIELDS, one entry per report
     skipped_batches: int
 
 
@@ -419,9 +417,8 @@ def train_survival(model: FusionModel, cohort: Cohort, cfg: TrainConfig) -> Trai
     total_steps = cfg.epochs * steps_per_epoch
 
     epoch_rows: list[EpochMetrics] = []
-    step_reports: list[dict] = []
+    log = {key: array(code) for key, code in STEP_LOG_FIELDS.items()}
     skipped = 0
-    step_counter = 0
     # an overflow ends in a non-finite value that a check names with its
     # epoch and step; numpy's warning would only print ahead of that error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -429,10 +426,9 @@ def train_survival(model: FusionModel, cohort: Cohort, cfg: TrainConfig) -> Trai
             perm = shuffle_rng.permutation(n)
             epoch_loss_sum = 0.0
             epoch_event_count = 0
-            epoch_rho, epoch_fg, epoch_fp = [], [], []
-            for start in range(0, n, cfg.batch_size):
-                step_index = step_counter
-                step_counter += 1
+            first = len(log["step"])
+            for step_index, start in enumerate(range(0, n, cfg.batch_size),
+                                               epoch * steps_per_epoch):
                 idx = perm[start:start + cfg.batch_size]
                 sub = CoxBatch(full.times[idx], full.events[idx])
                 if sub.degenerate:
@@ -450,14 +446,7 @@ def train_survival(model: FusionModel, cohort: Cohort, cfg: TrainConfig) -> Trai
                         s_g, s_p = branch_scores(model.head_Wg, G, model.head_Wp, P,
                                                  model.head_b)
                         report = contribution_ratio(s_g, s_p, sub, cfg.modulation)
-                        epoch_rho.append(report.rho_g)
-                        epoch_fg.append(report.factor_g)
-                        epoch_fp.append(report.factor_p)
-                        step_reports.append({"epoch": epoch, "step": step_index,
-                                             "rho_g": report.rho_g, "rho_p": report.rho_p,
-                                             "rho_g_clamped": report.rho_g_clamped,
-                                             "factor_g": report.factor_g,
-                                             "factor_p": report.factor_p})
+                        log_step(log, epoch, step_index, report)
                         if cfg.modulation.enabled and step_index >= cfg.modulation.warmup_steps:
                             apply_modulation(report, groups["genomic"], groups["image"],
                                              cfg.modulation)
@@ -466,16 +455,17 @@ def train_survival(model: FusionModel, cohort: Cohort, cfg: TrainConfig) -> Trai
                     raise NumericalError(f"epoch {epoch}, step {step_index}: {exc}") from exc
                 epoch_loss_sum += loss
                 epoch_event_count += sub.n_events
-            c_index = concordance_index(_chunked_theta(model, cohort, g2_all),
-                                        full.times, full.events)
+            try:
+                theta_all = _chunked_theta(model, cohort, g2_all)
+            except NumericalError as exc:
+                raise NumericalError(f"epoch {epoch}, epoch-end forward: {exc}") from exc
+            c_index = concordance_index(theta_all, full.times, full.events)
             mean_loss = epoch_loss_sum / epoch_event_count if epoch_event_count else 0.0
             epoch_rows.append(EpochMetrics(
                 epoch=epoch, loss=mean_loss, c_index=c_index,
-                rho_g=median(epoch_rho) if epoch_rho else None,
-                factor_g=median(epoch_fg) if epoch_fg else None,
-                factor_p=median(epoch_fp) if epoch_fp else None))
-    return TrainResult(model=model, epochs=epoch_rows, step_reports=step_reports,
-                       skipped_batches=skipped)
+                rho_g=median(log["rho_g"][first:]), factor_g=median(log["factor_g"][first:]),
+                factor_p=median(log["factor_p"][first:])))
+    return TrainResult(epochs=epoch_rows, step_log=log, skipped_batches=skipped)
 
 
 def evaluate(model: FusionModel, cohort: Cohort) -> dict:

@@ -23,6 +23,7 @@ for every aggregation choice.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,8 @@ class ModulationConfig:
             if not modulation_factor(rho) > 0.0:
                 raise ConfigError(f"{key} = {getattr(self, key)} gives a learning-rate "
                                   "factor of 0; keep rho_max and 1 / rho_min below 19.99")
-        if not self.epsilon > 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < float("inf"):
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.aggregate not in _AGGREGATES:
             raise ConfigError(f"aggregate must be one of {_AGGREGATES}, got '{self.aggregate}'")
         if self.warmup_steps < 0:
@@ -82,6 +83,27 @@ class ContributionReport:
 NEUTRAL_REPORT = ContributionReport(
     rho_g=1.0, rho_p=1.0, rho_g_clamped=1.0, factor_g=1.0, factor_p=1.0,
     degenerate=True)
+
+
+# A step log holds one typed column per field and one entry per reported
+# step: 64-bit ints for the position, float64 for the report's values. A
+# run's contribution stream leads with a fold column of the position's type.
+STEP_LOG_FIELDS = {"epoch": "q", "step": "q", "rho_g": "d", "rho_p": "d",
+                   "rho_g_clamped": "d", "factor_g": "d", "factor_p": "d"}
+
+
+def log_step(log: dict[str, array], epoch: int, step: int,
+             report: ContributionReport) -> None:
+    """Append one step's position and report values to a step log."""
+    values = (epoch, step, report.rho_g, report.rho_p, report.rho_g_clamped,
+              report.factor_g, report.factor_p)
+    for column, value in zip(log.values(), values):
+        column.append(value)
+
+
+def with_fold(log: dict[str, array], fold: int) -> dict[str, array]:
+    """The log with a leading fold column, as a contribution stream holds it."""
+    return {"fold": array("q", [fold]) * len(log["step"]), **log}
 
 
 def branch_scores(Wg, G, Wp, P, b: float):
@@ -116,8 +138,8 @@ def _mean(values: np.ndarray) -> float:
     return float(np.add.reduce(values) / values.size)
 
 
-def median(values) -> float:
-    """np.median of a non-empty 1-D sequence, bit for bit, NaN included.
+def median(values) -> float | None:
+    """np.median of a 1-D sequence, bit for bit, NaN included; None if empty.
 
     np.median checks for NaN through a helper that imports numpy.ma (over a
     megabyte of resident memory per process); this partitions around the same
@@ -125,6 +147,8 @@ def median(values) -> float:
     and returns that last value if it is NaN, else the mean of the middle.
     """
     a = np.asarray(values, dtype=np.float64).reshape(-1)
+    if not a.size:
+        return None
     half = a.size // 2
     middle = [half - 1, half] if a.size % 2 == 0 else [half]
     part = np.partition(a, [*middle, -1])

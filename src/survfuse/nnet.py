@@ -342,11 +342,14 @@ def sgd_step(groups: list[ParamGroup], eta: float) -> None:
 
 
 def step_decay_eta(eta0: float, step: int, total_steps: int) -> float:
-    """Step-decay schedule: x0.5 at each third of the run (two drops total)."""
+    """Step-decay schedule: x0.5 at each third of the run (two drops total).
+    A positive eta0 whose decayed rate rounds to 0 raises NumericalError."""
     if total_steps <= 0:
         return eta0
-    k = min(2, (3 * step) // total_steps)
-    return eta0 * 0.5 ** k
+    eta = eta0 * 0.5 ** min(2, (3 * step) // total_steps)
+    if eta == 0.0 and eta0 > 0.0:
+        raise NumericalError(f"eta = {eta0} decays to 0 in the step-decay schedule")
+    return eta
 
 
 def mse_loss(pred, target) -> tuple[float, np.ndarray]:

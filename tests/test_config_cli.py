@@ -1,5 +1,6 @@
 """INI configuration loading and the command-line surface."""
 
+import dataclasses
 import json
 import os
 import platform
@@ -16,12 +17,13 @@ from survfuse import experiment
 from survfuse.cli import _write_json, main
 from survfuse.cohort import (CohortSpec, default_hazard_coef, generate_cohort,
                              load_cohort, save_cohort)
-from survfuse.config import (RunConfig, config_echo, load_cells_spec,
+from survfuse.config import (RunConfig, SmoothingConfig, config_echo, load_cells_spec,
                              load_cohort_spec, load_run_config)
 from survfuse.errors import ConfigError, NumericalError, ValidationError
 from survfuse.fusion import FUSION_MODES, load_model
+from survfuse.modulation import ModulationConfig
 from survfuse.nnet import load_checkpoint, save_checkpoint
-from survfuse.smoothing import load_stage1
+from survfuse.smoothing import CellCorpusSpec, load_stage1
 
 # ---------------------------------------------------------------------------
 # config files
@@ -587,6 +589,62 @@ def test_cell_type_gap_is_a_clean_cli_error(pipeline, tmp_path, capsys, last_typ
     assert (f"error: {bad}: row 4: cell_type {last_type}, but no cell has type 2"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# boundary values of every numeric INI key
+
+_SWEEP_BASE = {"run": {"k_folds": "2", "epochs": "1", "hidden_dim": "8"},
+               "smoothing": {"stage1_epochs": "1"},
+               "cohort": {"n_patients": "40"}, "cells": {"n_cells": "20"}}
+_SWEEP_SECTIONS = {"run": RunConfig(), "modulation": ModulationConfig(),
+                   "smoothing": SmoothingConfig(), "cohort": CohortSpec(),
+                   "cells": CellCorpusSpec()}
+_FLOAT_BOUNDARIES = ("0", "1", "5e-324", "1e300", "inf", "-inf", "nan", "-1")
+_INT_BOUNDARIES = ("0", "1", "-1")
+
+
+def _sweep_cases():
+    for section, defaults in _SWEEP_SECTIONS.items():
+        for field in dataclasses.fields(defaults):
+            like = getattr(defaults, field.name)
+            if isinstance(like, bool) or not isinstance(like, (int, float)):
+                continue
+            for value in _FLOAT_BOUNDARIES if isinstance(like, float) else _INT_BOUNDARIES:
+                yield pytest.param(section, field.name, value,
+                                   id=f"{section}.{field.name}={value}")
+
+
+@pytest.mark.parametrize("section, key, value", _sweep_cases())
+def test_numeric_ini_boundary_ends_cleanly(tmp_path, capsys, section, key, value):
+    """One numeric INI key at a boundary value, the others as in a tiny run,
+    through gen-cells, gen-cohort, pretrain-smooth, a modulated train and
+    ablate, in process: each command exits 0 with nothing on stderr, or the
+    first that fails exits 1 with one `error:` line, which names the stage
+    and step of a divergence; no `.partial` file is left. Stage 1 trains one
+    epoch, so the 171 cases take about 8 s. Huge ints are left out: `epochs =
+    10**9` runs without end, and the size keys would allocate without bound."""
+    sections = {name: dict(keys) for name, keys in _SWEEP_BASE.items()}
+    sections.setdefault(section, {})[key] = value
+    sections["paths"] = {"cohort": f"{tmp_path}/cohort.csv", "cells": f"{tmp_path}/cells.csv",
+                         "stage1": f"{tmp_path}/stage1.ckpt", "out_dir": f"{tmp_path}/run"}
+    ini = tmp_path / "sweep.ini"
+    ini.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                           for name, keys in sections.items()))
+    cfg = ["--config", str(ini)]
+    for argv in (["gen-cells", *cfg], ["gen-cohort", *cfg], ["pretrain-smooth", *cfg],
+                 ["train", *cfg, "--modulation", "on"],
+                 ["ablate", *cfg, "--out", str(tmp_path / "ablate")]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.partial")), argv
+        if code != 0:
+            assert code == 1 and re.fullmatch(r"error: [^\n]*\n", err), (argv, code, err)
+            if re.search(r"non-finite|not finite|decays to 0", err):
+                assert re.search(r"(stage 1|epoch \d+), (step \d+|epoch-end forward): ",
+                                 err), err
+            return
+        assert err == "", argv
 
 
 def _strict_json(text: str):

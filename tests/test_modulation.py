@@ -201,6 +201,8 @@ def test_config_validation():
         _cfg(rho_max=0.9)    # upper bound must sit above 1
     with pytest.raises(ConfigError):
         _cfg(epsilon=0.0)
+    with pytest.raises(ConfigError, match="^epsilon must be positive and finite, got inf"):
+        _cfg(epsilon=float("inf"))   # every ratio would be inf / inf
     with pytest.raises(ConfigError):
         _cfg(aggregate="mode")
 

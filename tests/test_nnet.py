@@ -392,6 +392,14 @@ def test_step_decay_halves_at_each_third():
     assert step_decay_eta(1.0, 29, total) == 0.25
 
 
+def test_a_rate_that_decays_to_zero_is_refused():
+    # 5e-324 is positive and finite, but half of it rounds to 0
+    assert step_decay_eta(5e-324, 9, 30) == 5e-324
+    with pytest.raises(NumericalError, match=r"^eta = 5e-324 decays to 0 "):
+        step_decay_eta(5e-324, 10, 30)
+    assert step_decay_eta(2e-323, 29, 30) == 5e-324
+
+
 # ---------------------------------------------------------------------------
 # mse
 
