@@ -41,7 +41,7 @@ from .survival import (CoxBatch, build_risk_sets, concordance_index,
                        cox_gradient, cox_loss, fit_linear_cox, probe_c_index)
 from .modulation import (ContributionReport, ModulationConfig, apply_modulation,
                          branch_scores, contribution_ratio, modulation_factor)
-from .smoothing import (CellCorpusSpec, CellProfile, FrozenEncoder,
+from .smoothing import (CellCorpus, CellCorpusSpec, FrozenEncoder,
                         Stage1Config, Stage1Result, default_encoder,
                         generate_cells, interpolation_gap, load_cells,
                         load_stage1, pretrain_mlp_a, save_cells, save_stage1)
@@ -63,7 +63,7 @@ __all__ = [
     "cox_gradient", "concordance_index", "fit_linear_cox", "probe_c_index",
     "ModulationConfig", "ContributionReport", "branch_scores",
     "contribution_ratio", "modulation_factor", "apply_modulation",
-    "CellProfile", "FrozenEncoder",
+    "CellCorpus", "FrozenEncoder",
     "default_encoder", "CellCorpusSpec", "generate_cells", "save_cells",
     "load_cells", "Stage1Config", "Stage1Result", "pretrain_mlp_a",
     "interpolation_gap", "save_stage1", "load_stage1",

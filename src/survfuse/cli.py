@@ -18,15 +18,13 @@ import json
 import os
 import sys
 
-from .cohort import Cohort, generate_cohort, load_cohort, save_cohort
-from .config import (RunConfig, config_echo, load_cells_spec, load_cohort_spec,
-                     load_run_config)
+from .cohort import generate_cohort, load_cohort, save_cohort
+from .config import config_echo, load_cells_spec, load_cohort_spec, load_run_config
 from .errors import SurvfuseError, ValidationError, write_text
-from .experiment import (Stage1Bundle, ablation_csv_lines, contribution_rows,
-                         run_ablation, run_cross_validation, run_final_fit,
-                         run_stage1, tool_version)
+from .experiment import (ablation_csv_lines, contribution_rows, run_ablation,
+                         run_cross_validation, run_final_fit, run_stage1,
+                         tool_version)
 from .fusion import evaluate, load_model, save_model
-from .gradcheck import run_all
 from .smoothing import (Stage1Result, generate_cells, load_cells, load_stage1,
                         save_cells, save_stage1)
 
@@ -101,12 +99,10 @@ def cmd_pretrain(args) -> int:
                             os.path.splitext(cfg.paths.stage1)[0] + "_report.json")
     _refuse_existing(ckpt_path, args.force)
     _refuse_existing(report_path, args.force)
-    bundle = run_stage1(cells, cfg)
-    save_stage1(ckpt_path, bundle.result, bundle.encoder)
-    report = dict(bundle.report)
-    report.update({"kind": "stage1_report", "tool_version": tool_version(),
-                   "config": config_echo(cfg), "checkpoint": ckpt_path,
-                   "timestamp": _timestamp()})
+    stage1 = run_stage1(cells, cfg)
+    save_stage1(ckpt_path, stage1)
+    report = dict(stage1.report, kind="stage1_report", tool_version=tool_version(),
+                  config=config_echo(cfg), checkpoint=ckpt_path, timestamp=_timestamp())
     _write_json(report_path, report, args.force)
     loss = report["final_loss"]   # None after zero epochs
     loss_text = "" if loss is None else f"final loss {loss:.6f}, "
@@ -114,16 +110,6 @@ def cmd_pretrain(args) -> int:
           f"gap {report['gap_before']:.4f} -> {report['gap_after']:.4f}; "
           f"checkpoint: {ckpt_path}")
     return 0
-
-
-def _load_bundle_for_train(cfg: RunConfig, cohort: Cohort) -> Stage1Bundle:
-    if cfg.smoothing.enabled:
-        mlp_a, classifier, encoder = load_stage1(cfg.paths.stage1)
-        return Stage1Bundle(encoder=encoder,
-                            result=Stage1Result(mlp_a=mlp_a, classifier=classifier),
-                            report=None)
-    return Stage1Bundle(encoder=cfg.smoothing.frozen_encoder(cohort.x_rna.shape[1]),
-                        result=None, report=None)
 
 
 def _train_overrides(args) -> dict:
@@ -143,8 +129,9 @@ def cmd_train(args) -> int:
     report_path = os.path.join(out_dir, "report.json")
     _refuse_existing(report_path, args.force)
     cohort = load_cohort(cfg.paths.cohort)
-    bundle = _load_bundle_for_train(cfg, cohort)
-    outputs = run_cross_validation(cohort, cfg, bundle, jobs=args.jobs)
+    stage1 = (load_stage1(cfg.paths.stage1) if cfg.smoothing.enabled
+              else Stage1Result(cfg.smoothing.frozen_encoder(cohort.x_rna.shape[1])))
+    outputs = run_cross_validation(cohort, cfg, stage1, jobs=args.jobs)
     report = dict(outputs.report)
     report["timestamp"] = _timestamp()
     _write_json(report_path, report, args.force)
@@ -152,7 +139,7 @@ def cmd_train(args) -> int:
                  True)
     _write_jsonl(os.path.join(out_dir, "contributions.jsonl"),
                  contribution_rows(outputs.contribution_stream), True)
-    model = run_final_fit(cohort, cfg, bundle)   # full-cohort fit for `eval`
+    model = run_final_fit(cohort, cfg, stage1)   # full-cohort fit for `eval`
     save_model(os.path.join(out_dir, "model.ckpt"), model)
     print(f"C-index {report['c_index_mean']:.4f} +/- {report['c_index_std']:.4f} "
           f"over {cfg.k_folds} folds; report: {report_path}")
@@ -205,6 +192,7 @@ def cmd_gradcheck(args) -> int:
     seed = args.seed if args.seed is not None else 0
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
+    from .gradcheck import run_all   # only this command needs the module
     results = run_all(seed)
     failed = False
     for res in results:

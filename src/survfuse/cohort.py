@@ -14,7 +14,7 @@ Gaussian noise. The three windows overlap but differ:
 so part of the hazard signal is reachable only through the rna path (it
 rewards a usable encoder latent space) and part only through the image
 branch (it rewards balanced training). noise_g scales the cnv_mut and rna
-noise jointly, noise_p the image noise.
+noise jointly, noise_p the image noise, each at most MAX_NOISE.
 
 The default hazard coefficients are weighted by window membership —
 genomic-only latent dims carry the most hazard, dims the image window
@@ -37,6 +37,8 @@ from .errors import ShapeError, ValidationError, csv_lines, open_text, write_tex
 
 _CENSOR_TOL = 0.02      # calibration stops when within this of the target
 _CENSOR_MAX_SCALE = 1e12
+# in units of the signal: at 100 a block's probe is at chance; at 1e3 training diverged
+MAX_NOISE = 100.0
 
 
 @dataclass(eq=False)
@@ -121,8 +123,9 @@ class CohortSpec:
         if min(self.n_patients, self.latent_dim, self.dim_cnv_mut,
                self.dim_rna, self.dim_image) <= 0:
             raise ValidationError("all cohort counts and dims must be positive")
-        if not (0.0 <= self.noise_g < np.inf and 0.0 <= self.noise_p < np.inf):
-            raise ValidationError("noise scales must be finite and non-negative")
+        for key, noise in (("noise_g", self.noise_g), ("noise_p", self.noise_p)):
+            if not 0.0 <= noise <= MAX_NOISE:
+                raise ValidationError(f"{key} must lie in [0, {MAX_NOISE:g}], got {noise}")
         if self.seed < 0:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.censor_fraction < 1.0:

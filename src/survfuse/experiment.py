@@ -23,9 +23,8 @@ from .errors import ConfigError, NumericalError
 from .fusion import (FusionModel, FusionSpec, TrainConfig, build_model,
                      evaluate, image_branch_features, train_survival)
 from .modulation import median, with_fold
-from .nnet import DenseLayer
-from .smoothing import (CellProfile, FrozenEncoder, Stage1Config, Stage1Result,
-                        gap_probe_pairs, interpolation_gap, pretrain_mlp_a)
+from .smoothing import (CellCorpus, Stage1Config, Stage1Result, gap_probe_pairs,
+                        interpolation_gap, pretrain_mlp_a)
 from .survival import probe_c_index
 
 
@@ -45,17 +44,6 @@ def derive_seed(seed: int, tag: int, index: int = 0) -> int:
 # stage 1
 
 
-@dataclass
-class Stage1Bundle:
-    encoder: FrozenEncoder
-    result: Stage1Result | None
-    report: dict | None
-
-    @property
-    def mlp_a(self) -> list[DenseLayer] | None:
-        return self.result.mlp_a if self.result is not None else None
-
-
 def stage1_config(cfg: RunConfig) -> Stage1Config:
     """The stage-1 training settings of a run; a bad value raises
     ValidationError."""
@@ -67,37 +55,30 @@ def stage1_config(cfg: RunConfig) -> Stage1Config:
                         seed=cfg.seed)
 
 
-def run_stage1(cells: list[CellProfile], cfg: RunConfig) -> Stage1Bundle:
-    """Build the fixed encoder and, if smoothing is on, pretrain MLP-A.
-
-    The interpolation gap is measured on a held-out probe set before
-    training (freshly initialized MLP-A) and after.
-    """
+def run_stage1(cells: CellCorpus, cfg: RunConfig) -> Stage1Result:
+    """Build the fixed encoder and, if smoothing is on, pretrain MLP-A; the
+    report holds the interpolation gap on held-out probe pairs before training
+    (freshly initialized MLP-A) and after."""
     sm = cfg.smoothing
-    encoder = sm.frozen_encoder(cells[0].expression.size)
+    encoder = sm.frozen_encoder(cells.expression.shape[1])
     if not sm.enabled:
-        return Stage1Bundle(encoder=encoder, result=None, report=None)
+        return Stage1Result(encoder)
     s1cfg = stage1_config(cfg)
     pairs, lams = gap_probe_pairs(cells, n_pairs=200, seed=cfg.seed)
-    zero = dataclasses.replace(s1cfg, epochs=0)
-    untrained = pretrain_mlp_a(cells, encoder, zero)
-    gap_before = interpolation_gap(encoder, untrained.mlp_a, pairs, lams)
+    untrained = pretrain_mlp_a(cells, encoder, dataclasses.replace(s1cfg, epochs=0))
+    gap_before = interpolation_gap(encoder, untrained.mlp_a, cells, pairs, lams)
     result = pretrain_mlp_a(cells, encoder, s1cfg)
-    gap_after = interpolation_gap(encoder, result.mlp_a, pairs, lams)
-    report = {
-        "final_loss": result.loss_history[-1] if result.loss_history else None,
-        "steps": len(result.loss_history),
-        "gap_before": gap_before,
-        "gap_after": gap_after,
-    }
-    return Stage1Bundle(encoder=encoder, result=result, report=report)
+    result.report = {"final_loss": result.loss_history[-1] if result.loss_history else None,
+                     "steps": len(result.loss_history), "gap_before": gap_before,
+                     "gap_after": interpolation_gap(encoder, result.mlp_a, cells, pairs, lams)}
+    return result
 
 
 # ---------------------------------------------------------------------------
 # one fold
 
 
-def _new_model(cohort: Cohort, cfg: RunConfig, bundle: Stage1Bundle,
+def _new_model(cohort: Cohort, cfg: RunConfig, stage1: Stage1Result,
                seed: int, track_rho: bool = False) -> tuple[FusionModel, TrainConfig]:
     """A fresh model sized to the cohort, and its training config, from one seed."""
     fspec = FusionSpec(
@@ -105,7 +86,7 @@ def _new_model(cohort: Cohort, cfg: RunConfig, bundle: Stage1Bundle,
         dim_image=cohort.x_img.shape[1], snn_dim=cfg.snn_dim,
         gen_dim=cfg.gen_dim, img_dim=cfg.img_dim, hidden_dim=cfg.hidden_dim,
         fusion_mode=cfg.fusion_mode)
-    model = build_model(fspec, bundle.encoder, bundle.mlp_a, seed=seed)
+    model = build_model(fspec, stage1.encoder, stage1.mlp_a, seed=seed)
     tcfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, eta=cfg.eta,
                        seed=seed, modulation=cfg.modulation, track_rho=track_rho)
     return model, tcfg
@@ -118,9 +99,9 @@ def contribution_rows(columns: dict[str, array]):
 
 
 def run_single_fold(cohort: Cohort, plan, fold: int,
-                    cfg: RunConfig, bundle: Stage1Bundle) -> dict:
+                    cfg: RunConfig, stage1: Stage1Result) -> dict:
     train, test = fold_split(cohort, plan, fold)
-    model, tcfg = _new_model(cohort, cfg, bundle, derive_seed(cfg.seed, 0xFD, fold),
+    model, tcfg = _new_model(cohort, cfg, stage1, derive_seed(cfg.seed, 0xFD, fold),
                              track_rho=cfg.track_rho)
     try:
         tres = train_survival(model, train, tcfg)
@@ -147,13 +128,13 @@ def run_single_fold(cohort: Cohort, plan, fold: int,
 # full run
 
 
-def run_final_fit(cohort: Cohort, cfg: RunConfig, bundle: Stage1Bundle):
+def run_final_fit(cohort: Cohort, cfg: RunConfig, stage1: Stage1Result):
     """One model trained on the whole cohort (what `eval` consumes later).
 
     Its contribution reports are not kept, so it does not compute them unless
     modulation needs them.
     """
-    model, tcfg = _new_model(cohort, cfg, bundle, cfg.seed)
+    model, tcfg = _new_model(cohort, cfg, stage1, cfg.seed)
     try:
         train_survival(model, cohort, tcfg)
     except NumericalError as exc:
@@ -169,7 +150,7 @@ class RunOutputs:
                                                 # one entry per (fold, step) report
 
 
-def _run_outputs(rows: list[dict], cfg: RunConfig, bundle: Stage1Bundle) -> RunOutputs:
+def _run_outputs(rows: list[dict], cfg: RunConfig, stage1: Stage1Result) -> RunOutputs:
     """One cross-validation run's report and streams from its fold rows."""
     rows = sorted(rows, key=lambda r: r["fold"])
     epoch_stream, contribution_stream = [], {}
@@ -193,8 +174,8 @@ def _run_outputs(rows: list[dict], cfg: RunConfig, bundle: Stage1Bundle) -> RunO
     if cfg.image_probe:
         probe = np.array([row["image_probe_c"] for row in rows])
         report["image_probe_mean"] = float(probe.mean())
-    if bundle.report is not None:
-        report["stage1"] = bundle.report
+    if stage1.report is not None:
+        report["stage1"] = stage1.report
     return RunOutputs(report=report, epoch_stream=epoch_stream,
                       contribution_stream=contribution_stream)
 
@@ -239,22 +220,22 @@ def _claim_all(claims) -> None:
 
 
 def _run_claimed(claims, index: int, cohort: Cohort, plan, fold: int,
-                 cfg: RunConfig, bundle: Stage1Bundle) -> dict | None:
+                 cfg: RunConfig, stage1: Stage1Result) -> dict | None:
     """Task `index`'s fold row if this process claims it, else None. If the
     fold fails, every task left is claimed before the error propagates."""
     if not _claim(claims, index):
         return None
     try:
-        return run_single_fold(cohort, plan, fold, cfg, bundle)
+        return run_single_fold(cohort, plan, fold, cfg, stage1)
     except BaseException:
         _claim_all(claims)
         raise
 
 
 def _fold_task(index: int, plan, fold: int, cfg: RunConfig,
-               bundle: Stage1Bundle) -> dict | None:
+               stage1: Stage1Result) -> dict | None:
     return _run_claimed(_worker_inputs["claims"], index, _worker_inputs["cohort"],
-                        plan, fold, cfg, bundle)
+                        plan, fold, cfg, stage1)
 
 
 def _check_jobs(jobs: int) -> None:
@@ -270,7 +251,7 @@ class _FoldTasks:
     def __init__(self, cohort: Cohort, plan, jobs: int, n_tasks: int):
         self.cohort = cohort
         self.plan = plan
-        self.tasks: list[tuple] = []   # (fold, cfg, bundle), in grid order
+        self.tasks: list[tuple] = []   # (fold, cfg, stage1), in grid order
         self.futures: list = []
         workers = min(jobs, n_tasks) - 1
         self.claims = multiprocessing.Array("b", n_tasks) if workers else None
@@ -288,13 +269,13 @@ class _FoldTasks:
                 _claim_all(self.claims)
             self.pool.shutdown(cancel_futures=exc_type is not None)
 
-    def submit(self, cfg: RunConfig, bundle: Stage1Bundle) -> None:
+    def submit(self, cfg: RunConfig, stage1: Stage1Result) -> None:
         """Queue the k folds of one cross-validation run."""
         for fold in range(cfg.k_folds):
             if self.pool is not None:
                 self.futures.append(self.pool.submit(
-                    _fold_task, len(self.tasks), self.plan, fold, cfg, bundle))
-            self.tasks.append((fold, cfg, bundle))
+                    _fold_task, len(self.tasks), self.plan, fold, cfg, stage1))
+            self.tasks.append((fold, cfg, stage1))
 
     def run(self) -> list[dict]:
         """Every task's fold row, in grid order.
@@ -306,10 +287,10 @@ class _FoldTasks:
         order = range(n) if self.pool is None else range(n - 1, -1, -1)
         outcomes: dict[int, object] = {}
         for index in order:
-            fold, cfg, bundle = self.tasks[index]
+            fold, cfg, stage1 = self.tasks[index]
             try:
                 row = _run_claimed(self.claims, index, self.cohort, self.plan,
-                                   fold, cfg, bundle)
+                                   fold, cfg, stage1)
             except Exception as exc:
                 outcomes[index] = exc
                 break
@@ -326,13 +307,13 @@ class _FoldTasks:
 
 
 def run_cross_validation(cohort: Cohort, cfg: RunConfig,
-                         bundle: Stage1Bundle, jobs: int = 1) -> RunOutputs:
+                         stage1: Stage1Result, jobs: int = 1) -> RunOutputs:
     _check_jobs(jobs)
     plan = split_folds(cohort, cfg.k_folds, cfg.seed)
     with _FoldTasks(cohort, plan, jobs, cfg.k_folds) as tasks:
-        tasks.submit(cfg, bundle)
+        tasks.submit(cfg, stage1)
         rows = tasks.run()
-    return _run_outputs(rows, cfg, bundle)
+    return _run_outputs(rows, cfg, stage1)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +342,7 @@ def _grid_config(cfg: RunConfig, smoothing_on: bool, fusion_label: str) -> RunCo
                                modulation=modulation, smoothing=smoothing)
 
 
-def run_ablation(cohort: Cohort, cells: list[CellProfile],
+def run_ablation(cohort: Cohort, cells: CellCorpus,
                  cfg: RunConfig, jobs: int = 1) -> dict:
     """All six grid cells, sharing one stage-1 pretraining across the
     smoothing rows. Row order is fixed: rows 1-3 without smoothing, 4-6
@@ -380,20 +361,20 @@ def run_ablation(cohort: Cohort, cells: list[CellProfile],
     plain = [row_id for row_id, on, _ in ABLATION_GRID if not on]
     smooth = [row_id for row_id, on, _ in ABLATION_GRID if on]
     stage1_config(configs[smooth[0]])   # fail here, not after rows 1-3 trained
-    bundles = {False: run_stage1(cells, configs[plain[0]])}
+    stage1_by_smoothing = {False: run_stage1(cells, configs[plain[0]])}
     with _FoldTasks(cohort, plan, jobs, len(ABLATION_GRID) * cfg.k_folds) as tasks:
         for row_id in plain:
-            tasks.submit(configs[row_id], bundles[False])
-        bundles[True] = run_stage1(cells, configs[smooth[0]])
+            tasks.submit(configs[row_id], stage1_by_smoothing[False])
+        stage1_by_smoothing[True] = run_stage1(cells, configs[smooth[0]])
         for row_id in smooth:
-            tasks.submit(configs[row_id], bundles[True])
+            tasks.submit(configs[row_id], stage1_by_smoothing[True])
         done = tasks.run()
     k = cfg.k_folds
     fold_rows = {row_id: done[i * k:(i + 1) * k] for i, row_id in enumerate(plain + smooth)}
     rows = []
     for row_id, smoothing_on, fusion_label in ABLATION_GRID:
         outputs = _run_outputs(fold_rows[row_id], configs[row_id],
-                               bundles[smoothing_on])
+                               stage1_by_smoothing[smoothing_on])
         rows.append({
             "row": row_id,
             "smoothing": smoothing_on,

@@ -418,20 +418,25 @@ def _parse_values(line: str) -> np.ndarray:
     return np.concatenate(pieces)
 
 
+_BOUNDARY = re.compile("[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")   # splitlines()'s line ends
+
+
 def _lines(fh):
-    """The file's lines, one at a time, as str.splitlines() splits the whole
-    text: the file object ends a line at LF, CR or CRLF, and splitlines()
-    also at the other line boundaries it knows."""
+    """The file's lines, as str.splitlines() splits the whole text, but each
+    with the LF, CR or CRLF the file object ends it at: a line without another
+    boundary is the file's own string, held once, and not during the next read."""
     for piece in fh:
-        yield from piece.splitlines()
+        end = len(piece) - piece.endswith("\r\n") - piece.endswith(("\r", "\n"))
+        yield from piece.splitlines() if _BOUNDARY.search(piece, 0, end) else (piece,)
+        del piece
 
 
 def _parse_checkpoint(path, lines) -> tuple[dict, dict[str, np.ndarray]]:
-    first = next(lines, None)
+    first = next(lines, "").rstrip("\r\n")
     if first != CHECKPOINT_MAGIC:
         raise ValidationError(f"{path}: not a survfuse checkpoint")
-    meta_line = next(lines, None)
-    if meta_line is None or not meta_line.startswith("meta "):
+    meta_line = next(lines, "").rstrip("\r\n")
+    if not meta_line.startswith("meta "):
         raise ValidationError(f"{path}: missing meta line")
     try:
         meta = json.loads(meta_line[len("meta "):])
@@ -441,8 +446,8 @@ def _parse_checkpoint(path, lines) -> tuple[dict, dict[str, np.ndarray]]:
         raise ValidationError(f"{path}: line 2: meta must be a JSON object")
     tensors: dict[str, np.ndarray] = {}
     i = 2   # 0-based number of the next line
-    header = next(lines, None)
-    while header is not None and header != "end":
+    header = next(lines, "").rstrip("\r\n")   # "" at the end of the file
+    while header != "end":
         value_line = next(lines, None)
         if value_line is None:
             break
@@ -452,13 +457,14 @@ def _parse_checkpoint(path, lines) -> tuple[dict, dict[str, np.ndarray]]:
             if tag != "tensor" or int(ndim) != len(shape) or min(shape, default=0) < 0:
                 raise ValueError("expected 'tensor <name> <ndim> <dim>...'")
             values = _parse_values(value_line)
+            del value_line   # see _lines
             if values.size != math.prod(shape) or not np.isfinite(values).all():
                 raise ValueError(f"tensor '{name}' needs {math.prod(shape)} finite values")
         except ValueError as exc:
             raise ValidationError(f"{path}: line {i + 1}: {exc}") from exc
         tensors[name] = values.reshape(shape)
         i += 2
-        header = next(lines, None)
+        header = next(lines, "").rstrip("\r\n")
     if header != "end":
         raise ValidationError(f"{path}: line {i + 1}: missing end marker")
     return meta, tensors

@@ -17,6 +17,7 @@ combination of E at the endpoints.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,25 +33,50 @@ DEFAULT_GENE_DIM = 64
 
 
 # ---------------------------------------------------------------------------
-# profiles
+# cell corpus
+
+
+def _check_cells(expression: np.ndarray, types: np.ndarray, where: str = "cell {}",
+                 first: int = 0, complete: bool = True) -> None:
+    """The corpus rules, in the order a reader meets them: cell by cell, a finite,
+    non-negative expression and a non-negative type (a Python int, of any size);
+    then, if complete, types exactly 0..K-1. The first broken rule raises
+    ValidationError led by where.format(first + its cell's index)."""
+    bad = ~((0.0 <= expression) & (expression < np.inf))
+    rows = np.flatnonzero(bad.any(axis=1) | (types < 0))
+    if rows.size:
+        i, j = rows[0], bad[rows[0]].argmax()
+        reason = (f"gene_{j} = {float(expression[i, j])!r}: expression must be finite "
+                  "and non-negative" if bad[i, j] else f"cell_type {types[i]} is negative")
+        raise ValidationError(f"{where.format(first + i)}: {reason}")
+    labels = types.tolist()
+    # sized by the cells, never by a type's value; np.unique would import numpy.ma
+    kinds = sorted(set(labels))
+    if complete and kinds[-1] != len(kinds) - 1:
+        missing = next(i for i, t in enumerate(kinds) if t != i)
+        raise ValidationError(f"{where.format(first + labels.index(kinds[-1]))}: cell_type "
+                              f"{kinds[-1]}, but no cell has type {missing}; "
+                              "types must be 0..K-1")
 
 
 @dataclass(eq=False)
-class CellProfile:
-    """One cell: non-negative expression vector plus its type label (>= 0)."""
+class CellCorpus:
+    """Single cells: a cells x genes float64 expression matrix and each cell's
+    type, under the rules of _check_cells."""
 
     expression: np.ndarray
-    cell_type: int
+    types: np.ndarray
 
     def __post_init__(self):
-        self.expression = np.asarray(self.expression, dtype=np.float64).reshape(-1)
-        bad = np.flatnonzero(~np.isfinite(self.expression) | (self.expression < 0))
-        if bad.size:
-            raise ValidationError(f"gene_{bad[0]} = {float(self.expression[bad[0]])!r}: "
-                                  "expression must be finite and non-negative")
-        self.cell_type = int(self.cell_type)
-        if self.cell_type < 0:
-            raise ValidationError(f"cell_type {self.cell_type} is negative")
+        self.expression = np.ascontiguousarray(self.expression, dtype=np.float64)
+        types = np.asarray(self.types, dtype=object).reshape(-1)
+        if self.expression.ndim != 2 or self.expression.shape[0] != types.size or not types.size:
+            raise ShapeError(f"{self.expression.shape} expression for {types.size} types")
+        _check_cells(self.expression, types)
+        self.types = types.astype(np.intp)
+
+    def __len__(self) -> int:
+        return self.types.size
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +168,7 @@ class CellCorpusSpec:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
 
-def generate_cells(spec: CellCorpusSpec) -> list[CellProfile]:
+def generate_cells(spec: CellCorpusSpec) -> CellCorpus:
     """Gaussian-cluster expression profiles, one cluster per cell type.
 
     Types are assigned round-robin so every type is populated; expression
@@ -151,27 +177,25 @@ def generate_cells(spec: CellCorpusSpec) -> list[CellProfile]:
     """
     mean_rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xCE11]))
     means = mean_rng.normal(0.0, spec.cluster_scale, size=(spec.num_types, spec.gene_dim))
-    cells = []
-    for i in range(spec.n_cells):
-        t = i % spec.num_types
+    types = np.arange(spec.n_cells) % spec.num_types
+    expression = np.empty((spec.n_cells, spec.gene_dim))
+    for i, t in enumerate(types):
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xCE12, i]))
-        expr = np.maximum(means[t] + rng.normal(0.0, spec.noise_scale, spec.gene_dim), 0.0)
-        cells.append(CellProfile(expr, t))
-    return cells
+        np.maximum(means[t] + rng.normal(0.0, spec.noise_scale, spec.gene_dim), 0.0,
+                   out=expression[i])
+    return CellCorpus(expression, types)
 
 
-def save_cells(path: str, cells: list[CellProfile]) -> None:
-    if not cells:
-        raise ValidationError("refusing to write an empty cell corpus")
-    gene_dim = cells[0].expression.size
-    header = [f"gene_{i}" for i in range(gene_dim)] + ["cell_type"]
-    rows = ([repr(float(v)) for v in c.expression] + [c.cell_type] for c in cells)
+def save_cells(path: str, cells: CellCorpus) -> None:
+    header = [f"gene_{i}" for i in range(cells.expression.shape[1])] + ["cell_type"]
+    rows = ([repr(v) for v in x.tolist()] + [t]
+            for x, t in zip(cells.expression, cells.types.tolist()))
     write_text(path, csv_lines(header, rows))
 
 
-def load_cells(path: str) -> list[CellProfile]:
-    """Read a cell corpus. Its cell types must be exactly 0..K-1, every type
-    held by at least one cell; K is then the corpus's number of types."""
+def load_cells(path: str) -> CellCorpus:
+    """Read a cell corpus; the first bad row, in file order, raises."""
+    values, labels = array("d"), []
     with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -181,25 +205,26 @@ def load_cells(path: str) -> list[CellProfile]:
                 h == f"gene_{i}" for i, h in enumerate(header[:-1])):
             raise ValidationError(f"{path}: unexpected header")
         gene_dim = len(header) - 1
-        cells = []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != gene_dim + 1:
-                raise ValidationError(f"{path}: row {row_no}: expected {gene_dim + 1} fields")
-            try:
-                cells.append(CellProfile([float(v) for v in row[:-1]], int(row[-1])))
-            except ValueError as exc:   # a bad literal, or CellProfile's ValidationError
-                raise ValidationError(f"{path}: row {row_no}: {exc}") from exc
-    if not cells:
+        try:
+            for row_no, row in enumerate(reader, start=2):
+                if len(row) != gene_dim + 1:
+                    raise ValidationError(f"{path}: row {row_no}: expected {gene_dim + 1} fields")
+                try:
+                    expr = [float(v) for v in row[:-1]]
+                    labels.append(int(row[-1]))
+                except ValueError as exc:
+                    raise ValidationError(f"{path}: row {row_no}: {exc}") from exc
+                values.extend(expr)
+        except (ValidationError, UnicodeDecodeError, csv.Error):
+            # a row read before the one that failed may break a corpus rule: it comes first
+            _check_cells(np.frombuffer(values).reshape(len(labels), gene_dim),
+                         np.array(labels, dtype=object), f"{path}: row {{}}", 2, complete=False)
+            raise
+    if not labels:
         raise ValidationError(f"{path}: no data rows")
-    labels = [c.cell_type for c in cells]
-    # sized by the rows, never by a type's value; np.unique would import numpy.ma
-    types = sorted(set(labels))
-    if types[-1] != len(types) - 1:
-        missing = next(i for i, t in enumerate(types) if t != i)
-        raise ValidationError(f"{path}: row {2 + labels.index(types[-1])}: cell_type "
-                              f"{types[-1]}, but no cell has type {missing}; "
-                              "types must be 0..K-1")
-    return cells
+    expression = np.frombuffer(values).reshape(len(labels), gene_dim)
+    _check_cells(expression, np.array(labels, dtype=object), f"{path}: row {{}}", 2)
+    return CellCorpus(expression, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +263,14 @@ class Stage1Config:
 
 @dataclass
 class Stage1Result:
-    mlp_a: list[DenseLayer]
-    classifier: DenseLayer
+    """The frozen encoder and, once trained or loaded, MLP-A and its classifier;
+    a run that trained them keeps each step's loss and experiment.run_stage1's report."""
+
+    encoder: FrozenEncoder
+    mlp_a: list[DenseLayer] | None = None
+    classifier: DenseLayer | None = None
     loss_history: list[float] = field(default_factory=list)
+    report: dict | None = None
 
 
 def _stack_mixes(expr, hot, idx_a, idx_b, lams):
@@ -250,19 +280,16 @@ def _stack_mixes(expr, hot, idx_a, idx_b, lams):
     return mixed, target
 
 
-def pretrain_mlp_a(cells: list[CellProfile], encoder: FrozenEncoder,
+def pretrain_mlp_a(cells: CellCorpus, encoder: FrozenEncoder,
                    cfg: Stage1Config) -> Stage1Result:
     """Train MLP-A + linear classifier on mixed pairs; the encoder is untouched.
 
     Each step: draw batch_pairs index pairs and fresh lambdas, mix, encode,
     regress the mixed one-hot targets with mse. Loss per step is recorded.
     """
-    if len(cells) < 2:
-        raise ValidationError("need at least 2 cells to form pairs")
-    if len({c.cell_type for c in cells}) < 2:
+    num_types = int(cells.types.max()) + 1  # classifier width follows the corpus
+    if num_types < 2:
         raise ValidationError("need at least 2 distinct cell types (mix targets degenerate)")
-    types = np.array([c.cell_type for c in cells])
-    num_types = int(types.max()) + 1  # classifier width follows the corpus
 
     init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA1]))
     mlp_a = make_mlp(encoder.embed_dim, cfg.feature_dim,
@@ -270,17 +297,15 @@ def pretrain_mlp_a(cells: list[CellProfile], encoder: FrozenEncoder,
     classifier = DenseLayer(cfg.feature_dim, num_types, activation="identity", rng=init_rng)
     groups = [layer_group("mlp_a", mlp_a), layer_group("classifier", [classifier])]
 
-    expr = np.stack([c.expression for c in cells])
-    hot = (types[:, None] == np.arange(num_types)).astype(np.float64)
+    hot = (cells.types[:, None] == np.arange(num_types)).astype(np.float64)
     step_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA2]))
     total_steps = cfg.epochs * cfg.steps_per_epoch
     history = []
     with np.errstate(over="ignore", invalid="ignore"):   # see fusion.train_survival
         for step in range(total_steps):
-            idx_a = step_rng.integers(0, len(cells), size=cfg.batch_pairs)
-            idx_b = step_rng.integers(0, len(cells), size=cfg.batch_pairs)
+            idx_a, idx_b = step_rng.integers(0, len(cells), size=(2, cfg.batch_pairs))
             lams = step_rng.uniform(0.0, 1.0, size=cfg.batch_pairs)
-            mixed, target = _stack_mixes(expr, hot, idx_a, idx_b, lams)
+            mixed, target = _stack_mixes(cells.expression, hot, idx_a, idx_b, lams)
             try:
                 feat = mlp_forward(mlp_a, encoder.apply(mixed), train=True)
                 pred = classifier.forward(feat, train=True)
@@ -294,63 +319,59 @@ def pretrain_mlp_a(cells: list[CellProfile], encoder: FrozenEncoder,
             except NumericalError as exc:
                 raise NumericalError(f"stage 1, step {step}: {exc}") from exc
             history.append(loss)
-    return Stage1Result(mlp_a=mlp_a, classifier=classifier, loss_history=history)
+    return Stage1Result(encoder, mlp_a, classifier, history)
 
 
 def interpolation_gap(encoder: FrozenEncoder, mlp_a: list[DenseLayer],
-                      pairs: list[tuple[CellProfile, CellProfile]], lambdas) -> float:
+                      cells: CellCorpus, pairs, lambdas) -> float:
     """Mean L2 distance between E(mix) and the convex combination of E at
-    the endpoints, with E = mlp_a composed on the encoder. 0 = perfectly
-    linear latent path."""
-    if not pairs:
+    the endpoints, with E = mlp_a composed on the encoder. Row k of `pairs`
+    holds the corpus rows of pair k's endpoints, mixed with weight
+    lambdas[k] on the first. 0 = perfectly linear latent path."""
+    if not len(pairs):
         raise ValidationError("interpolation_gap needs at least one pair")
+    pairs = np.asarray(pairs)
     lambdas = np.asarray(lambdas, dtype=np.float64).reshape(-1)
-    if lambdas.size != len(pairs):
-        raise ShapeError(f"{len(pairs)} pairs but {lambdas.size} lambdas")
+    if pairs.shape != (lambdas.size, 2):
+        raise ShapeError(f"pairs have shape {pairs.shape}, expected ({lambdas.size}, 2) "
+                         "for the lambdas given")
+    if ((pairs < 0) | (pairs >= len(cells))).any():
+        raise ValidationError(f"pair rows must lie in [0, {len(cells)})")
     if ((lambdas < 0) | (lambdas > 1)).any():
         raise ValidationError("lambdas must lie in [0, 1]")
-    if len({c.expression.shape for pair in pairs for c in pair}) != 1:
-        raise ShapeError("interpolation_gap pairs mix cells of different gene counts")
 
     def embed(x):
         return mlp_forward(mlp_a, encoder.apply(x))
 
-    a = np.stack([p[0].expression for p in pairs])
-    b = np.stack([p[1].expression for p in pairs])
+    a, b = cells.expression[pairs.T]
     lam = lambdas[:, None]
     e_mix = embed(lam * a + (1.0 - lam) * b)
     e_interp = lam * embed(a) + (1.0 - lam) * embed(b)
     return float(np.linalg.norm(e_mix - e_interp, axis=1).mean())
 
 
-def gap_probe_pairs(cells: list[CellProfile], n_pairs: int, seed: int):
-    """Deterministic held-out probe set for before/after gap comparisons."""
+def gap_probe_pairs(cells: CellCorpus, n_pairs: int, seed: int):
+    """Deterministic held-out probe set for before/after gap comparisons:
+    (n_pairs, 2) corpus rows and n_pairs lambdas."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA3]))
-    idx_a = rng.integers(0, len(cells), size=n_pairs)
-    idx_b = rng.integers(0, len(cells), size=n_pairs)
-    lams = rng.uniform(0.0, 1.0, size=n_pairs)
-    pairs = [(cells[i], cells[j]) for i, j in zip(idx_a, idx_b)]
-    return pairs, lams
+    return rng.integers(0, len(cells), size=(2, n_pairs)).T, rng.uniform(0.0, 1.0, size=n_pairs)
 
 
-def save_stage1(path: str, result: Stage1Result, encoder: FrozenEncoder) -> None:
+def save_stage1(path: str, result: Stage1Result) -> None:
     """Persist MLP-A (+ classifier and the encoder it was trained against)."""
     tensors = {}
     mlp_a_acts = add_layers(tensors, stack_names("mlp_a", len(result.mlp_a)), result.mlp_a)
     [classifier_act] = add_layers(tensors, ["classifier"], [result.classifier])
-    tensors["encoder.weight"] = encoder.weight
-    tensors["encoder.bias"] = encoder.bias
-    meta = {
-        "kind": "stage1",
-        "mlp_a_activations": mlp_a_acts,
-        "classifier_activation": classifier_act,
-        "encoder_activation": encoder.activation,
-        "final_loss": result.loss_history[-1] if result.loss_history else None,
-    }
+    tensors["encoder.weight"] = result.encoder.weight
+    tensors["encoder.bias"] = result.encoder.bias
+    meta = {"kind": "stage1", "mlp_a_activations": mlp_a_acts,
+            "classifier_activation": classifier_act,
+            "encoder_activation": result.encoder.activation,
+            "final_loss": result.loss_history[-1] if result.loss_history else None}
     save_checkpoint(path, tensors, meta)
 
 
-def load_stage1(path: str) -> tuple[list[DenseLayer], DenseLayer, FrozenEncoder]:
+def load_stage1(path: str) -> Stage1Result:
     meta, tensors = load_checkpoint(path)
     if meta.get("kind") != "stage1":
         raise ValidationError(f"{path}: not a stage-1 checkpoint")
@@ -368,4 +389,4 @@ def load_stage1(path: str) -> tuple[list[DenseLayer], DenseLayer, FrozenEncoder]
         raise ValidationError(f"{path}: checkpoint has no entry {exc}") from exc
     except ShapeError as exc:   # the encoder's weight and bias disagree
         raise ValidationError(f"{path}: {exc}") from exc
-    return mlp_a, classifier, encoder
+    return Stage1Result(encoder, mlp_a, classifier)

@@ -56,20 +56,20 @@ def protocol():
                                 image_probe=True)
 
         t0 = time.monotonic()
-        bundle_a = run_stage1(cells, cfg_a)     # encoder only
-        bundle_bc = run_stage1(cells, cfg_b)    # shared by B and C
-        out_a = run_cross_validation(records, cfg_a, bundle_a)
-        out_b = run_cross_validation(records, cfg_b, bundle_bc)
+        stage1_a = run_stage1(cells, cfg_a)     # encoder only
+        stage1_bc = run_stage1(cells, cfg_b)    # shared by B and C
+        out_a = run_cross_validation(records, cfg_a, stage1_a)
+        out_b = run_cross_validation(records, cfg_b, stage1_bc)
         t1 = time.monotonic()
-        out_c = run_cross_validation(records, cfg_c, bundle_bc)
+        out_c = run_cross_validation(records, cfg_c, stage1_bc)
         t2 = time.monotonic()
         timings["a5"] += t1 - t0          # stage 1 + arms A and B
         timings["a6"] += (t1 - t0) + (t2 - t1)  # arm B is also A6's baseline
 
         rows.append({
             "seed": seed,
-            "gap_before": bundle_bc.report["gap_before"],
-            "gap_after": bundle_bc.report["gap_after"],
+            "gap_before": stage1_bc.report["gap_before"],
+            "gap_after": stage1_bc.report["gap_after"],
             "c_plain": out_a.report["c_index_mean"],
             "c_smooth": out_b.report["c_index_mean"],
             "c_mod": out_c.report["c_index_mean"],

@@ -35,9 +35,9 @@ def valid_files(tmp_path_factory):
         model = build_model(spec, encoder, mlp_a, seed=1)
         model.fit_g2_normalization(rng.normal(size=(6, 5)))
         save_model(str(root / f"{mode}.ckpt"), model)
-    stage1 = Stage1Result(mlp_a=mlp_a, classifier=DenseLayer(2, 3, rng=rng),
+    stage1 = Stage1Result(encoder, mlp_a=mlp_a, classifier=DenseLayer(2, 3, rng=rng),
                           loss_history=[0.5])
-    save_stage1(str(root / "stage1.ckpt"), stage1, encoder)
+    save_stage1(str(root / "stage1.ckpt"), stage1)
     return root, {name: (root / name).read_bytes() for name in LOADERS}
 
 
@@ -64,6 +64,6 @@ def test_damaged_checkpoint_loads_or_raises_survfuse_error(valid_files, name, cu
         if loader is load_model:
             assert isinstance(loaded, FusionModel)
         elif loader is load_stage1:
-            mlp_a, classifier, encoder = loaded
-            assert isinstance(classifier, DenseLayer) and isinstance(encoder, FrozenEncoder)
-            assert all(isinstance(layer, DenseLayer) for layer in mlp_a)
+            assert isinstance(loaded.classifier, DenseLayer)
+            assert isinstance(loaded.encoder, FrozenEncoder)
+            assert all(isinstance(layer, DenseLayer) for layer in loaded.mlp_a)

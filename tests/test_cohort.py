@@ -63,6 +63,10 @@ def test_spec_validation():
         CohortSpec(n_patients=0)
     with pytest.raises(ValidationError):
         CohortSpec(noise_g=-1.0)
+    for key in ("noise_g", "noise_p"):
+        with pytest.raises(ValidationError, match=rf"^{key} must lie in \[0, 100\], got 1e\+300$"):
+            CohortSpec(**{key: 1e300})
+        CohortSpec(**{key: 100.0})
     with pytest.raises(ValidationError):
         CohortSpec(censor_fraction=1.0)
     with pytest.raises(ValidationError):
@@ -108,7 +112,7 @@ def test_more_image_noise_weakens_image_probe():
 
 
 def test_extreme_image_noise_gives_chance_probe():
-    cohort = generate_cohort(CohortSpec(n_patients=400, seed=3, noise_p=1e6))
+    cohort = generate_cohort(CohortSpec(n_patients=400, seed=3, noise_p=100.0))
     assert abs(_probe(cohort, "x_img") - 0.5) < 0.05
 
 

@@ -23,7 +23,7 @@ from survfuse.errors import ConfigError, NumericalError, ValidationError
 from survfuse.fusion import FUSION_MODES, load_model
 from survfuse.modulation import ModulationConfig
 from survfuse.nnet import load_checkpoint, save_checkpoint
-from survfuse.smoothing import CellCorpusSpec, load_stage1
+from survfuse.smoothing import CellCorpusSpec, Stage1Result, load_stage1
 
 # ---------------------------------------------------------------------------
 # config files
@@ -478,10 +478,9 @@ def test_a_diverging_run_names_the_fold_epoch_and_step(pipeline, tmp_path, capsy
                         r"finite: rho_g = \S+, rho_p = \S+\n", capsys.readouterr().err)
     cfg = load_run_config(str(ini), smoothing_enabled=False, modulation_enabled=True)
     cohort = load_cohort(cfg.paths.cohort)
-    bundle = experiment.Stage1Bundle(
-        encoder=cfg.smoothing.frozen_encoder(cohort.x_rna.shape[1]), result=None, report=None)
+    stage1 = Stage1Result(cfg.smoothing.frozen_encoder(cohort.x_rna.shape[1]))
     with pytest.raises(NumericalError, match=r"^final fit: epoch 0, step \d+: "):
-        experiment.run_final_fit(cohort, cfg, bundle)
+        experiment.run_final_fit(cohort, cfg, stage1)
 
 
 def test_a_diverging_stage1_writes_one_error_line(pipeline, tmp_path):
@@ -621,7 +620,8 @@ def test_numeric_ini_boundary_ends_cleanly(tmp_path, capsys, section, key, value
     through gen-cells, gen-cohort, pretrain-smooth, a modulated train and
     ablate, in process: each command exits 0 with nothing on stderr, or the
     first that fails exits 1 with one `error:` line, which names the stage
-    and step of a divergence; no `.partial` file is left. Stage 1 trains one
+    and step of a divergence; gen-cohort refuses a noise scale that training
+    could not take, naming its key; no `.partial` file is left. Stage 1 trains one
     epoch, so the 171 cases take about 8 s. Huge ints are left out: `epochs =
     10**9` runs without end, and the size keys would allocate without bound."""
     sections = {name: dict(keys) for name, keys in _SWEEP_BASE.items()}
@@ -640,6 +640,10 @@ def test_numeric_ini_boundary_ends_cleanly(tmp_path, capsys, section, key, value
         assert not list(tmp_path.rglob("*.partial")), argv
         if code != 0:
             assert code == 1 and re.fullmatch(r"error: [^\n]*\n", err), (argv, code, err)
+            if section == "cohort" and key.startswith("noise_"):
+                # a feature scale training cannot take is the generator's to refuse
+                assert argv[0] == "gen-cohort" and err.startswith(
+                    f"error: {key} must lie in [0, 100], got "), (argv, err)
             if re.search(r"non-finite|not finite|decays to 0", err):
                 assert re.search(r"(stage 1|epoch \d+), (step \d+|epoch-end forward): ",
                                  err), err

@@ -687,7 +687,12 @@ def test_inference_chunk_temporaries_stay_small(cohort_4000, mode):
     model.fit_g2_normalization(cohort.x_rna)
     predict_theta(model, cohort)   # the workspace is allocated outside the measurement
     activations = 1.7 if _MEASURED_PEAKS else 2.0
-    assert _peak_bytes(predict_theta, model, cohort) < activations * (2 * _CHUNK - 1) * 128 * 8
+    peak = _peak_bytes(predict_theta, model, cohort)
+    # shown under `pytest -s`, so each interpreter's margin reaches the log
+    print(f"chunk temporaries [{mode}]: Python {sys.version.split()[0]}, numpy "
+          f"{np.__version__}: {peak / ((2 * _CHUNK - 1) * 128 * 8):.3f} activations, "
+          f"bound {activations}")
+    assert peak < activations * (2 * _CHUNK - 1) * 128 * 8
 
 
 def test_save_model_memory_does_not_grow_with_the_file(tmp_path):

@@ -17,7 +17,7 @@ from survfuse.cohort import (Cohort, CohortSpec, generate_cohort, load_cohort,
 from survfuse.config import (RunConfig, load_cells_spec, load_cohort_spec,
                              load_run_config)
 from survfuse.errors import SurvfuseError
-from survfuse.smoothing import (CellCorpusSpec, CellProfile, generate_cells,
+from survfuse.smoothing import (CellCorpus, CellCorpusSpec, generate_cells,
                                 load_cells, save_cells)
 
 NUM_TYPES = 3
@@ -72,11 +72,10 @@ def _valid_cohort(cohort):
 
 
 def _valid_cells(cells):
-    assert cells and all(isinstance(c, CellProfile) for c in cells)
-    assert len({c.expression.size for c in cells}) == 1
-    for c in cells:
-        assert np.isfinite(c.expression).all() and (c.expression >= 0).all()
-    types = {c.cell_type for c in cells}   # the corpus sets its own type count
+    assert isinstance(cells, CellCorpus) and len(cells) > 0
+    assert cells.expression.ndim == 2 and cells.expression.shape[1] > 0
+    assert np.isfinite(cells.expression).all() and (cells.expression >= 0).all()
+    types = set(cells.types.tolist())   # the corpus sets its own type count
     assert types == set(range(len(types)))
 
 

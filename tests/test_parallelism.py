@@ -21,7 +21,7 @@ from survfuse.cohort import Cohort, CohortSpec, generate_cohort, save_cohort
 from survfuse.config import load_run_config
 from survfuse.errors import ConfigError, NumericalError
 from survfuse.experiment import run_ablation, run_cross_validation, run_stage1
-from survfuse.smoothing import (CellCorpusSpec, CellProfile, generate_cells,
+from survfuse.smoothing import (CellCorpus, CellCorpusSpec, generate_cells,
                                 save_cells)
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -137,12 +137,12 @@ def _carries(value, kind) -> bool:
 
 
 def test_fold_pool_has_no_more_workers_than_folds(tiny_run, monkeypatch):
-    cohort, cfg, bundle, _ = tiny_run
+    cohort, cfg, stage1, _ = tiny_run
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
     RecordingPool.reset()
-    pooled = run_cross_validation(cohort, cfg, bundle, jobs=50)
+    pooled = run_cross_validation(cohort, cfg, stage1, jobs=50)
     assert RecordingPool.sizes == [1]   # with this process: one per fold
-    serial = run_cross_validation(cohort, cfg, bundle, jobs=1)
+    serial = run_cross_validation(cohort, cfg, stage1, jobs=1)
     assert RecordingPool.sizes == [1]
     assert pooled == serial
     assert len(RecordingPool.submissions) == 2
@@ -159,14 +159,14 @@ def test_ablate_runs_on_one_pool_and_sends_inputs_once(tiny_run, monkeypatch, jo
     n_tasks = 6 * cfg.k_folds   # every fold of the grid; stage 1 trains here
     assert RecordingPool.sizes == [min(jobs, n_tasks) - 1]
     assert len(RecordingPool.submissions) == n_tasks
-    assert not _carries(RecordingPool.submissions, (Cohort, CellProfile))
+    assert not _carries(RecordingPool.submissions, (Cohort, CellCorpus))
     assert pooled == serial
 
 
 def test_failed_task_cancels_the_rest_and_surfaces_its_error(tiny_run, monkeypatch):
     cohort, cfg, _, cells = tiny_run
 
-    def failing_fold(cohort, plan, fold, cfg, bundle):
+    def failing_fold(cohort, plan, fold, cfg, stage1):
         raise NumericalError(f"fold {fold} diverged")
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
@@ -187,7 +187,7 @@ def test_worker_error_is_a_clean_cli_error_without_running_the_rest(
     started = tmp_path / "started"
     started.mkdir()
 
-    def fold(cohort, plan, fold, cfg, bundle):
+    def fold(cohort, plan, fold, cfg, stage1):
         if cfg.fusion_mode == "concat" and not cfg.smoothing.enabled \
                 and not cfg.modulation.enabled and fold == 0:
             raise NumericalError("row 1 fold 0 diverged")
@@ -284,11 +284,11 @@ def test_every_fold_runs_once_in_this_process_or_a_worker(tiny_run, tmp_path,
     cohort, cfg, _, cells = tiny_run
     real_fold = experiment.run_single_fold
 
-    def marked(cohort, plan, fold, cfg, bundle):
+    def marked(cohort, plan, fold, cfg, stage1):
         row = (cfg.smoothing.enabled, cfg.fusion_mode, cfg.modulation.enabled)
         (tmp_path / f"{row}-{fold}@{os.getpid()}").touch()
         time.sleep(0.2)   # long enough for both processes to take folds
-        return real_fold(cohort, plan, fold, cfg, bundle)
+        return real_fold(cohort, plan, fold, cfg, stage1)
 
     # forked workers inherit the substitute
     monkeypatch.setattr(experiment, "run_single_fold", marked)
@@ -306,7 +306,7 @@ def test_earlier_worker_error_outranks_this_process_error_and_stops_the_rest(
     marks = tmp_path / "marks"
     marks.mkdir()
 
-    def fold(cohort, plan, fold, cfg, bundle):
+    def fold(cohort, plan, fold, cfg, stage1):
         (marks / f"{fold}@{os.getpid()}").touch()
         if fold == 3:   # this process's first task: the back of the queue
             _wait_for(tmp_path / "0-started")
@@ -337,7 +337,7 @@ def test_stage1_error_outranks_a_fold_error_at_jobs_2(tiny_run, tmp_path,
     marks = tmp_path / "marks"
     marks.mkdir()
 
-    def fold(cohort, plan, fold, cfg, bundle):
+    def fold(cohort, plan, fold, cfg, stage1):
         (marks / f"{cfg.smoothing.enabled}-{fold}@{os.getpid()}").touch()
         (tmp_path / "fold-failed").touch()
         raise NumericalError("row 1 fold 0 diverged")
@@ -439,9 +439,9 @@ def test_train_and_ablate_take_jobs(command):
 
 
 def test_jobs_below_one_is_a_clean_error(tiny_run, tmp_path, capsys):
-    cohort, cfg, bundle, _ = tiny_run
+    cohort, cfg, stage1, _ = tiny_run
     with pytest.raises(ConfigError, match="--jobs"):
-        run_cross_validation(cohort, cfg, bundle, jobs=0)
+        run_cross_validation(cohort, cfg, stage1, jobs=0)
     cohort_csv = str(tmp_path / "cohort.csv")
     save_cohort(cohort_csv, cohort)
     argv = ["train", "--cohort", cohort_csv, "--smoothing", "off", "--k-folds", "2",

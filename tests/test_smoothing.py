@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from survfuse.errors import NumericalError, ShapeError, ValidationError
 from survfuse.nnet import DenseLayer, mlp_forward, save_checkpoint
-from survfuse.smoothing import (CellCorpusSpec, CellProfile, FrozenEncoder,
+from survfuse.smoothing import (CellCorpus, CellCorpusSpec, FrozenEncoder,
                                 Stage1Config, Stage1Result, _stack_mixes,
                                 default_encoder, gap_probe_pairs,
                                 generate_cells, interpolation_gap, load_cells,
@@ -18,12 +18,12 @@ from survfuse.smoothing import (CellCorpusSpec, CellProfile, FrozenEncoder,
                                 save_stage1)
 
 
-def _profile(expr, ctype):
-    return CellProfile(np.asarray(expr, dtype=np.float64), ctype)
+def _corpus(rows, types):
+    return CellCorpus(np.asarray(rows, dtype=np.float64), types)
 
 
-def _hot(*cells, num_types=4):
-    return np.eye(num_types)[[c.cell_type for c in cells]]
+def _hot(*types, num_types=4):
+    return np.eye(num_types)[list(types)]
 
 
 # ---------------------------------------------------------------------------
@@ -31,27 +31,28 @@ def _hot(*cells, num_types=4):
 
 
 def _mix_one(a, b, lam):
-    expr = np.stack([a.expression, b.expression])
-    hot = _hot(a, b)
-    mixed, target = _stack_mixes(expr, hot, np.array([0]), np.array([1]),
+    """Mix the cells a and b, each an (expression, type) pair, with weight
+    lam on a."""
+    expr = np.array([a[0], b[0]], dtype=np.float64)
+    mixed, target = _stack_mixes(expr, _hot(a[1], b[1]), np.array([0]), np.array([1]),
                                  np.array([lam], dtype=np.float64))
     return mixed[0], target[0]
 
 
 def test_mix_endpoints_recover_inputs():
-    a = _profile([1.0, 2.0], 0)
-    b = _profile([5.0, 7.0], 2)
+    a = ([1.0, 2.0], 0)
+    b = ([5.0, 7.0], 2)
     mixed, target = _mix_one(a, b, 1.0)
-    assert np.array_equal(mixed, a.expression)
-    assert np.array_equal(target, _hot(a)[0])
+    assert mixed.tolist() == a[0]
+    assert np.array_equal(target, _hot(0)[0])
     mixed, target = _mix_one(a, b, 0.0)
-    assert np.array_equal(mixed, b.expression)
-    assert np.array_equal(target, _hot(b)[0])
+    assert mixed.tolist() == b[0]
+    assert np.array_equal(target, _hot(2)[0])
 
 
 def test_mix_arithmetic_oracle():
-    a = _profile([4.0, 0.0], 1)
-    b = _profile([0.0, 8.0], 3)
+    a = ([4.0, 0.0], 1)
+    b = ([0.0, 8.0], 3)
     mixed, target = _mix_one(a, b, 0.25)
     assert mixed.tolist() == [1.0, 6.0]
     assert target.tolist() == [0.0, 0.25, 0.0, 0.75]
@@ -61,8 +62,8 @@ def test_mix_arithmetic_oracle():
 @given(st.floats(0.0, 1.0), st.integers(0, 2 ** 31 - 1))
 def test_mix_symmetry_and_simplex(lam, seed):
     rng = np.random.default_rng(seed)
-    a = _profile(rng.uniform(0, 3, size=5), int(rng.integers(0, 4)))
-    b = _profile(rng.uniform(0, 3, size=5), int(rng.integers(0, 4)))
+    a = (rng.uniform(0, 3, size=5), int(rng.integers(0, 4)))
+    b = (rng.uniform(0, 3, size=5), int(rng.integers(0, 4)))
     fwd_mixed, fwd_target = _mix_one(a, b, lam)
     rev_mixed, rev_target = _mix_one(b, a, 1.0 - lam)
     assert np.allclose(fwd_mixed, rev_mixed, atol=1e-12)
@@ -73,14 +74,13 @@ def test_mix_symmetry_and_simplex(lam, seed):
 
 def test_stacked_mixes_pair_rows_by_index():
     rng = np.random.default_rng(4)
-    cells = [_profile(rng.uniform(0, 3, size=3), t) for t in (0, 1, 2, 3)]
-    expr = np.stack([c.expression for c in cells])
-    hot = _hot(*cells)
+    cells = _corpus(rng.uniform(0, 3, size=(4, 3)), [0, 1, 2, 3])
+    expr, types = cells.expression, cells.types
     idx_a, idx_b = np.array([0, 2, 3]), np.array([1, 1, 0])
     lams = np.array([0.5, 0.25, 1.0])
-    mixed, target = _stack_mixes(expr, hot, idx_a, idx_b, lams)
+    mixed, target = _stack_mixes(expr, _hot(*types), idx_a, idx_b, lams)
     for row, (i, j, lam) in enumerate(zip(idx_a, idx_b, lams)):
-        want_mixed, want_target = _mix_one(cells[i], cells[j], lam)
+        want_mixed, want_target = _mix_one((expr[i], types[i]), (expr[j], types[j]), lam)
         assert np.array_equal(mixed[row], want_mixed)
         assert np.array_equal(target[row], want_target)
 
@@ -89,21 +89,33 @@ def test_mix_rejects_bad_lambda_and_shapes():
     # interpolation_gap is where caller-chosen lambdas and pairs are mixed
     enc = default_encoder(gene_dim=1, embed_dim=2, seed=0)
     mlp = [DenseLayer.from_params(np.zeros((2, 2)), np.zeros(2), "identity")]
-    a = _profile([1.0], 0)
-    b = _profile([2.0], 1)
+    cells = _corpus([[1.0], [2.0]], [0, 1])
     with pytest.raises(ValidationError):
-        interpolation_gap(enc, mlp, [(a, b)], [1.5])
+        interpolation_gap(enc, mlp, cells, [(0, 1)], [1.5])
     with pytest.raises(ValidationError):
-        interpolation_gap(enc, mlp, [(a, b)], [-0.1])
+        interpolation_gap(enc, mlp, cells, [(0, 1)], [-0.1])
+    with pytest.raises(ValidationError, match=r"pair rows must lie in \[0, 2\)"):
+        interpolation_gap(enc, mlp, cells, [(0, 2)], [0.5])
     with pytest.raises(ShapeError):
-        interpolation_gap(enc, mlp, [(a, _profile([1.0, 2.0], 0))], [0.5])
+        interpolation_gap(enc, mlp, cells, [(0, 1, 0)], [0.5])
 
 
 def test_profile_validation():
-    with pytest.raises(ValidationError):
-        _profile([-1.0], 0)
-    with pytest.raises(ValidationError):
-        _profile([1.0], -1)
+    # the rules load_cells applies, named by the cell's row in the matrix
+    with pytest.raises(ValidationError, match=r"^cell 1: gene_0 = -1.0: expression must"):
+        _corpus([[1.0], [-1.0]], [0, 0])
+    with pytest.raises(ValidationError, match=r"^cell 0: cell_type -1 is negative"):
+        _corpus([[1.0]], [-1])
+    with pytest.raises(ValidationError, match=r"^cell 1: cell_type 2, but no cell has type 1"):
+        _corpus([[1.0], [1.0]], [0, 2])
+    with pytest.raises(ValidationError, match=rf"^cell 1: cell_type {2 ** 64}, but no"):
+        _corpus([[1.0], [1.0]], [0, 2 ** 64])
+    for rows, types in (([[1.0], [1.0]], [0]), (np.zeros((0, 3)), []), ([1.0], [0])):
+        with pytest.raises(ShapeError):
+            _corpus(rows, types)
+    cells = _corpus([[0.0, 1.5], [2.0, 0.0], [1.0, 1.0]], [1, 0, 1])
+    assert len(cells) == 3
+    assert cells.types.dtype == np.intp
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +183,11 @@ def test_encoder_shape_and_activation_errors():
 def test_encoder_checkpoint_round_trip(tmp_path):
     enc = default_encoder(gene_dim=7, embed_dim=4, seed=9)
     rng = np.random.default_rng(9)
-    result = Stage1Result(mlp_a=[DenseLayer(4, 3, "relu", rng=rng)],
+    result = Stage1Result(enc, mlp_a=[DenseLayer(4, 3, "relu", rng=rng)],
                           classifier=DenseLayer(3, 2, rng=rng))
     path = str(tmp_path / "stage1.ckpt")
-    save_stage1(path, result, enc)
-    _, _, back = load_stage1(path)
+    save_stage1(path, result)
+    back = load_stage1(path).encoder
     assert np.array_equal(back.weight, enc.weight)
     assert np.array_equal(back.bias, enc.bias)
     assert back.activation == enc.activation
@@ -188,12 +200,11 @@ def test_encoder_checkpoint_round_trip(tmp_path):
 def test_generate_cells_smoke():
     spec = CellCorpusSpec(n_cells=40, gene_dim=6, num_types=5, seed=2)
     cells = generate_cells(spec)
-    assert len(cells) == 40
-    assert {c.cell_type for c in cells} == set(range(5))
-    assert all((c.expression >= 0).all() for c in cells)
+    assert len(cells) == 40 and cells.expression.shape == (40, 6)
+    assert cells.types.tolist() == [i % 5 for i in range(40)]
+    assert (cells.expression >= 0).all()
     again = generate_cells(spec)
-    assert all(np.array_equal(a.expression, b.expression)
-               for a, b in zip(cells, again))
+    assert np.array_equal(cells.expression, again.expression)
 
 
 def test_corpus_spec_validation():
@@ -211,10 +222,8 @@ def test_cells_csv_round_trip(tmp_path):
     path = str(tmp_path / "cells.csv")
     save_cells(path, cells)
     back = load_cells(path)
-    assert len(back) == len(cells)
-    for a, b in zip(cells, back):
-        assert np.array_equal(a.expression, b.expression)  # repr round-trip is exact
-        assert a.cell_type == b.cell_type
+    assert np.array_equal(back.expression, cells.expression)  # repr round-trip is exact
+    assert np.array_equal(back.types, cells.types)
     save_cells(str(tmp_path / "cells2.csv"), back)
     assert (tmp_path / "cells.csv").read_bytes() == (tmp_path / "cells2.csv").read_bytes()
 
@@ -266,6 +275,20 @@ def test_load_cells_rejects_non_finite_and_negative_values(tmp_path, value):
     path = tmp_path / "bad.csv"
     path.write_text(f"gene_0,gene_1,cell_type\n1.0,2.0,0\n1.0,{value},1\n")
     with pytest.raises(ValidationError, match=rf"{path}: row 3: gene_1 = {value}:"):
+        load_cells(str(path))
+
+
+@pytest.mark.parametrize("later", [b"1.0,oops,1", b"1.0,2.0,x", b"1.0,1", b"1.0,2.0,7"],
+                         ids=["bad-value", "bad-type", "short-row", "type-gap"])
+@pytest.mark.parametrize("bad, message", [
+    (b"1.0,-0.5,1", "gene_1 = -0.5: expression must be finite and non-negative"),
+    (b"1.0,2.0,-1", "cell_type -1 is negative")], ids=["value", "type"])
+def test_load_cells_names_the_earliest_bad_row(tmp_path, later, bad, message):
+    # a corpus rule broken at row 3 outranks whatever row 5 breaks
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"gene_0,gene_1,cell_type\n1.0,2.0,0\n" + bad + b"\n1.0,2.0,1\n"
+                     + later + b"\n1.0,2.0,1\n")
+    with pytest.raises(ValidationError, match=rf"^{path}: row 3: {message}$"):
         load_cells(str(path))
 
 
@@ -327,11 +350,9 @@ def test_pretrain_leaves_encoder_untouched(trained_stage1):
 def test_pretrain_input_validation():
     encoder = default_encoder(gene_dim=4, embed_dim=3, seed=0)
     cfg = Stage1Config(epochs=1, hidden_dim=8, feature_dim=3)
-    with pytest.raises(ValidationError):
-        pretrain_mlp_a([_profile([1.0] * 4, 0)], encoder, cfg)
-    same_type = [_profile([1.0] * 4, 2), _profile([2.0] * 4, 2)]
-    with pytest.raises(ValidationError):
-        pretrain_mlp_a(same_type, encoder, cfg)
+    for types in ([0], [0, 0]):   # one cell, or one type
+        with pytest.raises(ValidationError, match="at least 2 distinct cell types"):
+            pretrain_mlp_a(_corpus([[1.0] * 4] * len(types), types), encoder, cfg)
     with pytest.raises(ValidationError):
         Stage1Config(eta=0.0)
     with pytest.raises(ValidationError):
@@ -348,32 +369,31 @@ def test_epoch_mean_loss_decreases(trained_stage1):
 def test_pure_cell_classification_accuracy(trained_stage1):
     # unmixed cells are the lambda = 1 corner of the mixup region
     cells, encoder, _, result = trained_stage1
-    expr = np.stack([c.expression for c in cells])
-    labels = np.array([c.cell_type for c in cells])
-    feats = mlp_forward(result.mlp_a, encoder.apply(expr))
+    feats = mlp_forward(result.mlp_a, encoder.apply(cells.expression))
     pred = result.classifier.forward(feats).argmax(axis=1)
-    assert (pred == labels).mean() >= 0.9
+    assert (pred == cells.types).mean() >= 0.9
 
 
 def test_training_shrinks_interpolation_gap(trained_stage1):
     cells, encoder, cfg, result = trained_stage1
     pairs, lams = gap_probe_pairs(cells, n_pairs=128, seed=100)
     fresh = pretrain_mlp_a(cells, encoder, Stage1Config(epochs=0, seed=cfg.seed))
-    before = interpolation_gap(encoder, fresh.mlp_a, pairs, lams)
-    after = interpolation_gap(encoder, result.mlp_a, pairs, lams)
+    before = interpolation_gap(encoder, fresh.mlp_a, cells, pairs, lams)
+    after = interpolation_gap(encoder, result.mlp_a, cells, pairs, lams)
     assert after < before
 
 
 def test_stage1_checkpoint_round_trip(tmp_path, trained_stage1):
     cells, encoder, _, result = trained_stage1
     path = str(tmp_path / "stage1.ckpt")
-    save_stage1(path, result, encoder)
-    mlp_a, classifier, enc = load_stage1(path)
-    x = np.stack([c.expression for c in cells[:5]])
+    save_stage1(path, result)
+    back = load_stage1(path)
+    x = cells.expression[:5]
     want = mlp_forward(result.mlp_a, encoder.apply(x))
-    got = mlp_forward(mlp_a, enc.apply(x))
+    got = mlp_forward(back.mlp_a, back.encoder.apply(x))
     assert np.array_equal(want, got)
-    assert np.array_equal(classifier.weight, result.classifier.weight)
+    assert np.array_equal(back.classifier.weight, result.classifier.weight)
+    assert back.loss_history == [] and back.report is None
 
 
 def test_load_stage1_rejects_other_kinds(tmp_path):
@@ -392,8 +412,7 @@ def test_gap_zero_at_lambda_corners():
     encoder = default_encoder(gene_dim=4, embed_dim=3, seed=3)
     mlp = pretrain_mlp_a(cells, encoder,
                          Stage1Config(epochs=0, hidden_dim=8, feature_dim=3)).mlp_a
-    pairs = [(cells[0], cells[1]), (cells[2], cells[3])]
-    assert interpolation_gap(encoder, mlp, pairs, [0.0, 1.0]) == 0.0
+    assert interpolation_gap(encoder, mlp, cells, [(0, 1), (2, 3)], [0.0, 1.0]) == 0.0
 
 
 def test_gap_zero_for_linear_embedding():
@@ -402,23 +421,21 @@ def test_gap_zero_for_linear_embedding():
     d = 4
     enc = FrozenEncoder(np.eye(d), np.zeros(d), activation="identity")
     mlp = [DenseLayer.from_params(np.eye(d), np.zeros(d), "identity")]
-    a = _profile([1.0, 0.0, 2.0, 0.5], 0)
-    b = _profile([0.0, 3.0, 1.0, 2.5], 1)
-    gap = interpolation_gap(enc, mlp, [(a, b)], [0.37])
+    cells = _corpus([[1.0, 0.0, 2.0, 0.5], [0.0, 3.0, 1.0, 2.5]], [0, 1])
+    gap = interpolation_gap(enc, mlp, cells, [(0, 1)], [0.37])
     assert gap == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gap_validation():
     enc = default_encoder(gene_dim=4, embed_dim=2, seed=0)
     mlp = [DenseLayer.from_params(np.zeros((2, 2)), np.zeros(2), "identity")]
-    a = _profile([1.0] * 4, 0)
-    b = _profile([2.0] * 4, 1)
+    cells = _corpus([[1.0] * 4, [2.0] * 4], [0, 1])
     with pytest.raises(ValidationError):
-        interpolation_gap(enc, mlp, [], [])
+        interpolation_gap(enc, mlp, cells, [], [])
     with pytest.raises(ShapeError):
-        interpolation_gap(enc, mlp, [(a, b)], [0.5, 0.6])
+        interpolation_gap(enc, mlp, cells, [(0, 1)], [0.5, 0.6])
     with pytest.raises(ValidationError):
-        interpolation_gap(enc, mlp, [(a, b)], [1.5])
+        interpolation_gap(enc, mlp, cells, [(0, 1)], [1.5])
 
 
 def test_gap_probe_pairs_deterministic():
@@ -426,4 +443,5 @@ def test_gap_probe_pairs_deterministic():
     p1, l1 = gap_probe_pairs(cells, n_pairs=10, seed=42)
     p2, l2 = gap_probe_pairs(cells, n_pairs=10, seed=42)
     assert np.array_equal(l1, l2)
-    assert all(x is y for (x, _), (y, _) in zip(p1, p2))
+    assert np.array_equal(p1, p2)
+    assert p1.shape == (10, 2) and 0 <= p1.min() and p1.max() < 20

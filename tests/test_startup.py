@@ -1,7 +1,8 @@
 """What importing survfuse loads: the package version is looked up on its
 first read, so `import survfuse`, the generators and the forked fold workers
 run without importlib.metadata, and only a process that writes a report
-loads it; a run with the image probe never imports scipy; and no process of
+loads it; gen-cohort and train never import survfuse.gradcheck; a run with
+the image probe never imports scipy; and no process of
 a modulated train or an ablation grid imports numpy.ma, which np.median's
 NaN check loads. pytest itself imports importlib.metadata, so every check of
 sys.modules runs in a fresh interpreter."""
@@ -102,6 +103,22 @@ def test_fold_workers_fork_without_package_metadata(tmp_path):
     assert workers[0][0] != parent[0]
     assert workers[0][1] == "False"
     assert parent[1] == "True"               # the reports, written after the pool closed
+
+
+def test_gen_cohort_and_train_leave_out_gradcheck(tmp_path):
+    # only the gradcheck command imports its module
+    script = """if True:
+        import os, sys
+        from survfuse.cli import main
+        root = sys.argv[1]
+        cfg = ["--config", os.path.join(root, "grid.ini")]
+        assert main(["gen-cohort", *cfg, "--out", root]) == 0
+        assert main(["train", *cfg, "--cohort", os.path.join(root, "cohort.csv"),
+                     "--smoothing", "off", "--modulation", "on", "--out", root]) == 0
+        print("probe", "survfuse.gradcheck" in sys.modules)
+    """
+    (tmp_path / "grid.ini").write_text(GRID_INI)
+    assert _fresh(script, str(tmp_path)) == [["False"]]
 
 
 def test_image_probe_runs_without_scipy(tmp_path):
