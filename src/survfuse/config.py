@@ -13,10 +13,10 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from .cohort import CohortSpec
-from .errors import ConfigError, open_text
+from .errors import ConfigError, ValidationError, open_text
 from .fusion import FUSION_MODES
 from .modulation import ModulationConfig
-from .smoothing import CellCorpusSpec, FrozenEncoder, default_encoder
+from .smoothing import CellCorpusSpec, FrozenEncoder, Stage1Config, default_encoder
 
 
 @dataclass
@@ -85,6 +85,19 @@ class RunConfig:
             if self.track_rho:
                 raise ConfigError("track_rho requires fusion_mode = concat "
                                   "(contribution ratios split the concat head)")
+        try:
+            self.stage1_config()
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def stage1_config(self) -> Stage1Config:
+        """The stage-1 training settings of this run."""
+        sm = self.smoothing
+        return Stage1Config(epochs=sm.stage1_epochs, steps_per_epoch=sm.steps_per_epoch,
+                            batch_pairs=sm.batch_pairs, eta=sm.stage1_eta,
+                            weight_decay=sm.weight_decay,
+                            hidden_dim=self.hidden_dim, feature_dim=sm.feature_dim,
+                            seed=self.seed)
 
 
 def _coerce(raw: str, like, key: str):

@@ -20,11 +20,11 @@ import numpy as np
 from .cohort import Cohort, fold_split, split_folds
 from .config import RunConfig, config_echo
 from .errors import ConfigError, NumericalError
-from .fusion import (FusionModel, FusionSpec, TrainConfig, build_model,
-                     evaluate, image_branch_features, train_survival)
+from .fusion import (FusionModel, FusionSpec, build_model, evaluate,
+                     image_branch_features, train_survival)
 from .modulation import median, with_fold
-from .smoothing import (CellCorpus, Stage1Config, Stage1Result, gap_probe_pairs,
-                        interpolation_gap, pretrain_mlp_a)
+from .smoothing import (CellCorpus, Stage1Result, gap_probe_pairs, interpolation_gap,
+                        pretrain_mlp_a)
 from .survival import probe_c_index
 
 
@@ -44,17 +44,6 @@ def derive_seed(seed: int, tag: int, index: int = 0) -> int:
 # stage 1
 
 
-def stage1_config(cfg: RunConfig) -> Stage1Config:
-    """The stage-1 training settings of a run; a bad value raises
-    ValidationError."""
-    sm = cfg.smoothing
-    return Stage1Config(epochs=sm.stage1_epochs, steps_per_epoch=sm.steps_per_epoch,
-                        batch_pairs=sm.batch_pairs, eta=sm.stage1_eta,
-                        weight_decay=sm.weight_decay,
-                        hidden_dim=cfg.hidden_dim, feature_dim=sm.feature_dim,
-                        seed=cfg.seed)
-
-
 def run_stage1(cells: CellCorpus, cfg: RunConfig) -> Stage1Result:
     """Build the fixed encoder and, if smoothing is on, pretrain MLP-A; the
     report holds the interpolation gap on held-out probe pairs before training
@@ -63,7 +52,7 @@ def run_stage1(cells: CellCorpus, cfg: RunConfig) -> Stage1Result:
     encoder = sm.frozen_encoder(cells.expression.shape[1])
     if not sm.enabled:
         return Stage1Result(encoder)
-    s1cfg = stage1_config(cfg)
+    s1cfg = cfg.stage1_config()
     pairs, lams = gap_probe_pairs(cells, n_pairs=200, seed=cfg.seed)
     untrained = pretrain_mlp_a(cells, encoder, dataclasses.replace(s1cfg, epochs=0))
     gap_before = interpolation_gap(encoder, untrained.mlp_a, cells, pairs, lams)
@@ -78,18 +67,14 @@ def run_stage1(cells: CellCorpus, cfg: RunConfig) -> Stage1Result:
 # one fold
 
 
-def _new_model(cohort: Cohort, cfg: RunConfig, stage1: Stage1Result,
-               seed: int, track_rho: bool = False) -> tuple[FusionModel, TrainConfig]:
-    """A fresh model sized to the cohort, and its training config, from one seed."""
+def _new_model(cohort: Cohort, cfg: RunConfig, stage1: Stage1Result) -> FusionModel:
+    """A fresh model sized to the cohort, initialized from cfg.seed."""
     fspec = FusionSpec(
         dim_cnv_mut=cohort.x_cnv.shape[1], dim_rna=cohort.x_rna.shape[1],
         dim_image=cohort.x_img.shape[1], snn_dim=cfg.snn_dim,
         gen_dim=cfg.gen_dim, img_dim=cfg.img_dim, hidden_dim=cfg.hidden_dim,
         fusion_mode=cfg.fusion_mode)
-    model = build_model(fspec, stage1.encoder, stage1.mlp_a, seed=seed)
-    tcfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, eta=cfg.eta,
-                       seed=seed, modulation=cfg.modulation, track_rho=track_rho)
-    return model, tcfg
+    return build_model(fspec, stage1.encoder, stage1.mlp_a, seed=cfg.seed)
 
 
 def contribution_rows(columns: dict[str, array]):
@@ -101,10 +86,10 @@ def contribution_rows(columns: dict[str, array]):
 def run_single_fold(cohort: Cohort, plan, fold: int,
                     cfg: RunConfig, stage1: Stage1Result) -> dict:
     train, test = fold_split(cohort, plan, fold)
-    model, tcfg = _new_model(cohort, cfg, stage1, derive_seed(cfg.seed, 0xFD, fold),
-                             track_rho=cfg.track_rho)
+    fold_cfg = dataclasses.replace(cfg, seed=derive_seed(cfg.seed, 0xFD, fold))
+    model = _new_model(cohort, fold_cfg, stage1)
     try:
-        tres = train_survival(model, train, tcfg)
+        tres = train_survival(model, train, fold_cfg)
         test_metrics = evaluate(model, test)
     except NumericalError as exc:
         raise NumericalError(f"fold {fold}: {exc}") from exc
@@ -134,9 +119,10 @@ def run_final_fit(cohort: Cohort, cfg: RunConfig, stage1: Stage1Result):
     Its contribution reports are not kept, so it does not compute them unless
     modulation needs them.
     """
-    model, tcfg = _new_model(cohort, cfg, stage1, cfg.seed)
+    cfg = dataclasses.replace(cfg, track_rho=False)
+    model = _new_model(cohort, cfg, stage1)
     try:
-        train_survival(model, cohort, tcfg)
+        train_survival(model, cohort, cfg)
     except NumericalError as exc:
         raise NumericalError(f"final fit: {exc}") from exc
     return model
@@ -348,19 +334,17 @@ def run_ablation(cohort: Cohort, cells: CellCorpus,
     smoothing rows. Row order is fixed: rows 1-3 without smoothing, 4-6
     with, each block ordered concat, kronecker, modulation.
 
-    The stage-1 settings are checked before any fold trains. The folds of
-    rows 1-3, which do not need stage 1, are queued first; this process then
-    trains stage 1 while the pool's workers, if any, start on them; then the
-    folds of rows 4-6 are queued and every fold runs as `_FoldTasks.run`
-    says. With jobs = 1 that is stage 1 first, then every fold in grid
-    order."""
+    The folds of rows 1-3, which do not need stage 1, are queued first; this
+    process then trains stage 1 while the pool's workers, if any, start on
+    them; then the folds of rows 4-6 are queued and every fold runs as
+    `_FoldTasks.run` says. With jobs = 1 that is stage 1 first, then every
+    fold in grid order."""
     _check_jobs(jobs)
     plan = split_folds(cohort, cfg.k_folds, cfg.seed)
     configs = {row_id: _grid_config(cfg, on, label)
                for row_id, on, label in ABLATION_GRID}
     plain = [row_id for row_id, on, _ in ABLATION_GRID if not on]
     smooth = [row_id for row_id, on, _ in ABLATION_GRID if on]
-    stage1_config(configs[smooth[0]])   # fail here, not after rows 1-3 trained
     stage1_by_smoothing = {False: run_stage1(cells, configs[plain[0]])}
     with _FoldTasks(cohort, plan, jobs, len(ABLATION_GRID) * cfg.k_folds) as tasks:
         for row_id in plain:

@@ -28,15 +28,16 @@ activations.
 from __future__ import annotations
 
 from array import array
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .cohort import Cohort
 from .errors import (ConfigError, NumericalError, ShapeError, StateError,
                      ValidationError)
-from .modulation import (STEP_LOG_FIELDS, ModulationConfig, apply_modulation,
-                         branch_scores, contribution_ratio, log_step, median)
+from .modulation import (STEP_LOG_FIELDS, apply_modulation, branch_scores,
+                         contribution_ratio, log_step, median)
 from .nnet import (DenseLayer, ParamGroup, add_layers, as_matrix,
                    checkpoint_layers, layer_group, load_checkpoint, make_mlp,
                    meta_typed, mlp_backward, mlp_forward, save_checkpoint,
@@ -44,6 +45,9 @@ from .nnet import (DenseLayer, ParamGroup, add_layers, as_matrix,
 from .smoothing import FrozenEncoder
 from .survival import (CoxBatch, build_risk_sets, concordance_index,
                        cox_gradient, cox_loss)
+
+if TYPE_CHECKING:   # config imports this module
+    from .config import RunConfig
 
 FUSION_MODES = ("concat", "kronecker")
 
@@ -63,7 +67,7 @@ def _by_row_chunks(model: "FusionModel", rows_fn, n: int) -> np.ndarray:
     which also takes the tail; fewer than 2 * INFERENCE_CHUNK rows are one
     slice, and n = 0 is one empty slice."""
     stops = [*range(INFERENCE_CHUNK, n - INFERENCE_CHUNK + 1, INFERENCE_CHUNK), n]
-    buffers = model._inference_buffers()
+    buffers = model._buffers
     out = None
     with np.errstate(over="ignore", invalid="ignore"):   # see train_survival
         for start, stop in zip([0, *stops], stops):
@@ -138,19 +142,14 @@ class FusionModel:
         # is smaller)
         self.g2_mean: np.ndarray | None = None
         self.g2_std: np.ndarray | None = None
-        self._buffers: tuple[np.ndarray, np.ndarray] | None = None
-
-    def _inference_buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """The chunked inference forwards' workspace: two flat buffers, each
-        the largest chunk (2 * INFERENCE_CHUNK - 1 rows) of the widest hidden
-        layer of the SNN, MLP-A, MLP-B and image stacks. Allocated by the
-        first chunked inference and reused by every later one."""
-        stacks = (self.snn, self.mlp_a or [], self.mlp_b, self.image_encoder)
+        # the chunked inference forwards' workspace: two flat buffers, each
+        # the largest chunk (2 * INFERENCE_CHUNK - 1 rows) of the widest
+        # hidden layer of the SNN, MLP-A, MLP-B and image stacks; np.empty
+        # touches no page until a forward writes one
+        stacks = (snn, mlp_a or [], mlp_b, image_encoder)
         size = (2 * INFERENCE_CHUNK - 1) * max(
             (layer.out_dim for stack in stacks for layer in stack[:-1]), default=0)
-        if self._buffers is None or self._buffers[0].size < size:
-            self._buffers = (np.empty(size), np.empty(size))
-        return self._buffers
+        self._buffers = (np.empty(size), np.empty(size))
 
     def check_widths(self, cohort: Cohort) -> None:
         """Each column block of the cohort is as wide as this model's input for it."""
@@ -328,25 +327,6 @@ def _kronecker_backward(head: DenseLayer, up, g: int):
 
 
 @dataclass
-class TrainConfig:
-    epochs: int = 12
-    batch_size: int = 32
-    eta: float = 0.01
-    seed: int = 0
-    modulation: ModulationConfig = field(
-        default_factory=lambda: ModulationConfig(enabled=False))
-    track_rho: bool = False  # log contribution reports without applying them
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValidationError("epochs must be >= 1")
-        if self.batch_size < 2:
-            raise ValidationError("batch_size must be >= 2")
-        if self.eta <= 0:
-            raise ValidationError("eta must be positive")
-
-
-@dataclass
 class EpochMetrics:
     epoch: int
     loss: float           # per-event mean over the epoch's non-skipped steps
@@ -393,8 +373,10 @@ def image_branch_features(model: FusionModel, cohort: Cohort) -> np.ndarray:
         len(cohort))
 
 
-def train_survival(model: FusionModel, cohort: Cohort, cfg: TrainConfig) -> TrainResult:
-    """Mini-batch SGD on the negative Cox partial log-likelihood.
+def train_survival(model: FusionModel, cohort: Cohort, cfg: RunConfig) -> TrainResult:
+    """Mini-batch SGD on the negative Cox partial log-likelihood, with cfg's
+    epochs, batch_size, eta, seed, modulation and track_rho (which logs
+    contribution reports without applying them).
 
     Per step: forward the batch, backpropagate the Cox gradient, optionally
     rescale the two branch groups from the contribution report, update.
@@ -448,8 +430,7 @@ def train_survival(model: FusionModel, cohort: Cohort, cfg: TrainConfig) -> Trai
                         report = contribution_ratio(s_g, s_p, sub, cfg.modulation)
                         log_step(log, epoch, step_index, report)
                         if cfg.modulation.enabled and step_index >= cfg.modulation.warmup_steps:
-                            apply_modulation(report, groups["genomic"], groups["image"],
-                                             cfg.modulation)
+                            apply_modulation(report, groups["genomic"], groups["image"])
                     sgd_step(group_list, step_decay_eta(cfg.eta, step_index, total_steps))
                 except NumericalError as exc:
                     raise NumericalError(f"epoch {epoch}, step {step_index}: {exc}") from exc

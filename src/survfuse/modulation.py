@@ -207,15 +207,11 @@ def modulation_factor(rho: float) -> float:
 
 
 def apply_modulation(report: ContributionReport, genomic_group: ParamGroup,
-                     image_group: ParamGroup, cfg: ModulationConfig | None = None) -> None:
+                     image_group: ParamGroup) -> None:
     """Write the report's factors into the two branch groups' lr_scale.
 
     The fusion head's group must not be passed here — its step size is
-    never modulated. A disabled config resets both scales to 1.
+    never modulated.
     """
-    if cfg is not None and not cfg.enabled:
-        genomic_group.set_lr_scale(1.0)
-        image_group.set_lr_scale(1.0)
-        return
     genomic_group.set_lr_scale(report.factor_g)
     image_group.set_lr_scale(report.factor_p)

@@ -328,7 +328,8 @@ def test_a9_degenerate_handling(cli_workspace, capsys):
     batch = CoxBatch(np.array([1.0, 2.0]), np.array([False, False]))
     loss_zero = cox_loss(np.array([0.3, -0.7]), batch) == 0.0
 
-    from survfuse.fusion import FusionSpec, TrainConfig, build_model, train_survival
+    from survfuse.config import RunConfig
+    from survfuse.fusion import FusionSpec, build_model, train_survival
     from survfuse.smoothing import default_encoder
     rng = np.random.default_rng(9)
     rows = [(rng.normal(size=4), rng.normal(size=6), rng.normal(size=4)) for _ in range(6)]
@@ -338,7 +339,7 @@ def test_a9_degenerate_handling(cli_workspace, capsys):
                                    snn_dim=4, gen_dim=4, img_dim=4, hidden_dim=8),
                         default_encoder(gene_dim=6, embed_dim=4, seed=0), seed=0)
     # 6 rows, batch 5: the event lands in one batch, the other must be skipped
-    result = train_survival(model, recs, TrainConfig(epochs=1, batch_size=5, seed=0))
+    result = train_survival(model, recs, RunConfig(epochs=1, batch_size=5, seed=0))
     skip_counted = result.skipped_batches == 1
 
     # no comparable pairs at evaluation: explicit error, nonzero exit

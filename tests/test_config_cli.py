@@ -101,6 +101,13 @@ def test_track_rho_needs_concat_mode(tmp_path):
         load_run_config(str(path))
 
 
+def test_stage1_settings_are_checked_when_the_config_loads(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[run]\nhidden_dim = 0\n[smoothing]\nenabled = off\n")
+    with pytest.raises(ConfigError, match="hidden_dim must be positive, got 0"):
+        load_run_config(str(path))
+
+
 def test_cohort_spec_hazard_parsing(tmp_path):
     path = tmp_path / "c.ini"
     path.write_text("[cohort]\nlatent_dim = 4\nhazard_coef = 0.1, 0.2 0.3,0.4\n"
@@ -550,6 +557,8 @@ def test_non_utf8_inputs_are_clean_errors(pipeline, tmp_path, capsys, kind, offs
     ("pretrain-smooth", "weight_decay", "inf"),
     ("pretrain-smooth", "stage1_eta", "nan"),
     ("pretrain-smooth", "stage1_eta", "inf"),
+    ("train", "stage1_eta", "inf"),
+    ("gen-cohort", "weight_decay", "nan"),
 ])
 def test_bad_smoothing_values_are_clean_errors(pipeline, tmp_path, capsys,
                                                command, key, value):

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from survfuse.cohort import Cohort, CohortSpec, generate_cohort
+from survfuse.config import RunConfig
 from survfuse.errors import (ConfigError, NumericalError, ShapeError,
                              StateError, ValidationError)
 from survfuse import fusion
-from survfuse.fusion import (FUSION_MODES, FusionSpec, TrainConfig, build_model,
-                             evaluate, image_branch_features, load_model,
-                             predict_theta, save_model, train_survival)
+from survfuse.fusion import (FUSION_MODES, FusionSpec, build_model, evaluate,
+                             image_branch_features, load_model, predict_theta,
+                             save_model, train_survival)
 from survfuse.modulation import ModulationConfig, median
 from survfuse.nnet import (layer_group, make_mlp, mlp_forward, save_checkpoint,
                            sgd_step)
@@ -135,7 +136,7 @@ def test_param_groups_alias_layers_across_calls_pickling_and_stage1():
     assert layer_group("mlp_a", stage1.mlp_a).flat_params is stage1.mlp_a[0].weight.base
     frozen = [layer.weight.copy() for layer in stage1.mlp_a]
     smoothed = build_model(_small_spec(), enc, stage1.mlp_a, seed=1)
-    train_survival(smoothed, _cohort(), TrainConfig(epochs=1, batch_size=8))
+    train_survival(smoothed, _cohort(), RunConfig(epochs=1, batch_size=8))
     _assert_groups_alias_layers(smoothed, smoothed.param_groups())
     assert all(np.array_equal(layer.weight, w) for layer, w in zip(stage1.mlp_a, frozen))
 
@@ -311,13 +312,12 @@ def _assert_kronecker_refuses(cfg):
 
 
 def test_modulation_rejects_kronecker_mode():
-    _assert_kronecker_refuses(TrainConfig(epochs=1, batch_size=8, seed=0,
-                                          modulation=ModulationConfig(enabled=True)))
+    _assert_kronecker_refuses(RunConfig(epochs=1, batch_size=8, seed=0,
+                                        modulation=ModulationConfig(enabled=True)))
 
 
 def test_track_rho_rejects_kronecker_mode():
-    _assert_kronecker_refuses(TrainConfig(epochs=1, batch_size=8, seed=0,
-                                          track_rho=True))
+    _assert_kronecker_refuses(RunConfig(epochs=1, batch_size=8, seed=0, track_rho=True))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +327,7 @@ def test_track_rho_rejects_kronecker_mode():
 def test_training_leaves_frozen_path_untouched():
     m = _small_model()
     w_before = m.encoder.weight.copy()
-    train_survival(m, _cohort(), TrainConfig(epochs=2, batch_size=8, seed=0))
+    train_survival(m, _cohort(), RunConfig(epochs=2, batch_size=8, seed=0))
     assert np.array_equal(m.encoder.weight, w_before)
 
 
@@ -348,9 +348,9 @@ def test_rho_tracking_does_not_perturb_training():
     cohort = _cohort()
     plain = _small_model(seed=5)
     tracked = _small_model(seed=5)
-    train_survival(plain, cohort, TrainConfig(epochs=2, batch_size=8, seed=5))
+    train_survival(plain, cohort, RunConfig(epochs=2, batch_size=8, seed=5))
     result = train_survival(tracked, cohort,
-                            TrainConfig(epochs=2, batch_size=8, seed=5, track_rho=True))
+                            RunConfig(epochs=2, batch_size=8, seed=5, track_rho=True))
     assert np.array_equal(plain.head.weight, tracked.head.weight)
     assert np.array_equal(plain.image_encoder[0].weight, tracked.image_encoder[0].weight)
     assert list(result.step_log) == ["epoch", "step", "rho_g", "rho_p", "rho_g_clamped",
@@ -362,8 +362,8 @@ def test_modulation_within_warmup_is_inert():
     cohort = _cohort()
     plain = _small_model(seed=6)
     warm = _small_model(seed=6)
-    train_survival(plain, cohort, TrainConfig(epochs=1, batch_size=8, seed=6))
-    train_survival(warm, cohort, TrainConfig(
+    train_survival(plain, cohort, RunConfig(epochs=1, batch_size=8, seed=6))
+    train_survival(warm, cohort, RunConfig(
         epochs=1, batch_size=8, seed=6,
         modulation=ModulationConfig(enabled=True, warmup_steps=10**6)))
     assert np.array_equal(plain.head.weight, warm.head.weight)
@@ -374,8 +374,8 @@ def test_modulation_changes_the_fit_after_warmup():
     cohort = _cohort()
     plain = _small_model(seed=6)
     mod = _small_model(seed=6)
-    train_survival(plain, cohort, TrainConfig(epochs=1, batch_size=8, seed=6))
-    train_survival(mod, cohort, TrainConfig(
+    train_survival(plain, cohort, RunConfig(epochs=1, batch_size=8, seed=6))
+    train_survival(mod, cohort, RunConfig(
         epochs=1, batch_size=8, seed=6,
         modulation=ModulationConfig(enabled=True, warmup_steps=0)))
     assert not np.array_equal(plain.snn[0].weight, mod.snn[0].weight)
@@ -388,7 +388,7 @@ def test_all_censored_batches_are_skipped_not_fatal():
                   x_rna=rng.normal(size=(6, 8)), x_img=rng.normal(size=(6, 6)))
     m = _small_model()
     # batch_size 5 over 6 rows: one batch holds the event, the other cannot
-    result = train_survival(m, cohort, TrainConfig(epochs=1, batch_size=5, seed=0))
+    result = train_survival(m, cohort, RunConfig(epochs=1, batch_size=5, seed=0))
     assert result.skipped_batches == 1
     assert len(result.epochs) == 1
 
@@ -404,7 +404,7 @@ def test_step_log_holds_one_typed_entry_per_reported_step():
     cohort = Cohort([f"p{i}" for i in range(n)], times=rng.uniform(0.5, 5.0, n),
                     events=np.isin(np.arange(n), [0, 5, 9]), x_cnv=rng.normal(size=(n, 6)),
                     x_rna=rng.normal(size=(n, 8)), x_img=rng.normal(size=(n, 6)))
-    cfg = TrainConfig(epochs=3, batch_size=3, seed=0, track_rho=True)
+    cfg = RunConfig(epochs=3, batch_size=3, seed=0, track_rho=True)
     result = train_survival(_small_model(), cohort, cfg)
     log = result.step_log
     assert {key: column.typecode for key, column in log.items()} == STEP_LOG_TYPECODES
@@ -432,7 +432,7 @@ def test_step_log_holds_one_typed_entry_per_reported_step():
 def test_a_diverging_step_names_its_epoch_and_step():
     # eta = 1e6 throws the branch scores so far from zero that the
     # contribution ratio overflows a step later
-    cfg = TrainConfig(epochs=2, batch_size=12, seed=0, eta=1e6, track_rho=True)
+    cfg = RunConfig(epochs=2, batch_size=12, seed=0, eta=1e6, track_rho=True)
     with pytest.raises(NumericalError,
                        match=r"^epoch 0, step \d+: contribution ratio is not finite"):
         train_survival(_small_model(), _cohort(), cfg)
@@ -442,14 +442,14 @@ def test_an_overflow_at_the_epoch_end_forward_names_its_epoch():
     # one step per epoch: the step runs on the initial weights, and its
     # update at eta = 1e300 first overflows in the epoch-end C-index forward
     cohort = _cohort()
-    cfg = TrainConfig(epochs=1, batch_size=len(cohort), seed=0, eta=1e300)
+    cfg = RunConfig(epochs=1, batch_size=len(cohort), seed=0, eta=1e300)
     with pytest.raises(NumericalError, match=r"^epoch 0, epoch-end forward: layer forward "
                                              r"produced non-finite output"):
         train_survival(_small_model(), cohort, cfg)
 
 
 def test_an_underflowing_rate_names_its_epoch_and_step():
-    cfg = TrainConfig(epochs=3, batch_size=12, seed=0, eta=5e-324)
+    cfg = RunConfig(epochs=3, batch_size=12, seed=0, eta=5e-324)
     with pytest.raises(NumericalError, match=r"^epoch 1, step 2: eta = 5e-324 decays to 0"):
         train_survival(_small_model(), _cohort(), cfg)
 
@@ -457,7 +457,7 @@ def test_an_underflowing_rate_names_its_epoch_and_step():
 def test_an_overflowing_layer_names_its_epoch_and_step():
     # without contribution reports the overflow reaches a dense layer, and its
     # non-finite check, not a numpy RuntimeWarning, ends the run
-    cfg = TrainConfig(epochs=2, batch_size=12, seed=0, eta=1e6)
+    cfg = RunConfig(epochs=2, batch_size=12, seed=0, eta=1e6)
     with pytest.raises(NumericalError, match=r"^epoch \d+, step \d+: layer forward produced "
                                              r"non-finite output"):
         train_survival(_small_model(), _cohort(), cfg)
@@ -475,7 +475,7 @@ def test_g2_standardization_fitted_during_training():
     m = _small_model()
     cohort = _cohort()
     assert m.g2_mean is None
-    train_survival(m, cohort, TrainConfig(epochs=1, batch_size=8, seed=0))
+    train_survival(m, cohort, RunConfig(epochs=1, batch_size=8, seed=0))
     assert m.g2_mean is not None
     feats = m.frozen_rna_features(cohort.x_rna)
     assert np.abs(feats.mean(axis=0)).max() < 1e-9
@@ -589,7 +589,7 @@ def test_epoch_end_forward_matches_one_pass(boundary_cohort, monkeypatch, mode, 
         return concordance_index(theta, times, events)
 
     monkeypatch.setattr(fusion, "concordance_index", c_index)
-    train_survival(model, cohort, TrainConfig(epochs=1, seed=0))
+    train_survival(model, cohort, RunConfig(epochs=1, seed=0))
     assert np.array_equal(scored[-1], _one_pass(model, cohort)[2])
 
 
@@ -715,7 +715,7 @@ def trained_on_cohort():
     enc = default_encoder(seed=0)
     spec = FusionSpec(dim_cnv_mut=32, dim_rna=64, dim_image=32)
     model = build_model(spec, enc, seed=0)
-    result = train_survival(model, cohort, TrainConfig(epochs=6, seed=0))
+    result = train_survival(model, cohort, RunConfig(epochs=6, seed=0))
     return cohort, model, result
 
 
@@ -789,9 +789,10 @@ def test_load_model_rejects_other_kinds(tmp_path):
 
 
 def test_train_config_validation():
-    with pytest.raises(ValidationError):
-        TrainConfig(epochs=0)
-    with pytest.raises(ValidationError):
-        TrainConfig(batch_size=1)
-    with pytest.raises(ValidationError):
-        TrainConfig(eta=-0.1)
+    with pytest.raises(ConfigError, match="epochs must be >= 1"):
+        RunConfig(epochs=0)
+    with pytest.raises(ConfigError, match="batch_size must be >= 2"):
+        RunConfig(batch_size=1)
+    for eta in (-0.1, float("inf")):
+        with pytest.raises(ConfigError, match="eta must be positive and finite"):
+            RunConfig(eta=eta)

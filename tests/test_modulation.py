@@ -284,7 +284,7 @@ def test_apply_balanced_report_is_noop():
     batch = _batch([1.0], [True])
     report = contribution_ratio(np.array([1.0]), np.array([1.0]), batch, _cfg())
     gen, img = _groups()
-    apply_modulation(report, gen, img, _cfg())
+    apply_modulation(report, gen, img)
     assert gen.lr_scale == 1.0
     assert img.lr_scale == 1.0
 
@@ -294,17 +294,7 @@ def test_apply_suppresses_dominant_genomic():
     batch = _batch([1.0], [True])
     # rho_g clamps to 10 -> genomic crushed, image untouched
     report = contribution_ratio(np.array([5.0]), np.array([0.01]), batch, _cfg())
-    apply_modulation(report, gen, img, _cfg())
+    apply_modulation(report, gen, img)
     assert gen.lr_scale == pytest.approx(modulation_factor(report.rho_g_clamped))
     assert img.lr_scale == 1.0
 
-
-def test_apply_disabled_resets_scales():
-    gen, img = _groups()
-    gen.set_lr_scale(0.3)
-    img.set_lr_scale(0.4)
-    batch = _batch([1.0], [True])
-    report = contribution_ratio(np.array([5.0]), np.array([0.01]), batch, _cfg())
-    apply_modulation(report, gen, img, _cfg(enabled=False))
-    assert gen.lr_scale == 1.0
-    assert img.lr_scale == 1.0
