@@ -21,9 +21,8 @@ import sys
 from .cohort import generate_cohort, load_cohort, save_cohort
 from .config import config_echo, load_cells_spec, load_cohort_spec, load_run_config
 from .errors import SurvfuseError, ValidationError, write_text
-from .experiment import (ablation_csv_lines, contribution_rows, run_ablation,
-                         run_cross_validation, run_final_fit, run_stage1,
-                         tool_version)
+from .experiment import (ablation_csv_lines, run_ablation, run_cross_validation,
+                         run_final_fit, run_stage1, stream_rows, tool_version)
 from .fusion import evaluate, load_model, save_model
 from .smoothing import (Stage1Result, generate_cells, load_cells, load_stage1,
                         save_cells, save_stage1)
@@ -135,10 +134,9 @@ def cmd_train(args) -> int:
     report = dict(outputs.report)
     report["timestamp"] = _timestamp()
     _write_json(report_path, report, args.force)
-    _write_jsonl(os.path.join(out_dir, "metrics.jsonl"), outputs.epoch_stream,
-                 True)
-    _write_jsonl(os.path.join(out_dir, "contributions.jsonl"),
-                 contribution_rows(outputs.contribution_stream), True)
+    for name, stream in (("metrics.jsonl", outputs.epoch_stream),
+                         ("contributions.jsonl", outputs.contribution_stream)):
+        _write_jsonl(os.path.join(out_dir, name), stream_rows(stream), True)
     model = run_final_fit(cohort, cfg, stage1)   # full-cohort fit for `eval`
     save_model(os.path.join(out_dir, "model.ckpt"), model)
     print(f"C-index {report['c_index_mean']:.4f} +/- {report['c_index_std']:.4f} "

@@ -88,16 +88,22 @@ class RunConfig:
         try:
             self.stage1_config()
         except ValidationError as exc:
-            raise ConfigError(str(exc)) from exc
+            section, key = _STAGE1_KEYS[str(exc).split(" ", 1)[0]]
+            raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
     def stage1_config(self) -> Stage1Config:
         """The stage-1 training settings of this run."""
-        sm = self.smoothing
-        return Stage1Config(epochs=sm.stage1_epochs, steps_per_epoch=sm.steps_per_epoch,
-                            batch_pairs=sm.batch_pairs, eta=sm.stage1_eta,
-                            weight_decay=sm.weight_decay,
-                            hidden_dim=self.hidden_dim, feature_dim=sm.feature_dim,
-                            seed=self.seed)
+        sections = {"run": self, "smoothing": self.smoothing}
+        return Stage1Config(**{name: getattr(sections[section], key)
+                               for name, (section, key) in _STAGE1_KEYS.items()})
+
+
+# Stage1Config field -> the INI section and key that set it; each of
+# Stage1Config's messages leads with the one field it refuses
+_STAGE1_KEYS = {"epochs": ("smoothing", "stage1_epochs"), "eta": ("smoothing", "stage1_eta"),
+                "hidden_dim": ("run", "hidden_dim"), "seed": ("run", "seed"),
+                **{name: ("smoothing", name) for name in
+                   ("steps_per_epoch", "batch_pairs", "weight_decay", "feature_dim")}}
 
 
 def _coerce(raw: str, like, key: str):

@@ -77,8 +77,8 @@ def _new_model(cohort: Cohort, cfg: RunConfig, stage1: Stage1Result) -> FusionMo
     return build_model(fspec, stage1.encoder, stage1.mlp_a, seed=cfg.seed)
 
 
-def contribution_rows(columns: dict[str, array]):
-    """The reports of a contribution stream, one dict each, in order."""
+def stream_rows(columns: dict):
+    """The rows of a run's epoch or contribution stream, one dict each, in order."""
     for values in zip(*columns.values()):
         yield dict(zip(columns, values))
 
@@ -97,9 +97,9 @@ def run_single_fold(cohort: Cohort, plan, fold: int,
         "fold": fold,
         "c_index": test_metrics["c_index"],
         "mean_loss": test_metrics["mean_loss"],
-        "train_c_index": tres.epochs[-1].c_index,
+        "train_c_index": tres.epoch_log["c_index"][-1],
         "skipped_batches": tres.skipped_batches,
-        "epoch_stream": [dict(m.as_dict(), fold=fold) for m in tres.epochs],
+        "epoch_stream": with_fold(tres.epoch_log, fold),
         "contribution_stream": with_fold(tres.step_log, fold),
     }
     if cfg.image_probe:
@@ -130,20 +130,21 @@ def run_final_fit(cohort: Cohort, cfg: RunConfig, stage1: Stage1Result):
 
 @dataclass
 class RunOutputs:
-    report: dict                                # JSON-ready, without the timestamp key
-    epoch_stream: list[dict]                    # one object per (fold, epoch)
-    contribution_stream: dict[str, array]       # one column per report field,
-                                                # one entry per (fold, step) report
+    """A run's report, and its epoch and contribution streams: a fold column, then
+    fusion.EPOCH_LOG_FIELDS or modulation.STEP_LOG_FIELDS, in fold order."""
+    report: dict                          # JSON-ready, without the timestamp key
+    epoch_stream: dict[str, list]
+    contribution_stream: dict[str, array]
 
 
 def _run_outputs(rows: list[dict], cfg: RunConfig, stage1: Stage1Result) -> RunOutputs:
     """One cross-validation run's report and streams from its fold rows."""
     rows = sorted(rows, key=lambda r: r["fold"])
-    epoch_stream, contribution_stream = [], {}
+    streams = {"epoch_stream": {}, "contribution_stream": {}}
     for row in rows:
-        epoch_stream.extend(row.pop("epoch_stream"))
-        for key, column in row.pop("contribution_stream").items():
-            contribution_stream.setdefault(key, array(column.typecode)).extend(column)
+        for name, merged in streams.items():
+            for key, column in row.pop(name).items():
+                merged.setdefault(key, column[:0]).extend(column)
 
     c_values = np.array([row["c_index"] for row in rows])
     report = {
@@ -155,15 +156,14 @@ def _run_outputs(rows: list[dict], cfg: RunConfig, stage1: Stage1Result) -> RunO
         "c_index_mean": float(c_values.mean()),
         "c_index_std": float(c_values.std(ddof=1)) if len(rows) > 1 else 0.0,
         "skipped_batches": int(sum(row["skipped_batches"] for row in rows)),
-        "rho_g_median": median(contribution_stream["rho_g"]),
+        "rho_g_median": median(streams["contribution_stream"]["rho_g"]),
     }
     if cfg.image_probe:
         probe = np.array([row["image_probe_c"] for row in rows])
         report["image_probe_mean"] = float(probe.mean())
     if stage1.report is not None:
         report["stage1"] = stage1.report
-    return RunOutputs(report=report, epoch_stream=epoch_stream,
-                      contribution_stream=contribution_stream)
+    return RunOutputs(report=report, **streams)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ activations.
 from __future__ import annotations
 
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -326,22 +326,15 @@ def _kronecker_backward(head: DenseLayer, up, g: int):
 # training
 
 
-@dataclass
-class EpochMetrics:
-    epoch: int
-    loss: float           # per-event mean over the epoch's non-skipped steps
-    c_index: float        # training-set C-index at epoch end
-    rho_g: float | None = None
-    factor_g: float | None = None
-    factor_p: float | None = None
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+# An epoch log holds one column per field, one entry per epoch: the mean loss
+# per event of its non-skipped steps, the train C-index at its end, and the
+# medians of its step-log columns of the same names (None without reports).
+EPOCH_LOG_FIELDS = ("epoch", "loss", "c_index", "rho_g", "factor_g", "factor_p")
 
 
 @dataclass
 class TrainResult:
-    epochs: list[EpochMetrics]
+    epoch_log: dict[str, list]   # EPOCH_LOG_FIELDS, one entry per epoch
     step_log: dict[str, array]   # modulation.STEP_LOG_FIELDS, one entry per report
     skipped_batches: int
 
@@ -376,7 +369,8 @@ def image_branch_features(model: FusionModel, cohort: Cohort) -> np.ndarray:
 def train_survival(model: FusionModel, cohort: Cohort, cfg: RunConfig) -> TrainResult:
     """Mini-batch SGD on the negative Cox partial log-likelihood, with cfg's
     epochs, batch_size, eta, seed, modulation and track_rho (which logs
-    contribution reports without applying them).
+    contribution reports without applying them). Returns an epoch log
+    (EPOCH_LOG_FIELDS) and a step log (STEP_LOG_FIELDS), one column per field.
 
     Per step: forward the batch, backpropagate the Cox gradient, optionally
     rescale the two branch groups from the contribution report, update.
@@ -398,7 +392,7 @@ def train_survival(model: FusionModel, cohort: Cohort, cfg: RunConfig) -> TrainR
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
 
-    epoch_rows: list[EpochMetrics] = []
+    epoch_log = {key: [] for key in EPOCH_LOG_FIELDS}
     log = {key: array(code) for key, code in STEP_LOG_FIELDS.items()}
     skipped = 0
     # an overflow ends in a non-finite value that a check names with its
@@ -442,11 +436,11 @@ def train_survival(model: FusionModel, cohort: Cohort, cfg: RunConfig) -> TrainR
                 raise NumericalError(f"epoch {epoch}, epoch-end forward: {exc}") from exc
             c_index = concordance_index(theta_all, full.times, full.events)
             mean_loss = epoch_loss_sum / epoch_event_count if epoch_event_count else 0.0
-            epoch_rows.append(EpochMetrics(
-                epoch=epoch, loss=mean_loss, c_index=c_index,
-                rho_g=median(log["rho_g"][first:]), factor_g=median(log["factor_g"][first:]),
-                factor_p=median(log["factor_p"][first:])))
-    return TrainResult(epochs=epoch_rows, step_log=log, skipped_batches=skipped)
+            values = (epoch, mean_loss, c_index,
+                      *(median(log[key][first:]) for key in EPOCH_LOG_FIELDS[3:]))
+            for column, value in zip(epoch_log.values(), values):
+                column.append(value)
+    return TrainResult(epoch_log=epoch_log, step_log=log, skipped_batches=skipped)
 
 
 def evaluate(model: FusionModel, cohort: Cohort) -> dict:

@@ -86,8 +86,7 @@ NEUTRAL_REPORT = ContributionReport(
 
 
 # A step log holds one typed column per field and one entry per reported
-# step: 64-bit ints for the position, float64 for the report's values. A
-# run's contribution stream leads with a fold column of the position's type.
+# step: 64-bit ints for the position, float64 for the report's values.
 STEP_LOG_FIELDS = {"epoch": "q", "step": "q", "rho_g": "d", "rho_p": "d",
                    "rho_g_clamped": "d", "factor_g": "d", "factor_p": "d"}
 
@@ -101,9 +100,9 @@ def log_step(log: dict[str, array], epoch: int, step: int,
         column.append(value)
 
 
-def with_fold(log: dict[str, array], fold: int) -> dict[str, array]:
-    """The log with a leading fold column, as a contribution stream holds it."""
-    return {"fold": array("q", [fold]) * len(log["step"]), **log}
+def with_fold(log: dict, fold: int) -> dict:
+    """A step or epoch log with a leading fold column, as a run's streams hold it."""
+    return {"fold": array("q", [fold]) * len(next(iter(log.values()))), **log}
 
 
 def branch_scores(Wg, G, Wp, P, b: float):

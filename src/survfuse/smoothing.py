@@ -249,9 +249,9 @@ class Stage1Config:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.steps_per_epoch <= 0 or self.batch_pairs <= 0:
-            raise ValidationError("epochs must be >= 0, steps and batch_pairs positive")
-        for key in ("hidden_dim", "feature_dim"):
+        if self.epochs < 0:
+            raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
+        for key in ("steps_per_epoch", "batch_pairs", "hidden_dim", "feature_dim"):
             if getattr(self, key) <= 0:
                 raise ValidationError(f"{key} must be positive, got {getattr(self, key)}")
         if not 0.0 < self.eta < np.inf:

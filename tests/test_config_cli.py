@@ -104,7 +104,8 @@ def test_track_rho_needs_concat_mode(tmp_path):
 def test_stage1_settings_are_checked_when_the_config_loads(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[run]\nhidden_dim = 0\n[smoothing]\nenabled = off\n")
-    with pytest.raises(ConfigError, match="hidden_dim must be positive, got 0"):
+    with pytest.raises(ConfigError,
+                       match=r"^\[run\] hidden_dim: hidden_dim must be positive, got 0$"):
         load_run_config(str(path))
 
 
@@ -234,9 +235,11 @@ def test_metrics_stream_covers_every_fold_epoch(pipeline):
     root, _ = pipeline
     rows = [json.loads(line)
             for line in (root / "run" / "metrics.jsonl").read_text().splitlines()]
-    assert len(rows) == 3 * 2  # folds x epochs
-    assert {(r["fold"], r["epoch"]) for r in rows} == {
-        (f, e) for f in range(3) for e in range(2)}
+    # fold order, then epoch order
+    assert [(r["fold"], r["epoch"]) for r in rows] == [
+        (f, e) for f in range(3) for e in range(2)]
+    assert all(set(r) == {"fold", "epoch", "loss", "c_index", "rho_g", "factor_g",
+                          "factor_p"} for r in rows)
 
 
 def test_eval_consumes_trained_model(pipeline, capsys):
@@ -559,18 +562,25 @@ def test_non_utf8_inputs_are_clean_errors(pipeline, tmp_path, capsys, kind, offs
     ("pretrain-smooth", "stage1_eta", "inf"),
     ("train", "stage1_eta", "inf"),
     ("gen-cohort", "weight_decay", "nan"),
+    ("pretrain-smooth", "stage1_epochs", "-1"),
+    ("train", "steps_per_epoch", "0"),
+    ("gen-cells", "batch_pairs", "0"),
+    ("pretrain-smooth", "feature_dim", "0"),
 ])
 def test_bad_smoothing_values_are_clean_errors(pipeline, tmp_path, capsys,
                                                command, key, value):
     root, _ = pipeline
     ini = tmp_path / "bad.ini"
-    ini.write_text(TINY_INI.format(dir=root).replace(
+    # a key TINY_INI sets is replaced, not repeated (configparser refuses that)
+    ini.write_text(re.sub(rf"(?m)^{key} = .*\n", "", TINY_INI.format(dir=root)).replace(
         "[smoothing]\n", f"[smoothing]\n{key} = {value}\n"))
     out = tmp_path / "out"
     extra = ["--smoothing", "off"] if command == "train" else []
     assert main([command, "--config", str(ini), "--out", str(out), *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    if key != "encoder_scale":   # default_encoder refuses that one, after loading
+        assert err.startswith(f"error: [smoothing] {key}: ")
     assert not out.exists()
 
 

@@ -390,7 +390,7 @@ def test_all_censored_batches_are_skipped_not_fatal():
     # batch_size 5 over 6 rows: one batch holds the event, the other cannot
     result = train_survival(m, cohort, RunConfig(epochs=1, batch_size=5, seed=0))
     assert result.skipped_batches == 1
-    assert len(result.epochs) == 1
+    assert result.epoch_log["epoch"] == [0]
 
 
 # the columns of contributions.jsonl after its fold column, as written
@@ -417,16 +417,15 @@ def test_step_log_holds_one_typed_entry_per_reported_step():
     assert list(log["epoch"]) == [step // 4 for step in log["step"]]
     epochs = np.array(log["epoch"])
     assert max(np.bincount(epochs)) > 2   # some epoch's median is of several reports
-    for metrics in result.epochs:
-        in_epoch = epochs == metrics.epoch
-        for key in ("rho_g", "factor_g", "factor_p"):
-            assert getattr(metrics, key) == median(np.array(log[key])[in_epoch])
+    assert result.epoch_log["epoch"] == [0, 1, 2]
+    for key in ("rho_g", "factor_g", "factor_p"):
+        assert result.epoch_log[key] == [median(np.array(log[key])[epochs == epoch])
+                                         for epoch in range(3)]
 
     plain = train_survival(_small_model(), cohort, dataclasses.replace(cfg, track_rho=False))
     assert {key: c.typecode for key, c in plain.step_log.items()} == STEP_LOG_TYPECODES
     assert not any(plain.step_log.values())
-    assert all(m.rho_g is None and m.factor_g is None and m.factor_p is None
-               for m in plain.epochs)
+    assert all(plain.epoch_log[key] == [None] * 3 for key in ("rho_g", "factor_g", "factor_p"))
 
 
 def test_a_diverging_step_names_its_epoch_and_step():
@@ -721,14 +720,19 @@ def trained_on_cohort():
 
 def test_fit_learns_informative_cohort(trained_on_cohort):
     cohort, model, result = trained_on_cohort
-    assert result.epochs[-1].c_index > 0.65
+    assert result.epoch_log["c_index"][-1] > 0.65
 
 
-def test_epoch_metrics_roundtrip_as_dicts(trained_on_cohort):
+def test_epoch_log_holds_one_entry_per_epoch(trained_on_cohort):
     _, _, result = trained_on_cohort
-    row = result.epochs[0].as_dict()
-    assert set(row) == {"epoch", "loss", "c_index", "rho_g", "factor_g", "factor_p"}
-    assert row["rho_g"] is None  # tracking was off
+    assert fusion.EPOCH_LOG_FIELDS == ("epoch", "loss", "c_index", "rho_g", "factor_g",
+                                       "factor_p")
+    assert list(result.epoch_log) == list(fusion.EPOCH_LOG_FIELDS)
+    assert result.epoch_log["epoch"] == list(range(6))
+    assert all(len(column) == 6 for column in result.epoch_log.values())
+    # tracking was off: no reports, so no medians
+    for key in ("rho_g", "factor_g", "factor_p"):
+        assert result.epoch_log[key] == [None] * 6
 
 
 def test_evaluate_matches_manual_composition(trained_on_cohort):

@@ -214,7 +214,7 @@ def test_worker_error_is_a_clean_cli_error_without_running_the_rest(
 @pytest.mark.parametrize("setting, message", [
     ("weight_decay = nan", "weight_decay must be finite"),
     ("stage1_eta = inf", "eta must be positive and finite"),
-    ("steps_per_epoch = 0", "steps and batch_pairs positive"),
+    ("steps_per_epoch = 0", "steps_per_epoch must be positive"),
     ("feature_dim = 0", "feature_dim")])
 def test_bad_stage1_setting_stops_ablate_before_any_fold(
         setting, message, jobs, tiny_run, tmp_path, monkeypatch, capsys):

@@ -2,8 +2,10 @@
 
 For each seed, at --jobs 1 and at --jobs 2, each in its own run directory, this runs
 gen-cohort, gen-cells, pretrain-smooth, train (stage-1 smoothing,
-modulation, --track-rho, --image-probe), eval and ablate on a small
-configuration, then prints one `sha256 relative-path` line per output file.
+modulation, --track-rho, --image-probe), a second train without contribution
+reports (--modulation off, no --track-rho: its metrics.jsonl holds null rho
+and factor medians), eval and ablate on a small configuration, then prints
+one `sha256 relative-path` line per output file.
 A JSON file is digested without its top-level "timestamp" and with its run
 directory replaced by a fixed token, so the lines of two checkouts (or two
 machines' temporary directories) compare with `diff`:
@@ -80,6 +82,9 @@ def run_pipeline(run_dir: Path, seed: int, jobs: int) -> None:
                "--smoothing", "on", "--modulation", "on", "--track-rho",
                "--image-probe", "--jobs", str(jobs), "--out", str(run_dir / "train")],
               run_dir)
+    _survfuse(["train", *common, "--cohort", cohort, "--stage1", stage1,
+               "--smoothing", "on", "--modulation", "off", "--jobs", str(jobs),
+               "--out", str(run_dir / "train-unmodulated")], run_dir)
     (run_dir / "eval").mkdir()
     _survfuse(["eval", "--config", str(ini), "--cohort", cohort,
                "--model", str(run_dir / "train" / "model.ckpt"),
