@@ -45,8 +45,8 @@ from .smoothing import (CellCorpus, CellCorpusSpec, FrozenEncoder,
                         Stage1Config, Stage1Result, default_encoder,
                         generate_cells, interpolation_gap, load_cells,
                         load_stage1, pretrain_mlp_a, save_cells, save_stage1)
-from .fusion import (FusionModel, FusionSpec, build_model, evaluate,
-                     load_model, predict_theta, save_model, train_survival)
+from .fusion import (FusionModel, build_model, evaluate, load_model,
+                     predict_theta, save_model, train_survival)
 from .cohort import (Cohort, CohortSpec, FoldPlan, default_hazard_coef,
                      fold_split, generate_cohort, load_cohort, modality_spans,
                      save_cohort, split_folds)
@@ -66,7 +66,7 @@ __all__ = [
     "default_encoder", "CellCorpusSpec", "generate_cells", "save_cells",
     "load_cells", "Stage1Config", "Stage1Result", "pretrain_mlp_a",
     "interpolation_gap", "save_stage1", "load_stage1",
-    "FusionSpec", "FusionModel", "build_model", "train_survival", "evaluate",
+    "FusionModel", "build_model", "train_survival", "evaluate",
     "predict_theta", "save_model", "load_model",
     "Cohort", "CohortSpec", "generate_cohort", "FoldPlan", "split_folds",
     "fold_split", "save_cohort", "load_cohort", "modality_spans",

@@ -77,6 +77,10 @@ class RunConfig:
             raise ConfigError("epochs must be >= 1")
         if self.k_folds < 2:
             raise ConfigError("k_folds must be >= 2")
+        for key in ("snn_dim", "gen_dim", "img_dim"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"[run] {key}: {key} must be positive, "
+                                  f"got {getattr(self, key)}")
         if self.fusion_mode not in FUSION_MODES:
             raise ConfigError(f"fusion_mode must be one of {FUSION_MODES}")
         if self.fusion_mode != "concat":

@@ -19,9 +19,8 @@ import numpy as np
 
 from .cohort import Cohort, fold_split, split_folds
 from .config import RunConfig, config_echo
-from .errors import ConfigError, NumericalError
-from .fusion import (FusionModel, FusionSpec, build_model, evaluate,
-                     image_branch_features, train_survival)
+from .errors import ConfigError, SurvfuseError
+from .fusion import build_model, evaluate, image_branch_features, train_survival
 from .modulation import median, with_fold
 from .smoothing import (CellCorpus, Stage1Result, gap_probe_pairs, interpolation_gap,
                         pretrain_mlp_a)
@@ -67,16 +66,6 @@ def run_stage1(cells: CellCorpus, cfg: RunConfig) -> Stage1Result:
 # one fold
 
 
-def _new_model(cohort: Cohort, cfg: RunConfig, stage1: Stage1Result) -> FusionModel:
-    """A fresh model sized to the cohort, initialized from cfg.seed."""
-    fspec = FusionSpec(
-        dim_cnv_mut=cohort.x_cnv.shape[1], dim_rna=cohort.x_rna.shape[1],
-        dim_image=cohort.x_img.shape[1], snn_dim=cfg.snn_dim,
-        gen_dim=cfg.gen_dim, img_dim=cfg.img_dim, hidden_dim=cfg.hidden_dim,
-        fusion_mode=cfg.fusion_mode)
-    return build_model(fspec, stage1.encoder, stage1.mlp_a, seed=cfg.seed)
-
-
 def stream_rows(columns: dict):
     """The rows of a run's epoch or contribution stream, one dict each, in order."""
     for values in zip(*columns.values()):
@@ -85,27 +74,29 @@ def stream_rows(columns: dict):
 
 def run_single_fold(cohort: Cohort, plan, fold: int,
                     cfg: RunConfig, stage1: Stage1Result) -> dict:
-    train, test = fold_split(cohort, plan, fold)
-    fold_cfg = dataclasses.replace(cfg, seed=derive_seed(cfg.seed, 0xFD, fold))
-    model = _new_model(cohort, fold_cfg, stage1)
+    """One fold's row; an error names the fold and keeps its type."""
     try:
+        train, test = fold_split(cohort, plan, fold)
+        fold_cfg = dataclasses.replace(cfg, seed=derive_seed(cfg.seed, 0xFD, fold))
+        model = build_model(fold_cfg, cohort.x_cnv.shape[1], cohort.x_img.shape[1],
+                            stage1.encoder, stage1.mlp_a)
         tres = train_survival(model, train, fold_cfg)
         test_metrics = evaluate(model, test)
-    except NumericalError as exc:
-        raise NumericalError(f"fold {fold}: {exc}") from exc
-    row = {
-        "fold": fold,
-        "c_index": test_metrics["c_index"],
-        "mean_loss": test_metrics["mean_loss"],
-        "train_c_index": tres.epoch_log["c_index"][-1],
-        "skipped_batches": tres.skipped_batches,
-        "epoch_stream": with_fold(tres.epoch_log, fold),
-        "contribution_stream": with_fold(tres.step_log, fold),
-    }
-    if cfg.image_probe:
-        row["image_probe_c"] = probe_c_index(
-            image_branch_features(model, train), train.times, train.events,
-            image_branch_features(model, test), test.times, test.events)
+        row = {
+            "fold": fold,
+            "c_index": test_metrics["c_index"],
+            "mean_loss": test_metrics["mean_loss"],
+            "train_c_index": tres.epoch_log["c_index"][-1],
+            "skipped_batches": tres.skipped_batches,
+            "epoch_stream": with_fold(tres.epoch_log, fold),
+            "contribution_stream": with_fold(tres.step_log, fold),
+        }
+        if cfg.image_probe:
+            row["image_probe_c"] = probe_c_index(
+                image_branch_features(model, train), train.times, train.events,
+                image_branch_features(model, test), test.times, test.events)
+    except SurvfuseError as exc:
+        raise type(exc)(f"fold {fold}: {exc}") from exc
     return row
 
 
@@ -120,11 +111,12 @@ def run_final_fit(cohort: Cohort, cfg: RunConfig, stage1: Stage1Result):
     modulation needs them.
     """
     cfg = dataclasses.replace(cfg, track_rho=False)
-    model = _new_model(cohort, cfg, stage1)
     try:
+        model = build_model(cfg, cohort.x_cnv.shape[1], cohort.x_img.shape[1],
+                            stage1.encoder, stage1.mlp_a)
         train_survival(model, cohort, cfg)
-    except NumericalError as exc:
-        raise NumericalError(f"final fit: {exc}") from exc
+    except SurvfuseError as exc:
+        raise type(exc)(f"final fit: {exc}") from exc
     return model
 
 

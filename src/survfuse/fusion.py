@@ -4,7 +4,10 @@ Genomic branch: cnv/mutation features pass through an SNN (selu stack) to
 G1; bulk rna passes through the frozen encoder and, when stage-1 smoothing
 was run, the frozen MLP-A to G2; MLP-B maps [G1 || G2] to the genomic
 feature G. Image branch: a trainable dense stack maps image features to P.
-The fusion head scores theta per patient:
+build_model takes every width from a RunConfig and the cohort, except the
+rna width, which is the encoder's gene_dim; the SNN, MLP-B and image stacks
+have SNN_HIDDEN, MLP_B_HIDDEN and IMAGE_HIDDEN hidden layers. The fusion
+head scores theta per patient:
 
     concat:     theta = W . [G || P] + b   (W splits into blocks W^G, W^P)
     kronecker:  theta = W . flat([G || 1] outer [P || 1]) + b, computed as the
@@ -83,32 +86,11 @@ def head_width(gen_dim: int, img_dim: int, fusion_mode: str) -> int:
     return gen_dim + img_dim if fusion_mode == "concat" else (gen_dim + 1) * (img_dim + 1)
 
 
-@dataclass
-class FusionSpec:
-    """Architecture hyperparameters; dims must match the cohort."""
-
-    dim_cnv_mut: int
-    dim_rna: int
-    dim_image: int
-    snn_dim: int = 32      # G1 width
-    gen_dim: int = 32      # G width (MLP-B output)
-    img_dim: int = 32      # P width
-    hidden_dim: int = 128
-    # Depth asymmetry mirrors the real pipeline: shallow, quick-to-train
-    # genomic stacks (SNN on engineered features) against a deeper image
-    # network (stand-in for a heavy vision backbone that trains slowly).
-    snn_hidden: int = 1
-    mlp_b_hidden: int = 1
-    image_hidden: int = 3
-    fusion_mode: str = "concat"
-
-    def __post_init__(self):
-        dims = (self.dim_cnv_mut, self.dim_rna, self.dim_image,
-                self.snn_dim, self.gen_dim, self.img_dim, self.hidden_dim)
-        if any(d <= 0 for d in dims):
-            raise ValidationError("all architecture dims must be positive")
-        if min(self.snn_hidden, self.mlp_b_hidden, self.image_hidden) < 0:
-            raise ValidationError("hidden layer counts must be non-negative")
+# Hidden layers per trainable stack. The depth asymmetry mirrors the real
+# pipeline: shallow, quick-to-train genomic stacks (SNN on engineered
+# features) against a deeper image network (stand-in for a heavy vision
+# backbone that trains slowly).
+SNN_HIDDEN, MLP_B_HIDDEN, IMAGE_HIDDEN = 1, 1, 3
 
 
 class FusionModel:
@@ -254,30 +236,30 @@ class FusionModel:
         mlp_backward(self.image_encoder, dP, input_cols=0)
 
 
-def build_model(spec: FusionSpec, encoder: FrozenEncoder,
-                mlp_a: list[DenseLayer] | None = None, seed: int = 0) -> FusionModel:
-    if encoder.gene_dim != spec.dim_rna:
-        raise ShapeError(f"encoder expects {encoder.gene_dim} genes, "
-                         f"cohort rna dim is {spec.dim_rna}")
+def build_model(cfg: RunConfig, dim_cnv_mut: int, dim_image: int, encoder: FrozenEncoder,
+                mlp_a: list[DenseLayer] | None = None) -> FusionModel:
+    """A fresh model for a cohort with dim_cnv_mut 'g' and dim_image 'p'
+    columns: cfg's snn_dim, gen_dim, img_dim, hidden_dim and fusion_mode,
+    initialized from cfg.seed. The SNN, MLP-B and image stacks have
+    SNN_HIDDEN, MLP_B_HIDDEN and IMAGE_HIDDEN hidden layers. The rna input
+    width is the encoder's gene_dim; train_survival and the inference
+    functions check every width against their cohort (check_widths)."""
     if mlp_a:
         if mlp_a[0].in_dim != encoder.embed_dim:
             raise ShapeError("MLP-A input dim does not match encoder embed dim")
         g2_dim = mlp_a[-1].out_dim
     else:
         g2_dim = encoder.embed_dim
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xF5]))
-    snn = make_mlp(spec.dim_cnv_mut, spec.snn_dim, hidden_dim=spec.hidden_dim,
-                   n_hidden=spec.snn_hidden,
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF5]))
+    snn = make_mlp(dim_cnv_mut, cfg.snn_dim, hidden_dim=cfg.hidden_dim, n_hidden=SNN_HIDDEN,
                    activation="selu", out_activation="selu", rng=rng)
-    mlp_b = make_mlp(spec.snn_dim + g2_dim, spec.gen_dim,
-                     hidden_dim=spec.hidden_dim, n_hidden=spec.mlp_b_hidden, rng=rng)
-    image_encoder = make_mlp(spec.dim_image, spec.img_dim,
-                             hidden_dim=spec.hidden_dim, n_hidden=spec.image_hidden,
-                             rng=rng)
-    head = DenseLayer(head_width(spec.gen_dim, spec.img_dim, spec.fusion_mode), 1,
+    mlp_b = make_mlp(cfg.snn_dim + g2_dim, cfg.gen_dim, hidden_dim=cfg.hidden_dim,
+                     n_hidden=MLP_B_HIDDEN, rng=rng)
+    image_encoder = make_mlp(dim_image, cfg.img_dim, hidden_dim=cfg.hidden_dim,
+                             n_hidden=IMAGE_HIDDEN, rng=rng)
+    head = DenseLayer(head_width(cfg.gen_dim, cfg.img_dim, cfg.fusion_mode), 1,
                       "identity", rng=rng)
-    return FusionModel(snn, encoder, mlp_a, mlp_b, image_encoder, head,
-                       spec.fusion_mode)
+    return FusionModel(snn, encoder, mlp_a, mlp_b, image_encoder, head, cfg.fusion_mode)
 
 
 def _kronecker_forward(head: DenseLayer, G, P, *, train: bool) -> np.ndarray:
@@ -371,6 +353,8 @@ def train_survival(model: FusionModel, cohort: Cohort, cfg: RunConfig) -> TrainR
     epochs, batch_size, eta, seed, modulation and track_rho (which logs
     contribution reports without applying them). Returns an epoch log
     (EPOCH_LOG_FIELDS) and a step log (STEP_LOG_FIELDS), one column per field.
+    A cohort block of another width than the model's input for it raises
+    ValidationError (check_widths) before any parameter moves.
 
     Per step: forward the batch, backpropagate the Cox gradient, optionally
     rescale the two branch groups from the contribution report, update.
@@ -379,6 +363,7 @@ def train_survival(model: FusionModel, cohort: Cohort, cfg: RunConfig) -> TrainR
     all-censored batch contributes nothing and is skipped (counted). The
     eta schedule is a function of the step position, skipped or not.
     """
+    model.check_widths(cohort)
     full = build_risk_sets(cohort)
     n = len(cohort)
     # training rows only — no fold leakage; the frozen path never changes mid-run

@@ -16,8 +16,9 @@ from functools import partial
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import NumericalError
-from .fusion import FusionSpec, build_model
+from .fusion import build_model
 from .nnet import DenseLayer, make_mlp, mlp_backward, mlp_forward
 from .smoothing import default_encoder
 from .survival import CoxBatch, cox_gradient, cox_loss
@@ -161,20 +162,21 @@ def check_mlp_stack(seed: int = 0, instances: int = 6,
 
 def check_fusion_end_to_end(fusion_mode: str, seed: int = 0, instances: int = 3,
                             tol: float = 1e-4) -> CheckResult:
-    """Full-model parameter gradients of the Cox loss on tiny shapes."""
+    """Full-model parameter gradients of the Cox loss on tiny widths, at
+    build_model's depths. The hidden width is 8: at 4, the three-layer relu
+    image stack can have rows whose pre-activation is exactly 0, which no
+    input placement moves off the kink."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6C3]))
     n = 6
     batch = CoxBatch(np.linspace(1.0, 2.0, n),
                      np.array([True, False, True, True, False, True]))
 
     def error(inst: int) -> float:
-        spec = FusionSpec(dim_cnv_mut=3, dim_rna=4, dim_image=3,
-                          snn_dim=3, gen_dim=2, img_dim=2, hidden_dim=4,
-                          snn_hidden=1, mlp_b_hidden=1, image_hidden=1,
-                          fusion_mode=fusion_mode)
-        encoder = default_encoder(4, 3, seed=seed * 100 + inst)
+        cfg = RunConfig(seed=seed * 100 + inst, snn_dim=3, gen_dim=2, img_dim=2,
+                        hidden_dim=8, fusion_mode=fusion_mode)
+        encoder = default_encoder(4, 3, seed=cfg.seed)
         mlp_a = make_mlp(3, 2, hidden_dim=4, n_hidden=1, activation="relu", rng=rng)
-        model = build_model(spec, encoder, mlp_a, seed=seed * 100 + inst)
+        model = build_model(cfg, 3, 3, encoder, mlp_a)
         trainable = model.snn + model.mlp_b + model.image_encoder + [model.head]
 
         def draw():

@@ -329,15 +329,14 @@ def test_a9_degenerate_handling(cli_workspace, capsys):
     loss_zero = cox_loss(np.array([0.3, -0.7]), batch) == 0.0
 
     from survfuse.config import RunConfig
-    from survfuse.fusion import FusionSpec, build_model, train_survival
+    from survfuse.fusion import build_model, train_survival
     from survfuse.smoothing import default_encoder
     rng = np.random.default_rng(9)
     rows = [(rng.normal(size=4), rng.normal(size=6), rng.normal(size=4)) for _ in range(6)]
     recs = Cohort([f"p{i}" for i in range(6)], np.arange(1.0, 7.0), np.arange(6) == 0,
                   *zip(*rows))
-    model = build_model(FusionSpec(dim_cnv_mut=4, dim_rna=6, dim_image=4,
-                                   snn_dim=4, gen_dim=4, img_dim=4, hidden_dim=8),
-                        default_encoder(gene_dim=6, embed_dim=4, seed=0), seed=0)
+    model = build_model(RunConfig(snn_dim=4, gen_dim=4, img_dim=4, hidden_dim=8), 4, 4,
+                        default_encoder(gene_dim=6, embed_dim=4, seed=0))
     # 6 rows, batch 5: the event lands in one batch, the other must be skipped
     result = train_survival(model, recs, RunConfig(epochs=1, batch_size=5, seed=0))
     skip_counted = result.skipped_batches == 1

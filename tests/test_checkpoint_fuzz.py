@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survfuse.errors import SurvfuseError
-from survfuse.fusion import FusionModel, FusionSpec, build_model, load_model, save_model
+from survfuse.fusion import FusionModel, head_width, load_model, save_model
 from survfuse.nnet import DenseLayer, load_checkpoint, make_mlp
 from survfuse.smoothing import (FrozenEncoder, Stage1Result, default_encoder,
                                 load_stage1, save_stage1)
@@ -29,10 +29,15 @@ def valid_files(tmp_path_factory):
     encoder = default_encoder(gene_dim=5, embed_dim=3, seed=0)
     mlp_a = make_mlp(3, 2, hidden_dim=4, n_hidden=1, rng=rng)
     for mode in ("concat", "kronecker"):
-        spec = FusionSpec(dim_cnv_mut=3, dim_rna=5, dim_image=2, snn_dim=2, gen_dim=2,
-                          img_dim=2, hidden_dim=3, snn_hidden=0, mlp_b_hidden=0,
-                          image_hidden=1, fusion_mode=mode)
-        model = build_model(spec, encoder, mlp_a, seed=1)
+        # one-layer SNN and MLP-B keep the files short: built here, since
+        # build_model's stacks have fixed depths
+        init = np.random.default_rng(np.random.SeedSequence([1, 0xF5]))
+        snn = make_mlp(3, 2, hidden_dim=3, n_hidden=0, activation="selu",
+                       out_activation="selu", rng=init)
+        mlp_b = make_mlp(4, 2, hidden_dim=3, n_hidden=0, rng=init)
+        image_encoder = make_mlp(2, 2, hidden_dim=3, n_hidden=1, rng=init)
+        head = DenseLayer(head_width(2, 2, mode), 1, rng=init)
+        model = FusionModel(snn, encoder, mlp_a, mlp_b, image_encoder, head, mode)
         model.fit_g2_normalization(rng.normal(size=(6, 5)))
         save_model(str(root / f"{mode}.ckpt"), model)
     stage1 = Stage1Result(encoder, mlp_a=mlp_a, classifier=DenseLayer(2, 3, rng=rng),

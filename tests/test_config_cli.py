@@ -103,10 +103,22 @@ def test_track_rho_needs_concat_mode(tmp_path):
 
 def test_stage1_settings_are_checked_when_the_config_loads(tmp_path):
     path = tmp_path / "run.ini"
-    path.write_text("[run]\nhidden_dim = 0\n[smoothing]\nenabled = off\n")
-    with pytest.raises(ConfigError,
-                       match=r"^\[run\] hidden_dim: hidden_dim must be positive, got 0$"):
-        load_run_config(str(path))
+    for key, value in [("hidden_dim", 0), ("snn_dim", 0), ("snn_dim", -1), ("gen_dim", 0),
+                       ("gen_dim", -1), ("img_dim", 0), ("img_dim", -1)]:
+        path.write_text(f"[run]\n{key} = {value}\n[smoothing]\nenabled = off\n")
+        message = rf"^\[run\] {key}: {key} must be positive, got {value}$"
+        with pytest.raises(ConfigError, match=message):
+            load_run_config(str(path))
+
+
+@pytest.mark.parametrize("command", ["gen-cohort", "train"])
+@pytest.mark.parametrize("key", ["snn_dim", "gen_dim", "img_dim"])
+def test_a_width_below_1_is_refused_when_the_config_loads(tmp_path, capsys, command, key):
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[run]\n{key} = 0\n[paths]\ncohort = {tmp_path}/cohort.csv\n")
+    assert main([command, "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: [run] {key}: {key} must be positive, got 0\n"
+    assert list(tmp_path.iterdir()) == [ini]
 
 
 def test_cohort_spec_hazard_parsing(tmp_path):
@@ -281,6 +293,18 @@ def test_eval_names_the_file_and_columns_of_a_width_mismatch(pipeline, tmp_path,
     assert main(argv) == 1
     assert capsys.readouterr().err == (f"error: {path}: the cohort has 10 '{letter}' "
                                        f"columns, the model expects {expected}\n")
+
+
+def test_train_names_the_columns_a_stage1_encoder_does_not_fit(pipeline, tmp_path, capsys):
+    # the stage-1 encoder was built for 16 genes
+    root, cfg = pipeline
+    path = str(tmp_path / "cohort.csv")
+    save_cohort(path, generate_cohort(CohortSpec(n_patients=45, dim_cnv_mut=8, dim_rna=10,
+                                                 dim_image=8)))
+    argv = ["train", *cfg, "--cohort", path, "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == ("error: fold 0: the cohort has 10 'r' columns, "
+                                       "the model expects 16\n")
 
 
 def _damage_checkpoint(lines, kind):
@@ -491,6 +515,19 @@ def test_a_diverging_run_names_the_fold_epoch_and_step(pipeline, tmp_path, capsy
     stage1 = Stage1Result(cfg.smoothing.frozen_encoder(cohort.x_rna.shape[1]))
     with pytest.raises(NumericalError, match=r"^final fit: epoch 0, step \d+: "):
         experiment.run_final_fit(cohort, cfg, stage1)
+
+
+def test_a_fold_without_a_comparable_pair_names_its_fold(tmp_path, capsys):
+    # in this 40-patient cohort, fold 4 of 15 holds out two censored patients
+    # and one event at the latest time: its C-index is undefined
+    ini = tmp_path / "small.ini"
+    ini.write_text(f"[run]\nepochs = 1\n[cohort]\nn_patients = 40\n"
+                   f"[paths]\ncohort = {tmp_path}/cohort.csv\nout_dir = {tmp_path}/run\n")
+    assert main(["gen-cohort", "--config", str(ini)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(ini), "--smoothing", "off"]) == 1
+    assert capsys.readouterr().err == ("error: fold 4: no comparable pair "
+                                       "(check censoring and time ties)\n")
 
 
 def test_a_diverging_stage1_writes_one_error_line(pipeline, tmp_path):
@@ -715,7 +752,8 @@ import resource
 import sys
 import numpy as np
 from survfuse.cohort import CohortSpec, generate_cohort
-from survfuse.fusion import FusionSpec, build_model, image_branch_features, predict_theta
+from survfuse.config import RunConfig
+from survfuse.fusion import build_model, image_branch_features, predict_theta
 from survfuse.nnet import make_mlp
 from survfuse.smoothing import default_encoder
 mode = sys.argv[1]
@@ -723,9 +761,8 @@ full = generate_cohort(CohortSpec(n_patients=1100, seed=0))
 for hidden in (128, 256):
     mlp_a = make_mlp(32, 32, hidden_dim=hidden, n_hidden=2, activation="relu",
                      rng=np.random.default_rng(0))
-    model = build_model(FusionSpec(dim_cnv_mut=32, dim_rna=64, dim_image=32,
-                                   hidden_dim=hidden, fusion_mode=mode),
-                        default_encoder(seed=0), mlp_a, seed=0)
+    model = build_model(RunConfig(hidden_dim=hidden, fusion_mode=mode), 32, 32,
+                        default_encoder(seed=0), mlp_a)
     model.fit_g2_normalization(full.x_rna)
     for n in (600, 1100):
         cohort = full.take(np.arange(n))

@@ -13,7 +13,7 @@ from survfuse.config import RunConfig
 from survfuse.errors import (ConfigError, NumericalError, ShapeError,
                              StateError, ValidationError)
 from survfuse import fusion
-from survfuse.fusion import (FUSION_MODES, FusionSpec, build_model, evaluate,
+from survfuse.fusion import (FUSION_MODES, build_model, evaluate,
                              image_branch_features, load_model, predict_theta,
                              save_model, train_survival)
 from survfuse.modulation import ModulationConfig, median
@@ -26,15 +26,14 @@ from survfuse.survival import concordance_index
 DIMS = dict(dim_cnv_mut=6, dim_rna=8, dim_image=6)
 
 
-def _small_spec(**kw):
-    base = dict(DIMS, snn_dim=4, gen_dim=4, img_dim=4, hidden_dim=8)
-    base.update(kw)
-    return FusionSpec(**base)
+def _small_config(**kw):
+    return RunConfig(**{"snn_dim": 4, "gen_dim": 4, "img_dim": 4, "hidden_dim": 8, **kw})
 
 
 def _small_model(seed=0, **kw):
     enc = default_encoder(gene_dim=DIMS["dim_rna"], embed_dim=5, seed=seed)
-    return build_model(_small_spec(**kw), enc, seed=seed)
+    return build_model(_small_config(seed=seed, **kw), DIMS["dim_cnv_mut"],
+                       DIMS["dim_image"], enc)
 
 
 def _cohort(n=24, seed=0):
@@ -56,19 +55,15 @@ def _zero_stack(layers):
 
 
 def test_spec_validation():
-    with pytest.raises(ValidationError):
-        _small_spec(snn_dim=0)
-    with pytest.raises(ValidationError):
-        _small_spec(image_hidden=-1)
-    enc = default_encoder(gene_dim=DIMS["dim_rna"], embed_dim=5, seed=0)
-    with pytest.raises(ConfigError, match="attention"):
-        build_model(_small_spec(fusion_mode="attention"), enc, seed=0)
+    with pytest.raises(ConfigError, match="fusion_mode must be one of"):
+        _small_config(fusion_mode="attention")
 
 
 def test_build_model_checks_encoder_dims():
-    enc = default_encoder(gene_dim=99, embed_dim=5, seed=0)
-    with pytest.raises(ShapeError):
-        build_model(_small_spec(), enc, seed=0)
+    enc = default_encoder(gene_dim=DIMS["dim_rna"], embed_dim=5, seed=0)
+    mlp_a = make_mlp(4, 3, hidden_dim=4, n_hidden=1, rng=np.random.default_rng(0))
+    with pytest.raises(ShapeError, match="MLP-A input dim does not match encoder embed dim"):
+        build_model(_small_config(), DIMS["dim_cnv_mut"], DIMS["dim_image"], enc, mlp_a)
 
 
 def test_build_model_is_seed_deterministic():
@@ -78,10 +73,9 @@ def test_build_model_is_seed_deterministic():
 
 
 def test_depth_knobs_control_stack_sizes():
-    m = _small_model(snn_hidden=0, mlp_b_hidden=2, image_hidden=3)
-    assert len(m.snn) == 1
-    assert len(m.mlp_b) == 3
-    assert len(m.image_encoder) == 4
+    assert (fusion.SNN_HIDDEN, fusion.MLP_B_HIDDEN, fusion.IMAGE_HIDDEN) == (1, 1, 3)
+    m = _small_model()
+    assert [len(m.snn), len(m.mlp_b), len(m.image_encoder)] == [2, 2, 4]
 
 
 def test_param_groups_partition():
@@ -135,7 +129,8 @@ def test_param_groups_alias_layers_across_calls_pickling_and_stage1():
                                                     hidden_dim=8, feature_dim=4))
     assert layer_group("mlp_a", stage1.mlp_a).flat_params is stage1.mlp_a[0].weight.base
     frozen = [layer.weight.copy() for layer in stage1.mlp_a]
-    smoothed = build_model(_small_spec(), enc, stage1.mlp_a, seed=1)
+    smoothed = build_model(_small_config(seed=1), DIMS["dim_cnv_mut"], DIMS["dim_image"],
+                           enc, stage1.mlp_a)
     train_survival(smoothed, _cohort(), RunConfig(epochs=1, batch_size=8))
     _assert_groups_alias_layers(smoothed, smoothed.param_groups())
     assert all(np.array_equal(layer.weight, w) for layer, w in zip(stage1.mlp_a, frozen))
@@ -536,9 +531,8 @@ def _default_width_model(cohort, fusion_mode="concat"):
     rna_dim = cohort.x_rna.shape[1]
     mlp_a = make_mlp(32, 32, hidden_dim=128, n_hidden=2, activation="relu",
                      rng=np.random.default_rng(0))
-    spec = FusionSpec(dim_cnv_mut=cohort.x_cnv.shape[1], dim_rna=rna_dim,
-                      dim_image=cohort.x_img.shape[1], fusion_mode=fusion_mode)
-    return build_model(spec, default_encoder(rna_dim, 32, seed=0), mlp_a, seed=0)
+    return build_model(RunConfig(fusion_mode=fusion_mode), cohort.x_cnv.shape[1],
+                       cohort.x_img.shape[1], default_encoder(rna_dim, 32, seed=0), mlp_a)
 
 
 # 0, 255, 256, 257, 389: no rows, the most run in one piece, then two and
@@ -616,10 +610,9 @@ def test_inference_workspace_follows_the_layers_and_is_reused(boundary_cohort):
     cohort = boundary_cohort
     mlp_a = make_mlp(32, 32, hidden_dim=200, n_hidden=2, activation="relu",
                      rng=np.random.default_rng(0))
-    spec = FusionSpec(dim_cnv_mut=cohort.x_cnv.shape[1], dim_rna=cohort.x_rna.shape[1],
-                      dim_image=cohort.x_img.shape[1], hidden_dim=16)
-    model = build_model(spec, default_encoder(cohort.x_rna.shape[1], 32, seed=0), mlp_a,
-                        seed=0)
+    enc = default_encoder(cohort.x_rna.shape[1], 32, seed=0)
+    model = build_model(RunConfig(hidden_dim=16), cohort.x_cnv.shape[1],
+                        cohort.x_img.shape[1], enc, mlp_a)
     theta = predict_theta(model, cohort)
     buffers = model._buffers
     assert [b.size for b in buffers] == [(2 * _CHUNK - 1) * 200] * 2
@@ -712,8 +705,7 @@ def test_save_model_memory_does_not_grow_with_the_file(tmp_path):
 def trained_on_cohort():
     cohort = generate_cohort(CohortSpec(n_patients=200, seed=0))
     enc = default_encoder(seed=0)
-    spec = FusionSpec(dim_cnv_mut=32, dim_rna=64, dim_image=32)
-    model = build_model(spec, enc, seed=0)
+    model = build_model(RunConfig(), 32, 32, enc)
     result = train_survival(model, cohort, RunConfig(epochs=6, seed=0))
     return cohort, model, result
 
@@ -745,9 +737,7 @@ def test_evaluate_matches_manual_composition(trained_on_cohort):
 
 def test_evaluate_constant_scores_give_chance_c(trained_on_cohort):
     cohort, _, _ = trained_on_cohort
-    m = _small_model()
-    spec = FusionSpec(dim_cnv_mut=32, dim_rna=64, dim_image=32)
-    m = build_model(spec, default_encoder(seed=0), seed=0)
+    m = build_model(RunConfig(), 32, 32, default_encoder(seed=0))
     for stack in (m.snn, m.mlp_b, m.image_encoder, [m.head]):
         _zero_stack(stack)
     assert evaluate(m, cohort)["c_index"] == 0.5
@@ -759,9 +749,18 @@ def test_inference_names_the_block_of_a_width_mismatch(letter, block):
     narrow = dataclasses.replace(cohort, **{block: getattr(cohort, block)[:, :3]})
     want = DIMS[{"g": "dim_cnv_mut", "r": "dim_rna", "p": "dim_image"}[letter]]
     message = f"the cohort has 3 '{letter}' columns, the model expects {want}"
-    for infer in (predict_theta, evaluate, image_branch_features):
+
+    def train(model, cohort):
+        return train_survival(model, cohort, RunConfig(epochs=1, batch_size=8))
+
+    for infer in (predict_theta, evaluate, image_branch_features, train):
+        model = _small_model()
+        before = {name: group.flat_params.copy()
+                  for name, group in model.param_groups().items()}
         with pytest.raises(ValidationError, match=message):
-            infer(_small_model(), narrow)
+            infer(model, narrow)
+        for name, group in model.param_groups().items():
+            assert np.array_equal(group.flat_params, before[name]), (infer, name)
 
 
 def test_image_branch_features_shape(trained_on_cohort):

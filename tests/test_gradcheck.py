@@ -1,8 +1,11 @@
 """The finite-difference verification suite must pass on its own."""
 
 import numpy as np
+import pytest
 
-from survfuse.gradcheck import fd_param_gradient, relative_error, run_all
+from survfuse import fusion
+from survfuse.gradcheck import (check_fusion_end_to_end, fd_param_gradient,
+                                relative_error, run_all)
 
 
 def test_relative_error_conventions():
@@ -33,3 +36,12 @@ def test_check_names_cover_the_pipeline():
     assert any("mlp" in n for n in names)
     assert any("concat" in n for n in names)
     assert any("kronecker" in n for n in names)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("mode", fusion.FUSION_MODES)
+def test_fusion_end_to_end_passes_at_the_shipped_depths(mode, seed):
+    # build_model's stacks, relu image stack included, at hidden width 8:
+    # every draw must place its inputs away from the kinks
+    res = check_fusion_end_to_end(mode, seed)
+    assert res.passed, res.line()
