@@ -18,6 +18,14 @@ import json
 import os
 import sys
 
+# numpy.random imports secrets, hence hmac and hashlib, and both import
+# _hashlib, which maps OpenSSL's libcrypto (3.3 MB resident). No command
+# hashes anything and every generator is seeded, so a None entry makes that
+# import fail and both modules fall back to CPython's built-in hashes; set
+# before any command imports numpy.random, and inherited by forked workers.
+# setdefault leaves a process that already loaded _hashlib as it is.
+sys.modules.setdefault("_hashlib", None)
+
 from .cohort import generate_cohort, load_cohort, save_cohort
 from .config import config_echo, load_cells_spec, load_cohort_spec, load_run_config
 from .errors import SurvfuseError, ValidationError, write_text

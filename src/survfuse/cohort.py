@@ -39,6 +39,11 @@ _CENSOR_TOL = 0.02      # calibration stops when within this of the target
 _CENSOR_MAX_SCALE = 1e12
 # in units of the signal: at 100 a block's probe is at chance; at 1e3 training diverged
 MAX_NOISE = 100.0
+# the largest feature magnitude load_cohort accepts. At MAX_NOISE the generator
+# wrote |x| up to 507 in 20,000 rows; a tiny modulated train (2 folds, 1 epoch,
+# 40 patients, seeds 0-4) with a cohort's image, genomic or all blocks scaled
+# up first diverged at |x| = 748, and 12 of its 15 runs past 1e3 or not at all
+MAX_FEATURE = 1e3
 
 
 @dataclass(eq=False)
@@ -227,9 +232,16 @@ class FoldPlan:
     fold_of: np.ndarray
 
 
+def _has_comparable_pair(times: np.ndarray, events: np.ndarray) -> bool:
+    """Whether some event comes strictly before the latest time (the
+    C-index's comparable pair)."""
+    return bool(events.any()) and times[events].min() < times.max()
+
+
 def split_folds(cohort: Cohort, k: int, seed: int) -> FoldPlan:
     """Seeded shuffle + round robin, then swap repairs until every fold's
-    test split holds at least one uncensored row."""
+    test split holds at least one uncensored row, then until each holds a
+    comparable pair. A fold that already has one is touched only as a donor."""
     n = len(cohort)
     if k < 2:
         raise ValidationError("k must be at least 2")
@@ -256,7 +268,32 @@ def split_folds(cohort: Cohort, k: int, seed: int) -> FoldPlan:
             fold_of[take], fold_of[give] = fold, donor
             event_count[donor] -= 1
             event_count[fold] += 1
+    for fold in range(k):
+        held_out = fold_of == fold
+        if not (_has_comparable_pair(cohort.times[held_out], cohort.events[held_out])
+                or _swap_in_an_earlier_event(cohort, fold_of, fold)):
+            raise ValidationError(
+                f"k_folds = {k}: no fold plan found that gives every held-out fold "
+                f"a comparable pair (an event before its latest time) from {n} rows "
+                f"with {n_events} events; lower k_folds")
     return FoldPlan(k=k, fold_of=fold_of)
+
+
+def _swap_in_an_earlier_event(cohort: Cohort, fold_of: np.ndarray, fold: int) -> bool:
+    """Swap into `fold` the first event, in row order, of another fold that
+    dates before this fold's latest time, for the first row of this fold
+    that leaves both folds a comparable pair; False if no such swap exists."""
+    times, events = cohort.times, cohort.events
+    rows = np.flatnonzero(fold_of == fold)
+    for take in np.flatnonzero(events & (times < times[rows].max()) & (fold_of != fold)):
+        donor = fold_of[take]
+        for give in rows:
+            fold_of[take], fold_of[give] = fold, donor
+            if all(_has_comparable_pair(times[fold_of == f], events[fold_of == f])
+                   for f in (fold, donor)):
+                return True
+            fold_of[take], fold_of[give] = donor, fold
+    return False
 
 
 def fold_split(cohort: Cohort, plan: FoldPlan, fold: int) -> tuple[Cohort, Cohort]:
@@ -330,10 +367,11 @@ def load_cohort(path: str) -> Cohort:
                 vals = [float(v) for v in row[3:]]
             except ValueError as exc:
                 raise ValidationError(f"{path}: row {row_no}: {exc}") from exc
-            finite = list(map(math.isfinite, vals))
-            if not all(finite):
-                col = header[3 + finite.index(False)]
-                raise ValidationError(f"{path}: row {row_no}: column '{col}' is not finite")
+            if not (all(map(math.isfinite, vals)) and max(map(abs, vals)) <= MAX_FEATURE):
+                i = next(i for i, v in enumerate(vals) if not abs(v) <= MAX_FEATURE)
+                problem = ("is not finite" if not math.isfinite(vals[i]) else
+                           f"is {vals[i]!r}, past the feature bound {MAX_FEATURE:g}")
+                raise ValidationError(f"{path}: row {row_no}: column '{header[3 + i]}' {problem}")
             if not (math.isfinite(time) and time > 0.0):
                 raise ValidationError(f"{path}: row {row_no}: record '{row[0]}': "
                                       f"time must be positive, got {time}")

@@ -219,9 +219,12 @@ def _event_free_before_repair(cohort, k, seed):
 def test_fold_labels_after_repairing_four_event_free_folds():
     cohort = generate_cohort(CohortSpec(n_patients=30, seed=0, censor_fraction=0.6))
     assert _event_free_before_repair(cohort, 12, seed=0) == 4
-    assert split_folds(cohort, 12, seed=0).fold_of.tolist() == [
-        11, 2, 1, 9, 3, 3, 8, 0, 5, 5, 0, 2, 1, 10, 6, 7, 11, 4, 5, 4, 7, 4, 9, 3, 6,
-        10, 1, 0, 8, 2]
+    # then three folds (2, 3 and 9) hold no comparable pair and take a swap each
+    plan = split_folds(cohort, 12, seed=0)
+    assert plan.fold_of.tolist() == [
+        9, 2, 1, 11, 2, 3, 8, 0, 5, 3, 0, 2, 1, 10, 6, 7, 11, 4, 5, 4, 7, 4, 9, 3, 6,
+        10, 1, 0, 8, 5]
+    assert all(_has_comparable_pair(cohort, plan, f) for f in range(12))
 
 
 def test_fold_labels_without_repair():
@@ -230,6 +233,32 @@ def test_fold_labels_without_repair():
     assert split_folds(cohort, 5, seed=3).fold_of.tolist() == [
         2, 3, 4, 1, 3, 1, 3, 1, 4, 4, 3, 4, 4, 0, 2, 2, 0, 4, 0, 0, 1, 3, 2, 2, 0, 1, 3,
         0, 2, 1]
+
+
+def _has_comparable_pair(cohort, plan, fold):
+    """Whether some event of the held-out fold comes before its latest time."""
+    rows = _test_rows(plan, fold)
+    times, events = cohort.times[rows], cohort.events[rows]
+    return bool(events.any()) and times[events].min() < times.max()
+
+
+def test_every_small_fold_gets_a_comparable_pair():
+    # at 40 patients and 15 folds, the shuffle gives 18 of these 30 cohorts
+    # 24 folds whose events all fall at their latest time; a swap repairs each
+    for seed in range(30):
+        cohort = _cohort(40, seed=seed)
+        plan = split_folds(cohort, 15, seed=seed)
+        assert sorted(np.bincount(plan.fold_of, minlength=15)) == [2] * 5 + [3] * 10
+        assert all(_has_comparable_pair(cohort, plan, f) for f in range(15)), seed
+
+
+def test_a_split_without_a_comparable_pair_per_fold_is_refused():
+    # the only events are the two latest times: the fold that holds the
+    # earlier of them has no event before its latest time, and no fold has one
+    cohort = _cohort(12, seed=1)
+    cohort.events[:] = cohort.times >= np.sort(cohort.times)[-2]
+    with pytest.raises(ValidationError, match=r"^k_folds = 2: .* from 12 rows with 2 events"):
+        split_folds(cohort, k=2, seed=0)
 
 
 def test_split_errors():
@@ -296,6 +325,11 @@ def test_load_cohort_row_addressed_errors(tmp_path):
         path.write_text(head + f"a,1.0,1,0.1,0.2,0.3\nb,2.0,0,0.1,{bad},0.3\n")
         with pytest.raises(ValidationError, match="row 3: column 'r0' is not finite"):
             load_cohort(str(path))
+    # the first bad row in file order is the one named, and in it the first bad column
+    path.write_text(head + "a,1.0,1,0.1,0.2,1000.0\nb,2.0,0,0.1,-1000.5,nan\nc,3.0,2,0,0,0\n")
+    with pytest.raises(ValidationError, match=r"^\S+: row 3: column 'r0' is -1000\.5, "
+                                              r"past the feature bound 1000$"):
+        load_cohort(str(path))
     path.write_text("id,time,event,q0\na,1.0,1,0.5\n")
     with pytest.raises(ValidationError, match="unexpected column"):
         load_cohort(str(path))

@@ -517,17 +517,63 @@ def test_a_diverging_run_names_the_fold_epoch_and_step(pipeline, tmp_path, capsy
         experiment.run_final_fit(cohort, cfg, stage1)
 
 
-def test_a_fold_without_a_comparable_pair_names_its_fold(tmp_path, capsys):
-    # in this 40-patient cohort, fold 4 of 15 holds out two censored patients
-    # and one event at the latest time: its C-index is undefined
+def _small_ini(tmp_path) -> str:
     ini = tmp_path / "small.ini"
     ini.write_text(f"[run]\nepochs = 1\n[cohort]\nn_patients = 40\n"
                    f"[paths]\ncohort = {tmp_path}/cohort.csv\nout_dir = {tmp_path}/run\n")
-    assert main(["gen-cohort", "--config", str(ini)]) == 0
+    return str(ini)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5])
+def test_small_cohorts_whose_split_drew_a_fold_without_a_comparable_pair_train(
+        tmp_path, capsys, seed):
+    # the shuffle gives fold 4, 13 and 13 of 15 no event before its latest
+    # time; the split swaps one in, so every held-out C-index is defined
+    ini = _small_ini(tmp_path)
+    assert main(["gen-cohort", "--config", ini, "--seed", str(seed)]) == 0
+    assert main(["train", "--config", ini, "--smoothing", "off", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().err == ""
+    folds = json.loads((tmp_path / "run" / "report.json").read_text())["per_fold"]
+    assert len(folds) == 15 and all(0.0 <= fold["c_index"] <= 1.0 for fold in folds)
+
+
+def test_a_cohort_no_fold_plan_can_score_is_refused_before_any_fold(
+        tmp_path, monkeypatch, capsys):
+    # only the two latest times are events: the fold that holds the earlier
+    # one has no event before its latest time, and no other fold has one
+    ini = _small_ini(tmp_path)
+    assert main(["gen-cohort", "--config", ini]) == 0
+    cohort = load_cohort(str(tmp_path / "cohort.csv"))
+    cohort.events[:] = cohort.times >= np.sort(cohort.times)[-2]
+    save_cohort(str(tmp_path / "cohort.csv"), cohort)
+    folds = []
+    monkeypatch.setattr(experiment, "run_single_fold",
+                        lambda *args: folds.append(args) or {})
     capsys.readouterr()
-    assert main(["train", "--config", str(ini), "--smoothing", "off"]) == 1
-    assert capsys.readouterr().err == ("error: fold 4: no comparable pair "
-                                       "(check censoring and time ties)\n")
+    assert main(["train", "--config", ini, "--smoothing", "off", "--k-folds", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: k_folds = 2: no fold plan found that gives every held-out fold a "
+        "comparable pair (an event before its latest time) from 40 rows with 2 events; "
+        "lower k_folds\n")
+    assert folds == []
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_cohort_scaled_past_the_feature_bound_is_refused_when_it_loads(
+        pipeline, tmp_path, capsys):
+    # scaled by 1e200, the image columns used to train until the contribution
+    # ratio overflowed; the loader names the first value past the bound
+    root, _ = pipeline
+    cohort = load_cohort(str(root / "cohort.csv"))
+    cohort.x_img *= 1e200
+    path = tmp_path / "scaled.csv"
+    save_cohort(str(path), cohort)
+    argv = ["train", "--config", str(root / "tiny.ini"), "--cohort", str(path),
+            "--out", str(tmp_path / "run"), "--smoothing", "off", "--modulation", "on"]
+    assert main(argv) == 1
+    assert re.fullmatch(rf"error: {re.escape(str(path))}: row 2: column 'p\d+' is "
+                        r"-?\d\.\d+e\+2\d\d, past the feature bound 1000\n",
+                        capsys.readouterr().err)
 
 
 def test_a_diverging_stage1_writes_one_error_line(pipeline, tmp_path):

@@ -12,7 +12,7 @@ from survfuse.modulation import (ModulationConfig, apply_modulation,
                                  branch_scores, contribution_ratio, median,
                                  modulation_factor)
 from survfuse.nnet import DenseLayer, layer_group
-from survfuse.survival import CoxBatch
+from survfuse.survival import CoxBatch, cox_loss
 
 RHO_SINGLE_EVENT = 1.2130613194252668      # (1/e) / (0.5*e^-0.5)
 FACTOR_AT_TWO = 0.23840584404423515        # 1 - tanh(1)
@@ -176,6 +176,27 @@ def test_exp_numerator_reading_is_softmax_share():
     r_g = np.exp(1.0) / (np.exp(1.0) + 1.0)
     r_p = 1.0 / (1.0 + np.exp(1.0))
     assert report.rho_g == pytest.approx(r_g / r_p, rel=1e-12)
+
+
+def test_moving_a_constant_between_the_halves_moves_only_the_raw_ratio():
+    # theta = s_g + s_p sees only the sum, and the halves' split of the head
+    # bias (b/2 each) is arbitrary: the softmax reading is shift-invariant per
+    # branch, the signed raw reading is not
+    rng = np.random.default_rng(11)
+    n = 32
+    G, P = rng.normal(size=(n, 6)), rng.normal(size=(n, 4))
+    s_g, s_p = branch_scores(rng.normal(size=6), G, rng.normal(size=4), P, 0.3)
+    batch = _batch(rng.exponential(size=n), rng.uniform(size=n) < 0.7)
+    losses, softmax, raw = [], [], []
+    for c in (0.0, 0.5, -1.0):
+        g, p = s_g + c, s_p - c
+        losses.append(cox_loss(g + p, batch))
+        softmax.append(contribution_ratio(g, p, batch, _cfg(exp_numerator=True)).rho_g)
+        raw.append(contribution_ratio(g, p, batch, _cfg()).rho_g)
+    assert losses == pytest.approx([losses[0]] * 3, rel=1e-12, abs=0.0)
+    assert softmax == pytest.approx([softmax[0]] * 3, rel=0.0, abs=1e-12)
+    assert min(abs(a - b) for a, b in ((raw[0], raw[1]), (raw[0], raw[2]),
+                                       (raw[1], raw[2]))) > 0.01, raw
 
 
 @pytest.mark.parametrize("genomic_offset", [-800.0, 0.0])

@@ -2,10 +2,12 @@
 first read, so `import survfuse`, the generators and the forked fold workers
 run without importlib.metadata, and only a process that writes a report
 loads it; gen-cohort and train never import survfuse.gradcheck; a run with
-the image probe never imports scipy; and no process of
-a modulated train or an ablation grid imports numpy.ma, which np.median's
-NaN check loads. pytest itself imports importlib.metadata, so every check of
-sys.modules runs in a fresh interpreter."""
+the image probe never imports scipy; no process of a modulated train or an
+ablation grid imports numpy.ma, which np.median's NaN check loads; and none
+of them, pool workers included, loads _hashlib or maps OpenSSL's libcrypto,
+which numpy.random reaches through secrets. pytest itself imports
+importlib.metadata and _hashlib, so every check of sys.modules runs in a
+fresh interpreter."""
 
 import importlib.metadata
 import os
@@ -173,6 +175,52 @@ def test_modulated_train_and_ablate_workers_leave_out_numpy_ma(tmp_path):
     assert len(lines) == 2 + 1 + 12 + 1
     assert len({pid for pid, _ in lines}) == 2     # this process and one worker
     assert {loaded for _, loaded in lines} == {"False"}
+
+
+def test_train_and_ablate_processes_leave_out_openssl(tmp_path):
+    # each line: pid, whether _hashlib is blocked, and whether libcrypto is
+    # mapped ("-" without /proc/self/maps); workers report from the pool
+    # initializer, this process after each command
+    script = """if True:
+        import multiprocessing, os, sys
+        from survfuse import cli, experiment
+        root = sys.argv[1]
+        multiprocessing.set_start_method("fork")
+        init_worker = experiment._init_worker
+
+        def report():
+            if os.path.exists("/proc/self/maps"):
+                with open("/proc/self/maps") as fh:
+                    mapped = str(any("libcrypto" in line for line in fh))
+            else:
+                mapped = "-"
+            print("probe", os.getpid(), sys.modules.get("_hashlib") is None, mapped,
+                  flush=True)
+
+        def probe(*args):
+            report()
+            init_worker(*args)
+
+        experiment._init_worker = probe
+        cfg = ["--config", os.path.join(root, "grid.ini")]
+        cohort = ["--cohort", os.path.join(root, "cohort.csv")]
+        assert cli.main(["gen-cohort", *cfg, "--out", root]) == 0
+        assert cli.main(["gen-cells", *cfg, "--out", root]) == 0
+        assert cli.main(["train", *cfg, *cohort, "--smoothing", "off", "--modulation", "on",
+                         "--out", os.path.join(root, "train")]) == 0
+        report()
+        assert cli.main(["ablate", *cfg, *cohort, "--cells", os.path.join(root, "cells.csv"),
+                         "--out", root, "--jobs", "2"]) == 0
+        report()
+    """
+    (tmp_path / "grid.ini").write_text(GRID_INI)
+    lines = _fresh(script, str(tmp_path))
+    parent = lines[-1][0]
+    # after the train, one worker (--jobs 2) beside this process, after the grid
+    assert [pid == parent for pid, _, _ in lines] == [True, False, True]
+    for _, blocked, mapped in lines:
+        assert blocked == "True"
+        assert mapped in ("False", "-")
 
 
 def test_version_strings_match_the_package_metadata():
