@@ -8,29 +8,14 @@ smoothing, plus synthetic data generation and a cross-validation harness.
 
 import os
 
+# the one version source: pyproject.toml reads it as its dynamic version
+__version__ = "0.1.0"
+
 # Training GEMMs are step-sized, so BLAS worker threads only spin and fight
 # the --jobs fold pool for cores; an exported value still wins.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var
-
-
-def __getattr__(name: str):
-    # __version__ is looked up on its first read and then kept as a global.
-    # importlib.metadata and the modules it loads (email, zipfile, ...) cost a
-    # process memory and start-up time, and only reports read the version, so
-    # processes that write none (the generators, the forked fold workers)
-    # never load them.
-    if name != "__version__":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib.metadata import PackageNotFoundError, version
-    try:
-        value = version("survfuse")
-    except PackageNotFoundError:   # running from a source tree without install
-        value = "0+unknown"
-    globals()["__version__"] = value
-    return value
-
 
 from .errors import (ConcordanceUndefinedError, ConfigError, NumericalError,
                      ShapeError, StateError, SurvfuseError, ValidationError)

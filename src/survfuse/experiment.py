@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .cohort import Cohort, fold_split, split_folds
 from .config import RunConfig, config_echo
 from .errors import ConfigError, SurvfuseError
@@ -28,8 +29,6 @@ from .survival import probe_c_index
 
 
 def tool_version() -> str:
-    # read at call time: the package resolves __version__ on first read
-    from . import __version__
     return f"survfuse {__version__} / numpy {np.__version__}"
 
 

@@ -162,6 +162,9 @@ class CellCorpusSpec:
     def __post_init__(self):
         if self.n_cells < 2 or self.gene_dim <= 0 or self.num_types < 2:
             raise ValidationError("corpus needs >= 2 cells, positive gene_dim, >= 2 types")
+        if self.n_cells < self.num_types:   # generate_cells populates every type
+            raise ValidationError(f"n_cells = {self.n_cells} is fewer than "
+                                  f"num_types = {self.num_types}")
         if not (0.0 <= self.cluster_scale < np.inf and 0.0 <= self.noise_scale < np.inf):
             raise ValidationError("scales must be finite and non-negative")
         if self.seed < 0:

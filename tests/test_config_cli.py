@@ -399,6 +399,15 @@ def test_existing_outputs_refused_without_force(pipeline, capsys):
     assert main(["gen-cells", *cfg, "--force"]) == 0
 
 
+def test_gen_cells_refuses_fewer_cells_than_types(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["gen-cells", "--n-cells", "3", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n_cells = 3 is fewer than num_types = 17\n"
+    assert not out.exists()
+
+
 def test_train_is_deterministic_modulo_timestamp(pipeline):
     root, cfg = pipeline
     before_metrics = (root / "run" / "metrics.jsonl").read_bytes()

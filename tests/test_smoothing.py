@@ -216,6 +216,12 @@ def test_corpus_spec_validation():
         CellCorpusSpec(noise_scale=-0.5)
 
 
+def test_corpus_spec_needs_a_cell_per_type():
+    assert CellCorpusSpec(n_cells=17, num_types=17).n_cells == 17
+    with pytest.raises(ValidationError, match=r"^n_cells = 16 is fewer than num_types = 17$"):
+        CellCorpusSpec(n_cells=16, num_types=17)
+
+
 def test_cells_csv_round_trip(tmp_path):
     spec = CellCorpusSpec(n_cells=12, gene_dim=4, num_types=3, seed=5)
     cells = generate_cells(spec)

@@ -1,15 +1,16 @@
-"""What importing survfuse loads: the package version is looked up on its
-first read, so `import survfuse`, the generators and the forked fold workers
-run without importlib.metadata, and only a process that writes a report
-loads it; gen-cohort and train never import survfuse.gradcheck; a run with
-the image probe never imports scipy; no process of a modulated train or an
-ablation grid imports numpy.ma, which np.median's NaN check loads; and none
-of them, pool workers included, loads _hashlib or maps OpenSSL's libcrypto,
-which numpy.random reaches through secrets. pytest itself imports
+"""What importing survfuse loads: the package version is a literal, so no
+process, whether a generator, a report-writing command or a forked fold
+worker, loads importlib.metadata or the email package it imports;
+gen-cohort and train never import survfuse.gradcheck; a run with the image
+probe never imports scipy; no process of a modulated train or an ablation
+grid imports numpy.ma, which np.median's NaN check loads; and none of them,
+pool workers included, loads _hashlib or maps OpenSSL's libcrypto, which
+numpy.random reaches through secrets. pytest itself imports
 importlib.metadata and _hashlib, so every check of sys.modules runs in a
-fresh interpreter."""
+fresh interpreter. pyproject.toml reads its version from the package."""
 
 import importlib.metadata
+import json
 import os
 import subprocess
 import sys
@@ -52,13 +53,6 @@ def _fresh(script: str, *args: str) -> list[list[str]]:
             if line.startswith("probe ")]
 
 
-def _expected_version() -> str:
-    try:
-        return importlib.metadata.version("survfuse")
-    except importlib.metadata.PackageNotFoundError:
-        return "0+unknown"
-
-
 def test_importing_the_cli_leaves_out_package_metadata():
     script = "import sys, survfuse.cli; print('probe', 'importlib.metadata' in sys.modules)"
     assert _fresh(script) == [["False"]]
@@ -77,7 +71,7 @@ def test_gen_cohort_runs_without_package_metadata(tmp_path):
 
 def test_fold_workers_fork_without_package_metadata(tmp_path):
     # each worker reports from its pool initializer; the parent reports after
-    # the run, when its reports have read the version
+    # the run, when its reports have been written
     script = """if True:
         import multiprocessing, os, sys
         from survfuse import cli, experiment
@@ -104,7 +98,7 @@ def test_fold_workers_fork_without_package_metadata(tmp_path):
     assert len(workers) == 1                 # --jobs 2: one worker besides this process
     assert workers[0][0] != parent[0]
     assert workers[0][1] == "False"
-    assert parent[1] == "True"               # the reports, written after the pool closed
+    assert parent[1] == "False"              # the reports read a literal version
 
 
 def test_gen_cohort_and_train_leave_out_gradcheck(tmp_path):
@@ -223,29 +217,68 @@ def test_train_and_ablate_processes_leave_out_openssl(tmp_path):
         assert mapped in ("False", "-")
 
 
+def test_report_commands_and_pool_workers_leave_out_package_metadata(tmp_path):
+    # each line: pid, whether importlib.metadata or any email module is loaded;
+    # the worker reports from its pool initializer, this process after the
+    # last command
+    script = """if True:
+        import multiprocessing, os, sys
+        from survfuse import cli, experiment
+        root = sys.argv[1]
+        multiprocessing.set_start_method("fork")
+        init_worker = experiment._init_worker
+
+        def report():
+            loaded = [name for name in sys.modules
+                      if name == "importlib.metadata" or name.split(".")[0] == "email"]
+            print("probe", os.getpid(), bool(loaded), flush=True)
+
+        def probe(*args):
+            report()
+            init_worker(*args)
+
+        experiment._init_worker = probe
+        cfg = ["--config", os.path.join(root, "grid.ini")]
+        cohort = ["--cohort", os.path.join(root, "cohort.csv")]
+        cells = ["--cells", os.path.join(root, "cells.csv")]
+        train = os.path.join(root, "train")
+        assert cli.main(["gen-cohort", *cfg, "--out", root]) == 0
+        assert cli.main(["gen-cells", *cfg, "--out", root]) == 0
+        assert cli.main(["pretrain-smooth", *cfg, *cells, "--out", root]) == 0
+        assert cli.main(["train", *cfg, *cohort, "--stage1", os.path.join(root, "stage1.ckpt"),
+                         "--out", train]) == 0
+        assert cli.main(["eval", *cfg, *cohort, "--model", os.path.join(train, "model.ckpt"),
+                         "--out", root]) == 0
+        assert cli.main(["ablate", *cfg, *cohort, *cells, "--out", root, "--jobs", "2"]) == 0
+        report()
+    """
+    (tmp_path / "grid.ini").write_text(GRID_INI)
+    lines = _fresh(script, str(tmp_path))
+    assert [pid == lines[-1][0] for pid, _ in lines] == [False, True]   # one worker, then this
+    assert [loaded for _, loaded in lines] == ["False", "False"]
+    for name in ("stage1_report.json", "train/report.json", "eval.json", "ablation.json"):
+        report = json.loads((tmp_path / name).read_text())
+        assert report["tool_version"] == tool_version()
+
+
 def test_version_strings_match_the_package_metadata():
-    expected = _expected_version()
-    assert survfuse.__version__ == expected
-    assert tool_version() == f"survfuse {expected} / numpy {np.__version__}"
+    # pyproject.toml takes its version from the package, the one source
+    if sys.version_info >= (3, 11):
+        import tomllib
+        with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+            pyproject = tomllib.load(fh)
+        assert "version" not in pyproject["project"]
+        assert "version" in pyproject["project"]["dynamic"]
+        assert (pyproject["tool"]["setuptools"]["dynamic"]["version"]
+                == {"attr": "survfuse.__version__"})
+    try:
+        assert importlib.metadata.version("survfuse") == survfuse.__version__
+    except importlib.metadata.PackageNotFoundError:   # run from a source tree
+        pass
+    assert tool_version() == f"survfuse {survfuse.__version__} / numpy {np.__version__}"
 
 
 def test_star_import_exports_the_version():
     namespace: dict = {}
     exec("from survfuse import *", namespace)
-    assert namespace["__version__"] == _expected_version()
-
-
-def test_version_is_looked_up_once(monkeypatch):
-    survfuse.__version__                     # so that teardown restores the real value
-    monkeypatch.delattr(survfuse, "__version__")
-    calls = []
-
-    def lookup(name):
-        calls.append(name)
-        raise importlib.metadata.PackageNotFoundError(name)
-
-    monkeypatch.setattr(importlib.metadata, "version", lookup)
-    assert survfuse.__version__ == "0+unknown"
-    assert survfuse.__version__ == "0+unknown"
-    assert tool_version().startswith("survfuse 0+unknown / ")
-    assert calls == ["survfuse"]
+    assert namespace["__version__"] == survfuse.__version__
