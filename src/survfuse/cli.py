@@ -40,13 +40,14 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _refuse_existing(path: str, force: bool) -> None:
-    if os.path.exists(path) and not force:
-        raise ValidationError(f"{path} already exists (pass --force to overwrite)")
+def _refuse_existing(force: bool, *paths: str) -> None:
+    for path in paths:
+        if os.path.exists(path) and not force:
+            raise ValidationError(f"{path} already exists (pass --force to overwrite)")
 
 
 def _write_text(path: str, chunks, force: bool) -> None:
-    _refuse_existing(path, force)
+    _refuse_existing(force, path)
     write_text(path, chunks)
 
 
@@ -76,7 +77,7 @@ def cmd_gen_cohort(args) -> int:
                             censor_fraction=args.censor_target)
     cfg = load_run_config(args.config)
     path = _out_path(args, "cohort.csv", cfg.paths.cohort)
-    _refuse_existing(path, args.force)
+    _refuse_existing(args.force, path)
     cohort = generate_cohort(spec)
     save_cohort(path, cohort)
     n_events = int(cohort.events.sum())
@@ -89,7 +90,7 @@ def cmd_gen_cells(args) -> int:
     spec = load_cells_spec(args.config, seed=args.seed, n_cells=args.n_cells)
     cfg = load_run_config(args.config)
     path = _out_path(args, "cells.csv", cfg.paths.cells)
-    _refuse_existing(path, args.force)
+    _refuse_existing(args.force, path)
     cells = generate_cells(spec)
     save_cells(path, cells)
     print(f"wrote {len(cells)} cells ({spec.num_types} types, "
@@ -104,8 +105,7 @@ def cmd_pretrain(args) -> int:
     ckpt_path = _out_path(args, "stage1.ckpt", cfg.paths.stage1)
     report_path = _out_path(args, "stage1_report.json",
                             os.path.splitext(cfg.paths.stage1)[0] + "_report.json")
-    _refuse_existing(ckpt_path, args.force)
-    _refuse_existing(report_path, args.force)
+    _refuse_existing(args.force, ckpt_path, report_path)
     stage1 = run_stage1(cells, cfg)
     save_stage1(ckpt_path, stage1)
     report = dict(stage1.report, kind="stage1_report", tool_version=tool_version(),
@@ -132,28 +132,31 @@ def _train_overrides(args) -> dict:
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, out_dir=args.out, **_train_overrides(args))
-    out_dir = cfg.paths.out_dir
-    report_path = os.path.join(out_dir, "report.json")
-    _refuse_existing(report_path, args.force)
+    paths = {name: os.path.join(cfg.paths.out_dir, name) for name in
+             ("report.json", "metrics.jsonl", "contributions.jsonl", "model.ckpt")}
+    _refuse_existing(args.force, *paths.values())
     cohort = load_cohort(cfg.paths.cohort)
     stage1 = (load_stage1(cfg.paths.stage1) if cfg.smoothing.enabled
               else Stage1Result(cfg.smoothing.frozen_encoder(cohort.x_rna.shape[1])))
     outputs = run_cross_validation(cohort, cfg, stage1, jobs=args.jobs)
     report = dict(outputs.report)
     report["timestamp"] = _timestamp()
-    _write_json(report_path, report, args.force)
+    _write_json(paths["report.json"], report, args.force)
     for name, stream in (("metrics.jsonl", outputs.epoch_stream),
                          ("contributions.jsonl", outputs.contribution_stream)):
-        _write_jsonl(os.path.join(out_dir, name), stream_rows(stream), True)
+        _write_jsonl(paths[name], stream_rows(stream), args.force)
     model = run_final_fit(cohort, cfg, stage1)   # full-cohort fit for `eval`
-    save_model(os.path.join(out_dir, "model.ckpt"), model)
+    save_model(paths["model.ckpt"], model)
     print(f"C-index {report['c_index_mean']:.4f} +/- {report['c_index_std']:.4f} "
-          f"over {cfg.k_folds} folds; report: {report_path}")
+          f"over {cfg.k_folds} folds; report: {paths['report.json']}")
     return 0
 
 
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config, cohort=args.cohort)
+    eval_path = os.path.join(args.out, "eval.json") if args.out else None
+    if eval_path:
+        _refuse_existing(args.force, eval_path)
     model = load_model(args.model)
     cohort = load_cohort(cfg.paths.cohort)
     try:
@@ -164,8 +167,8 @@ def cmd_eval(args) -> int:
               "model": args.model, "cohort": cfg.paths.cohort,
               "c_index": metrics["c_index"], "mean_loss": metrics["mean_loss"],
               "n_records": len(cohort), "timestamp": _timestamp()}
-    if args.out:
-        _write_json(os.path.join(args.out, "eval.json"), result, args.force)
+    if eval_path:
+        _write_json(eval_path, result, args.force)
     print(f"c_index {metrics['c_index']:.4f}  mean_loss {metrics['mean_loss']:.4f} "
           f"({len(cohort)} records)")
     return 0
@@ -177,8 +180,7 @@ def cmd_ablate(args) -> int:
     out_dir = cfg.paths.out_dir
     json_path = os.path.join(out_dir, "ablation.json")
     csv_path = os.path.join(out_dir, "ablation.csv")
-    _refuse_existing(json_path, args.force)
-    _refuse_existing(csv_path, args.force)
+    _refuse_existing(args.force, json_path, csv_path)
     cohort = load_cohort(cfg.paths.cohort)
     cells = load_cells(cfg.paths.cells)
     table = run_ablation(cohort, cells, cfg, jobs=args.jobs)

@@ -32,6 +32,14 @@ class SmoothingConfig:
     encoder_seed: int = 0   # the frozen encoder is one fixed artifact; run
     encoder_scale: float = 2.0  # seeds vary training, not the encoder
 
+    def __post_init__(self):
+        if self.embed_dim < 1:
+            raise ConfigError(f"[smoothing] embed_dim: embed_dim must be positive, "
+                              f"got {self.embed_dim}")
+        if not 0.0 <= self.encoder_scale < float("inf"):
+            raise ConfigError(f"[smoothing] encoder_scale: encoder_scale must be finite "
+                              f"and non-negative, got {self.encoder_scale}")
+
     def frozen_encoder(self, gene_dim: int) -> FrozenEncoder:
         """The fixed encoder these settings describe, for gene_dim genes."""
         return default_encoder(gene_dim, self.embed_dim, seed=self.encoder_seed,

@@ -130,7 +130,6 @@ class RunOutputs:
 
 def _run_outputs(rows: list[dict], cfg: RunConfig, stage1: Stage1Result) -> RunOutputs:
     """One cross-validation run's report and streams from its fold rows."""
-    rows = sorted(rows, key=lambda r: r["fold"])
     streams = {"epoch_stream": {}, "contribution_stream": {}}
     for row in rows:
         for name, merged in streams.items():
@@ -165,18 +164,19 @@ def _run_outputs(rows: list[dict], cfg: RunConfig, stage1: Stage1Result) -> RunO
 # the workers take tasks from the front of the queue, while this process
 # takes them from the back. One shared flag per task, created before the
 # fork, decides which process runs it: the first to set it. A failed task
-# sets every flag, so no fold starts after a failure. The cohort reaches
-# each worker once, through the pool initializer (inherited, not pickled,
-# under fork); a task carries only what differs between tasks. Tasks call
-# run_single_fold through this module's globals, so a wrapper installed on
-# that name before the pool starts runs in the workers too.
+# sets every flag, so no fold starts after a failure. Every process runs
+# tasks through _fold_task, which reads the cohort, the fold plan and the
+# flags from _worker_inputs: this process fills it itself, each worker once,
+# through the pool initializer (inherited, not pickled, under fork). A task
+# carries only what differs between tasks. _fold_task calls run_single_fold
+# through this module's globals, so a wrapper installed on that name before
+# the pool starts runs in the workers too.
 
 _worker_inputs: dict = {}
 
 
-def _init_worker(cohort: Cohort, claims) -> None:
-    _worker_inputs["cohort"] = cohort
-    _worker_inputs["claims"] = claims
+def _init_worker(cohort: Cohort, plan, claims) -> None:
+    _worker_inputs.update(cohort=cohort, plan=plan, claims=claims)
 
 
 def _claim(claims, index: int) -> bool:
@@ -196,28 +196,19 @@ def _claim_all(claims) -> None:
         claims[:] = [1] * len(claims)
 
 
-def _run_claimed(claims, index: int, cohort: Cohort, plan, fold: int,
-                 cfg: RunConfig, stage1: Stage1Result) -> dict | None:
+def _fold_task(index: int, fold: int, cfg: RunConfig,
+               stage1: Stage1Result) -> dict | None:
     """Task `index`'s fold row if this process claims it, else None. If the
     fold fails, every task left is claimed before the error propagates."""
+    claims = _worker_inputs["claims"]
     if not _claim(claims, index):
         return None
     try:
-        return run_single_fold(cohort, plan, fold, cfg, stage1)
+        return run_single_fold(_worker_inputs["cohort"], _worker_inputs["plan"],
+                               fold, cfg, stage1)
     except BaseException:
         _claim_all(claims)
         raise
-
-
-def _fold_task(index: int, plan, fold: int, cfg: RunConfig,
-               stage1: Stage1Result) -> dict | None:
-    return _run_claimed(_worker_inputs["claims"], index, _worker_inputs["cohort"],
-                        plan, fold, cfg, stage1)
-
-
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
 
 
 class _FoldTasks:
@@ -226,20 +217,22 @@ class _FoldTasks:
     is no pool and `run` runs every task here, in grid order."""
 
     def __init__(self, cohort: Cohort, plan, jobs: int, n_tasks: int):
-        self.cohort = cohort
-        self.plan = plan
-        self.tasks: list[tuple] = []   # (fold, cfg, stage1), in grid order
+        if jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+        self.tasks: list[tuple] = []   # (index, fold, cfg, stage1), in grid order
         self.futures: list = []
         workers = min(jobs, n_tasks) - 1
         self.claims = multiprocessing.Array("b", n_tasks) if workers else None
+        _worker_inputs.update(cohort=cohort, plan=plan, claims=self.claims)
         self.pool = (ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                         initargs=(cohort, self.claims))
+                                         initargs=(cohort, plan, self.claims))
                      if workers else None)
 
     def __enter__(self) -> "_FoldTasks":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        _worker_inputs.clear()
         if self.pool is not None:
             # on an error, no fold that has not started yet starts
             if exc_type is not None:
@@ -249,10 +242,10 @@ class _FoldTasks:
     def submit(self, cfg: RunConfig, stage1: Stage1Result) -> None:
         """Queue the k folds of one cross-validation run."""
         for fold in range(cfg.k_folds):
+            task = (len(self.tasks), fold, cfg, stage1)
             if self.pool is not None:
-                self.futures.append(self.pool.submit(
-                    _fold_task, len(self.tasks), self.plan, fold, cfg, stage1))
-            self.tasks.append((fold, cfg, stage1))
+                self.futures.append(self.pool.submit(_fold_task, *task))
+            self.tasks.append(task)
 
     def run(self) -> list[dict]:
         """Every task's fold row, in grid order.
@@ -264,10 +257,8 @@ class _FoldTasks:
         order = range(n) if self.pool is None else range(n - 1, -1, -1)
         outcomes: dict[int, object] = {}
         for index in order:
-            fold, cfg, stage1 = self.tasks[index]
             try:
-                row = _run_claimed(self.claims, index, self.cohort, self.plan,
-                                   fold, cfg, stage1)
+                row = _fold_task(*self.tasks[index])
             except Exception as exc:
                 outcomes[index] = exc
                 break
@@ -285,7 +276,6 @@ class _FoldTasks:
 
 def run_cross_validation(cohort: Cohort, cfg: RunConfig,
                          stage1: Stage1Result, jobs: int = 1) -> RunOutputs:
-    _check_jobs(jobs)
     plan = split_folds(cohort, cfg.k_folds, cfg.seed)
     with _FoldTasks(cohort, plan, jobs, cfg.k_folds) as tasks:
         tasks.submit(cfg, stage1)
@@ -325,30 +315,23 @@ def run_ablation(cohort: Cohort, cells: CellCorpus,
     smoothing rows. Row order is fixed: rows 1-3 without smoothing, 4-6
     with, each block ordered concat, kronecker, modulation.
 
-    The folds of rows 1-3, which do not need stage 1, are queued first; this
-    process then trains stage 1 while the pool's workers, if any, start on
-    them; then the folds of rows 4-6 are queued and every fold runs as
-    `_FoldTasks.run` says. With jobs = 1 that is stage 1 first, then every
-    fold in grid order."""
-    _check_jobs(jobs)
+    The rows' folds are queued in grid order, and the smoothing rows' stage 1
+    trains at the first row that needs it, so the pool's workers, if any,
+    start on rows 1-3 meanwhile; then every fold runs as `_FoldTasks.run`
+    says. With jobs = 1 that is stage 1 first, then every fold in grid order."""
     plan = split_folds(cohort, cfg.k_folds, cfg.seed)
-    configs = {row_id: _grid_config(cfg, on, label)
-               for row_id, on, label in ABLATION_GRID}
-    plain = [row_id for row_id, on, _ in ABLATION_GRID if not on]
-    smooth = [row_id for row_id, on, _ in ABLATION_GRID if on]
-    stage1_by_smoothing = {False: run_stage1(cells, configs[plain[0]])}
+    configs = [_grid_config(cfg, on, label) for _, on, label in ABLATION_GRID]
+    stage1_by_smoothing: dict[bool, Stage1Result] = {}
     with _FoldTasks(cohort, plan, jobs, len(ABLATION_GRID) * cfg.k_folds) as tasks:
-        for row_id in plain:
-            tasks.submit(configs[row_id], stage1_by_smoothing[False])
-        stage1_by_smoothing[True] = run_stage1(cells, configs[smooth[0]])
-        for row_id in smooth:
-            tasks.submit(configs[row_id], stage1_by_smoothing[True])
+        for (_, on, _), row_cfg in zip(ABLATION_GRID, configs):
+            if on not in stage1_by_smoothing:
+                stage1_by_smoothing[on] = run_stage1(cells, row_cfg)
+            tasks.submit(row_cfg, stage1_by_smoothing[on])
         done = tasks.run()
     k = cfg.k_folds
-    fold_rows = {row_id: done[i * k:(i + 1) * k] for i, row_id in enumerate(plain + smooth)}
     rows = []
-    for row_id, smoothing_on, fusion_label in ABLATION_GRID:
-        outputs = _run_outputs(fold_rows[row_id], configs[row_id],
+    for i, (row_id, smoothing_on, fusion_label) in enumerate(ABLATION_GRID):
+        outputs = _run_outputs(done[i * k:(i + 1) * k], configs[i],
                                stage1_by_smoothing[smoothing_on])
         rows.append({
             "row": row_id,

@@ -364,7 +364,6 @@ def train_survival(model: FusionModel, cohort: Cohort, cfg: RunConfig) -> TrainR
     eta schedule is a function of the step position, skipped or not.
     """
     model.check_widths(cohort)
-    full = build_risk_sets(cohort)
     n = len(cohort)
     # training rows only — no fold leakage; the frozen path never changes mid-run
     g2_all = model.fit_g2_normalization(cohort.x_rna)
@@ -391,7 +390,7 @@ def train_survival(model: FusionModel, cohort: Cohort, cfg: RunConfig) -> TrainR
             for step_index, start in enumerate(range(0, n, cfg.batch_size),
                                                epoch * steps_per_epoch):
                 idx = perm[start:start + cfg.batch_size]
-                sub = CoxBatch(full.times[idx], full.events[idx])
+                sub = CoxBatch(cohort.times[idx], cohort.events[idx])
                 if sub.degenerate:
                     skipped += 1
                     continue
@@ -419,7 +418,7 @@ def train_survival(model: FusionModel, cohort: Cohort, cfg: RunConfig) -> TrainR
                 theta_all = _chunked_theta(model, cohort, g2_all)
             except NumericalError as exc:
                 raise NumericalError(f"epoch {epoch}, epoch-end forward: {exc}") from exc
-            c_index = concordance_index(theta_all, full.times, full.events)
+            c_index = concordance_index(theta_all, cohort.times, cohort.events)
             mean_loss = epoch_loss_sum / epoch_event_count if epoch_event_count else 0.0
             values = (epoch, mean_loss, c_index,
                       *(median(log[key][first:]) for key in EPOCH_LOG_FIELDS[3:]))

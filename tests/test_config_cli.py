@@ -399,6 +399,29 @@ def test_existing_outputs_refused_without_force(pipeline, capsys):
     assert main(["gen-cells", *cfg, "--force"]) == 0
 
 
+@pytest.mark.parametrize("name", ["model.ckpt", "metrics.jsonl"])
+def test_train_refuses_every_existing_output_before_it_runs(pipeline, tmp_path, capsys,
+                                                            name):
+    _, cfg = pipeline
+    out = tmp_path / "run"
+    out.mkdir()
+    existing = out / name
+    existing.write_text("kept\n")
+    assert main(["train", *cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {existing} already exists (pass --force to overwrite)\n")
+    assert existing.read_text() == "kept\n"
+    assert sorted(p.name for p in out.iterdir()) == [name]
+
+
+def test_eval_refuses_an_existing_report_before_it_reads_the_model(tmp_path, capsys):
+    (tmp_path / "eval.json").write_text("{}\n")
+    argv = ["eval", "--model", str(tmp_path / "missing.ckpt"), "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'eval.json'} already exists (pass --force to overwrite)\n")
+
+
 def test_gen_cells_refuses_fewer_cells_than_types(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["gen-cells", "--n-cells", "3", "--out", str(out)]) == 1
@@ -658,6 +681,8 @@ def test_non_utf8_inputs_are_clean_errors(pipeline, tmp_path, capsys, kind, offs
     ("train", "steps_per_epoch", "0"),
     ("gen-cells", "batch_pairs", "0"),
     ("pretrain-smooth", "feature_dim", "0"),
+    ("gen-cohort", "embed_dim", "0"),
+    ("train", "embed_dim", "0"),
 ])
 def test_bad_smoothing_values_are_clean_errors(pipeline, tmp_path, capsys,
                                                command, key, value):
@@ -670,9 +695,7 @@ def test_bad_smoothing_values_are_clean_errors(pipeline, tmp_path, capsys,
     extra = ["--smoothing", "off"] if command == "train" else []
     assert main([command, "--config", str(ini), "--out", str(out), *extra]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
-    if key != "encoder_scale":   # default_encoder refuses that one, after loading
-        assert err.startswith(f"error: [smoothing] {key}: ")
+    assert err.startswith(f"error: [smoothing] {key}: ") and "Traceback" not in err
     assert not out.exists()
 
 

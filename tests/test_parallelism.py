@@ -17,7 +17,7 @@ import pytest
 import survfuse
 from survfuse import experiment
 from survfuse.cli import build_parser, main
-from survfuse.cohort import Cohort, CohortSpec, generate_cohort, save_cohort
+from survfuse.cohort import Cohort, CohortSpec, FoldPlan, generate_cohort, save_cohort
 from survfuse.config import load_run_config
 from survfuse.errors import ConfigError, NumericalError
 from survfuse.experiment import run_ablation, run_cross_validation, run_stage1
@@ -147,6 +147,7 @@ def test_fold_pool_has_no_more_workers_than_folds(tiny_run, monkeypatch):
     assert pooled == serial
     assert len(RecordingPool.submissions) == 2
     assert not _carries(RecordingPool.submissions, Cohort)
+    assert not _carries(RecordingPool.submissions, FoldPlan)
 
 
 @pytest.mark.parametrize("jobs", [3, 50])
@@ -160,6 +161,7 @@ def test_ablate_runs_on_one_pool_and_sends_inputs_once(tiny_run, monkeypatch, jo
     assert RecordingPool.sizes == [min(jobs, n_tasks) - 1]
     assert len(RecordingPool.submissions) == n_tasks
     assert not _carries(RecordingPool.submissions, (Cohort, CellCorpus))
+    assert not _carries(RecordingPool.submissions, FoldPlan)
     assert pooled == serial
 
 

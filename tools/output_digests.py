@@ -1,6 +1,6 @@
 """Digest every output of the survfuse pipeline, to compare two checkouts.
 
-For each seed, at --jobs 1 and at --jobs 2, each in its own run directory, this runs
+For each seed, at --jobs 1, 2 and 3, each in its own run directory, this runs
 gen-cohort, gen-cells, pretrain-smooth, train (stage-1 smoothing,
 modulation, --track-rho, --image-probe), a second train without contribution
 reports (--modulation off, no --track-rho: its metrics.jsonl holds null rho
@@ -32,7 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TOKEN = "<run>"
-JOBS = (1, 2)
+JOBS = (1, 2, 3)
 
 # small enough for CI, large enough that every fold trains on several batches
 # and that inference runs in row chunks: the training folds (300 rows), the
