@@ -42,8 +42,8 @@ from .errors import (ConfigError, NumericalError, ShapeError, StateError,
 from .modulation import (STEP_LOG_FIELDS, apply_modulation, branch_scores,
                          contribution_ratio, log_step, median)
 from .nnet import (DenseLayer, ParamGroup, add_layers, as_matrix,
-                   checkpoint_layers, layer_group, load_checkpoint, make_mlp,
-                   meta_typed, mlp_backward, mlp_forward, save_checkpoint,
+                   checkpoint_layers, grouped_layers, layer_group, load_checkpoint,
+                   meta_typed, mlp_backward, mlp_forward, mlp_layout, save_checkpoint,
                    sgd_step, stack_names, step_decay_eta)
 from .smoothing import FrozenEncoder
 from .survival import (CoxBatch, build_risk_sets, concordance_index,
@@ -198,7 +198,9 @@ class FusionModel:
         feats = self.frozen_rna_features(rna_matrix)
         self.g2_mean = feats.mean(axis=0)
         self.g2_std = np.maximum(feats.std(axis=0), 1e-8)
-        return (feats - self.g2_mean) / self.g2_std
+        feats -= self.g2_mean
+        feats /= self.g2_std
+        return feats
 
     # --- batch forward/backward ---
 
@@ -251,15 +253,17 @@ def build_model(cfg: RunConfig, dim_cnv_mut: int, dim_image: int, encoder: Froze
     else:
         g2_dim = encoder.embed_dim
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF5]))
-    snn = make_mlp(dim_cnv_mut, cfg.snn_dim, hidden_dim=cfg.hidden_dim, n_hidden=SNN_HIDDEN,
-                   activation="selu", out_activation="selu", rng=rng)
-    mlp_b = make_mlp(cfg.snn_dim + g2_dim, cfg.gen_dim, hidden_dim=cfg.hidden_dim,
-                     n_hidden=MLP_B_HIDDEN, rng=rng)
-    image_encoder = make_mlp(dim_image, cfg.img_dim, hidden_dim=cfg.hidden_dim,
-                             n_hidden=IMAGE_HIDDEN, rng=rng)
-    head = DenseLayer(head_width(cfg.gen_dim, cfg.img_dim, cfg.fusion_mode), 1,
-                      "identity", rng=rng)
-    return FusionModel(snn, encoder, mlp_a, mlp_b, image_encoder, head, cfg.fusion_mode)
+    # each parameter group's layers are drawn into the group's own buffers, so
+    # param_groups() finds them laid out and copies nothing
+    snn = mlp_layout(dim_cnv_mut, cfg.snn_dim, cfg.hidden_dim, SNN_HIDDEN, "selu", "selu")
+    genomic = grouped_layers(snn + mlp_layout(cfg.snn_dim + g2_dim, cfg.gen_dim, cfg.hidden_dim,
+                                              MLP_B_HIDDEN, "relu", "identity"), rng)
+    image_encoder = grouped_layers(mlp_layout(dim_image, cfg.img_dim, cfg.hidden_dim,
+                                              IMAGE_HIDDEN, "relu", "identity"), rng)
+    [head] = grouped_layers(
+        [(head_width(cfg.gen_dim, cfg.img_dim, cfg.fusion_mode), 1, "identity")], rng)
+    return FusionModel(genomic[:len(snn)], encoder, mlp_a, genomic[len(snn):],
+                       image_encoder, head, cfg.fusion_mode)
 
 
 def _kronecker_forward(head: DenseLayer, G, P, *, train: bool) -> np.ndarray:

@@ -115,7 +115,12 @@ class DenseLayer:
     """
 
     def __init__(self, in_dim: int, out_dim: int, activation: str = "identity",
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None, *,
+                 buffers: tuple[np.ndarray, np.ndarray] | None = None):
+        """Weights from U(-1/sqrt(in), 1/sqrt(in)) with rng, else zero. With
+        `buffers`, two zeroed flat arrays of out_dim * (in_dim + 1) entries,
+        the weight then the bias are views of the first and their gradients
+        of the second (see grouped_layers); otherwise the layer owns them."""
         if in_dim <= 0 or out_dim <= 0:
             raise ValidationError(f"layer dims must be positive, got {in_dim}x{out_dim}")
         if activation not in ACTIVATIONS:
@@ -123,14 +128,20 @@ class DenseLayer:
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
         self.activation = activation
-        if rng is None:
-            self.weight = np.zeros((out_dim, in_dim))
+        if buffers is None:
+            self.weight, self.bias = np.zeros((out_dim, in_dim)), np.zeros(out_dim)
+            self.grad_weight, self.grad_bias = np.zeros_like(self.weight), np.zeros_like(self.bias)
         else:
+            params, grads = buffers
+            size = out_dim * in_dim
+            self.weight, self.bias = params[:size].reshape(out_dim, in_dim), params[size:]
+            self.grad_weight, self.grad_bias = grads[:size].reshape(out_dim, in_dim), grads[size:]
+        if rng is not None:
+            # in place, the bits of rng.uniform(-bound, bound, (out_dim, in_dim))
             bound = 1.0 / np.sqrt(in_dim)
-            self.weight = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-        self.bias = np.zeros(out_dim)
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
+            rng.random(out=self.weight)
+            self.weight *= bound - -bound
+            self.weight += -bound
         self._cached_input: np.ndarray | None = None
         self._cached_preact: np.ndarray | None = None
 
@@ -206,20 +217,45 @@ class DenseLayer:
         return dz @ self.weight[:, :input_cols]
 
 
+def mlp_layout(in_dim: int, out_dim: int, hidden_dim: int, n_hidden: int,
+               activation: str, out_activation: str) -> list[tuple[int, int, str]]:
+    """(in_dim, out_dim, activation) of each layer of the dense stack
+    in -> hidden^n_hidden -> out; `activation` is applied on hidden layers only."""
+    dims = [in_dim] + [hidden_dim] * n_hidden + [out_dim]
+    return [(dims[i], dims[i + 1], activation if i < len(dims) - 2 else out_activation)
+            for i in range(len(dims) - 1)]
+
+
 def make_mlp(in_dim: int, out_dim: int, *, hidden_dim: int = 128,
              n_hidden: int = 2, activation: str = "relu",
              out_activation: str = "identity",
              rng: np.random.Generator) -> list[DenseLayer]:
-    """Build a dense stack in -> hidden^n_hidden -> out.
+    """Build a dense stack in -> hidden^n_hidden -> out (see mlp_layout), each
+    layer owning its tensors.
 
     The default (n_hidden=2) gives the three-dense-layer shape used for the
-    branch MLPs; `activation` is applied on hidden layers only.
+    branch MLPs.
     """
-    dims = [in_dim] + [hidden_dim] * n_hidden + [out_dim]
-    layers = []
-    for i in range(len(dims) - 1):
-        act = activation if i < len(dims) - 2 else out_activation
-        layers.append(DenseLayer(dims[i], dims[i + 1], act, rng=rng))
+    return [DenseLayer(i, o, act, rng=rng)
+            for i, o, act in mlp_layout(in_dim, out_dim, hidden_dim, n_hidden,
+                                        activation, out_activation)]
+
+
+def grouped_layers(layout: list[tuple[int, int, str]],
+                   rng: np.random.Generator) -> list[DenseLayer]:
+    """Fresh layers, one per (in_dim, out_dim, activation) of layout, drawn
+    from rng in order as DenseLayer draws them, straight into one flat
+    parameter buffer and one flat gradient buffer in the layout layer_group
+    gives them: a layer_group over these layers, in this order, copies
+    nothing."""
+    sizes = [out_dim * (in_dim + 1) for in_dim, out_dim, _ in layout]
+    flat_params, flat_grads = np.zeros(sum(sizes)), np.zeros(sum(sizes))
+    layers, offset = [], 0
+    for (in_dim, out_dim, activation), size in zip(layout, sizes):
+        end = offset + size
+        layers.append(DenseLayer(in_dim, out_dim, activation, rng,
+                                 buffers=(flat_params[offset:end], flat_grads[offset:end])))
+        offset = end
     return layers
 
 
@@ -297,8 +333,8 @@ def layer_group(name: str, layers: list[DenseLayer], lr_scale: float = 1.0) -> P
     The first time, the layers' tensors move (values kept) into one flat
     parameter buffer and one flat gradient buffer, and the layers' attributes
     become views of them; a later group over the same layers, in any order,
-    finds every tensor a view of two buffers that they fill exactly and shares
-    them. Layers laid out for another group cannot join a different one:
+    or a group over layers from grouped_layers, finds every tensor a view of
+    two buffers that they fill exactly and shares them. Layers laid out for another group cannot join a different one:
     moving them would cut that group off. No layers give an empty group.
     """
     params = [t for layer in layers for t in (layer.weight, layer.bias)]

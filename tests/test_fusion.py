@@ -17,8 +17,8 @@ from survfuse.fusion import (FUSION_MODES, build_model, evaluate,
                              image_branch_features, load_model, predict_theta,
                              save_model, train_survival)
 from survfuse.modulation import ModulationConfig, median
-from survfuse.nnet import (layer_group, make_mlp, mlp_forward, save_checkpoint,
-                           sgd_step)
+from survfuse.nnet import (DenseLayer, layer_group, make_mlp, mlp_forward,
+                           save_checkpoint, sgd_step)
 from survfuse.smoothing import (CellCorpusSpec, Stage1Config, default_encoder,
                                 generate_cells, pretrain_mlp_a)
 from survfuse.survival import concordance_index
@@ -93,10 +93,58 @@ def test_param_groups_partition():
     _assert_groups_alias_layers(m, groups)
 
 
+def _group_layers(model):
+    return {"genomic": model.snn + model.mlp_b, "image": model.image_encoder,
+            "head": [model.head]}
+
+
+def _groups_drawn_layer_by_layer(model, seed):
+    """Reference: the model's groups as each layer drawn on its own with
+    rng.uniform, in build_model's order, then moved into its group by
+    layer_group."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF5]))
+
+    def drawn(layer):
+        bound = 1.0 / np.sqrt(layer.in_dim)
+        return DenseLayer.from_params(rng.uniform(-bound, bound, size=layer.weight.shape),
+                                      np.zeros(layer.out_dim), layer.activation)
+
+    return {name: layer_group(name, [drawn(layer) for layer in layers])
+            for name, layers in _group_layers(model).items()}
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("mode", FUSION_MODES)
+def test_build_model_draws_each_group_into_its_buffers(mode, seed):
+    """Before any param_groups() call, each group's weights and biases (and
+    their gradients) lie back to back in one buffer, in layer_group's order;
+    param_groups() returns those buffers, which hold the bits of layers drawn
+    one at a time and then grouped."""
+    model = _small_model(seed=seed, fusion_mode=mode)
+    laid_out = {}
+    for name, layers in _group_layers(model).items():
+        for attrs in (("weight", "bias"), ("grad_weight", "grad_bias")):
+            tensors = [getattr(layer, attr) for layer in layers for attr in attrs]
+            flat = tensors[0].base
+            assert isinstance(flat, np.ndarray)
+            offset = 0
+            for t in tensors:
+                assert t.base is flat
+                assert t.ctypes.data == flat.ctypes.data + offset * flat.itemsize
+                offset += t.size
+            assert offset == flat.size
+            laid_out[name, attrs[0]] = flat
+    groups = model.param_groups()
+    reference = _groups_drawn_layer_by_layer(model, seed)
+    for name, group in groups.items():
+        assert group.flat_params is laid_out[name, "weight"]
+        assert group.flat_grads is laid_out[name, "grad_weight"]
+        assert group.flat_params.tobytes() == reference[name].flat_params.tobytes()
+        assert not group.flat_grads.any()
+
+
 def _assert_groups_alias_layers(model, groups):
-    stacks = {"genomic": model.snn + model.mlp_b, "image": model.image_encoder,
-              "head": [model.head]}
-    for name, layers in stacks.items():
+    for name, layers in _group_layers(model).items():
         for layer in layers:
             assert layer.weight.base is groups[name].flat_params
             assert layer.bias.base is groups[name].flat_params
@@ -695,6 +743,25 @@ def test_save_model_memory_does_not_grow_with_the_file(tmp_path):
     peak = _peak_bytes(save_model, str(path), model)
     assert path.stat().st_size > 1_500_000
     assert peak < 500_000   # building the text whole measured 3x the file
+
+
+def test_g2_standardization_is_in_place(cohort_4000):
+    """fit_g2_normalization returns the bits of (f - mean) / std from the
+    frozen features f it computed, standardized in place: at its peak it holds
+    f and the one n x g2 temporary numpy's std makes. Standardizing into new
+    arrays peaked at 3.07 times f."""
+    model = _default_width_model(cohort_4000)
+    feats = model.frozen_rna_features(cohort_4000.x_rna)
+    expected = (feats - feats.mean(axis=0)) / np.maximum(feats.std(axis=0), 1e-8)
+    model.fit_g2_normalization(cohort_4000.x_rna)   # lazy set-up outside the measurement
+    tracemalloc.start()
+    try:
+        standardized = model.fit_g2_normalization(cohort_4000.x_rna)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert standardized.tobytes() == expected.tobytes()
+    assert peak < 2.5 * standardized.nbytes
 
 
 # ---------------------------------------------------------------------------
